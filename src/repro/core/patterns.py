@@ -66,35 +66,70 @@ class _ScoredDetector(PatternDetector):
         self._score = 0.0
         self._primed = False
 
-    def _grade(self, predicted: Optional[ChunkKey], actual: ChunkKey) -> None:
+    def _grade(self, predicted: Optional[ChunkKey], actual: ChunkKey) -> bool:
+        """Fold one prediction into the score; True on a hit."""
         if predicted is None:
-            return  # No hypothesis yet: neither credit nor blame.
-        hit = 1.0 if predicted == actual else 0.0
+            return False  # No hypothesis yet: neither credit nor blame.
+        hit = predicted == actual
+        credit = 1.0 if hit else 0.0
         if self._primed:
-            self._score = self._DECAY * self._score + (1 - self._DECAY) * hit
+            self._score = self._DECAY * self._score + (1 - self._DECAY) * credit
         else:
-            self._score = hit
+            self._score = credit
             self._primed = True
+        return hit
 
     @property
     def score(self) -> float:
         return self._score
 
 
+def _smallest_period(window: Sequence[ChunkKey]) -> Optional[int]:
+    """Smallest ``p < len(window)`` with ``window[i] == window[i - p]``
+    for every ``i >= p``, or None.
+
+    That is ``n`` minus the longest proper border, which the last entry
+    of the prefix (KMP failure) function gives in O(n).
+    """
+    n = len(window)
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        x = window[i]
+        while x != window[k]:
+            if not k:
+                break
+            k = border[k - 1]
+        else:  # x extends the border.
+            k += 1
+        border[i] = k
+    return n - k if k else None
+
+
 class RepetitiveDetector(_ScoredDetector):
     """Cyclic layer-order detector for model offloading (Fig. 5a).
 
-    Maintains the swap-in history and finds the smallest period ``p``
-    such that the tail of the history is ``p``-periodic. The next
-    swap-in is then the element one period back.
+    Maintains a bounded swap-in history and the smallest period ``p``
+    such that the whole history is ``p``-periodic (``p`` shorter than
+    the history). The next swap-in is then the element one period back.
+
+    The period is kept incrementally. An append that matches the
+    element one period back keeps ``p`` the smallest period: without
+    eviction, any shorter period would already be one of the old
+    window; with eviction, Fine–Wilf says a shorter period ``q`` would
+    make ``gcd(p, q)`` a period of the old window whenever
+    ``p + q - gcd(p, q) <= n``, which holds for every ``q < p`` once
+    ``2p - 2 <= n``. A window with no period that grows without
+    eviction can only gain the period ``n``. Every other case
+    recomputes in O(n) with :func:`_smallest_period`.
     """
 
     name = "repetitive"
 
-    def __init__(self, max_history: int = 512, min_confirm: int = 1) -> None:
+    def __init__(self, max_history: int = 512) -> None:
         super().__init__()
         self._history: Deque[ChunkKey] = deque(maxlen=max_history)
-        self._min_confirm = min_confirm
+        self._period: Optional[int] = None  # Of the whole history.
 
     def observe_swap_out(self, key: ChunkKey) -> None:
         # Offloaded weights never change residency mid-run; swap-outs
@@ -102,34 +137,30 @@ class RepetitiveDetector(_ScoredDetector):
         pass
 
     def observe_swap_in(self, key: ChunkKey) -> None:
-        self._grade(self._next(), key)
-        self._history.append(key)
-
-    def _period(self) -> Optional[int]:
-        history = list(self._history)
+        history, period = self._history, self._period
         n = len(history)
-        for period in range(1, n - 1 + 1):
-            confirmed = n - period
-            if confirmed < self._min_confirm:
-                continue
-            if all(history[i] == history[i - period] for i in range(period, n)):
-                return period
-        return None
+        evicts = n == history.maxlen
+        hit = self._grade(self._next(), key)
+        history.append(key)
+        if hit and (not evicts or 2 * period - 2 <= n):
+            return
+        if period is None and not evicts:
+            self._period = n if n and key == history[0] else None
+        else:
+            self._period = _smallest_period(list(history))
 
-    def _next(self, ahead: int = 0) -> Optional[ChunkKey]:
-        period = self._period()
+    def _next(self) -> Optional[ChunkKey]:
+        period = self._period
         if period is None:
             return None
-        history = list(self._history)
-        return history[len(history) - period + (ahead % period)]
+        return self._history[-period]
 
     def predict(self, count: int) -> List[ChunkKey]:
-        period = self._period()
+        period = self._period
         if period is None:
             return []
-        history = list(self._history)
-        cycle = history[-period:]
-        return [cycle[i % period] for i in range(count)]
+        history = self._history
+        return [history[i % period - period] for i in range(count)]
 
 
 class _PoolDetector(_ScoredDetector):

@@ -65,6 +65,44 @@ class TestRepetitiveDetector:
             det.observe_swap_in(k)
         assert det.predict(2) == [key(1), key(2)]
 
+    def test_eviction_can_shorten_period(self):
+        # a,a,a,b,a has smallest period 4. Evicting the first a leaves
+        # a,a,b,a,a, whose smallest period is 3, although the new a
+        # still matches the element 4 back.
+        det = RepetitiveDetector(max_history=5)
+        a, b = key(0), key(1)
+        for k in [a, a, a, b, a, a]:
+            det.observe_swap_in(k)
+        assert det.predict(1) == [b]
+
+
+class TestRepetitiveWork:
+    def test_periodic_stream_costs_constant_comparisons(self):
+        """A locked-on detector does O(1) work per observation, so an
+        accidental rescan of the window fails here on any machine."""
+        comparisons = 0
+
+        class CountedKey:
+            def __init__(self, ident):
+                self.ident = ident
+
+            def __eq__(self, other):
+                nonlocal comparisons
+                comparisons += 1
+                return self.ident == other.ident
+
+        cycle = [CountedKey(i) for i in range(64)]
+        det = RepetitiveDetector(max_history=512)
+        warmup, total = 1024, 20_000
+        for i in range(total):
+            if i == warmup:
+                comparisons = 0
+            det.predict(1)
+            det.observe_swap_in(cycle[i % 64])
+        assert comparisons / (total - warmup) <= 8
+        assert det.score == pytest.approx(1.0)
+        assert det.predict(2) == [cycle[total % 64], cycle[(total + 1) % 64]]
+
 
 class TestFifoDetector:
     def test_predicts_oldest_first(self):
