@@ -58,11 +58,13 @@ Alpaca reserve sizes are chosen so swapping occurs inside the swept
 rate range (the paper tunes "maximum batch size to trigger memory
 swaps" the same way).
 
-**Wall clock.** Simulated numbers are profile-invariant (asserted by
-the differential harness), so this file is identical whether it was
-generated under the fast or the reference profile; only the time it
-takes to generate changes. Measured on the standard bench suite
-(`python -m repro bench --suite standard --seed 1`):
+**Wall clock.** The simulator has one execution path. Its simulated
+numbers equal those of the slower originals kept in `tests/` as
+oracles (the pure-python AES-GCM and the single-heap event loop;
+asserted by the differential tests), so speed-ups change only the
+time this file takes to generate. History on the standard bench
+suite (`python -m repro bench --suite standard --seed 1`), measured
+while the originals were still selectable as a `reference` profile:
 
 | profile                      | wall clock | vs. seed |
 |------------------------------|-----------:|---------:|
@@ -70,9 +72,9 @@ takes to generate changes. Measured on the standard bench suite
 | reference (current)          |     4.66 s |     1.3x |
 | fast (default)               |     1.72 s |     3.4x |
 
-On a crypto-dominated workload (handshakes + bulk AES-GCM traffic,
-`tests/bench/test_wallclock.py`) the fast profile is ~19x faster
-with the numpy backend; the test pins a 5x floor.
+On a bulk AES-GCM encrypt/decrypt loop (`tests/bench/test_wallclock.py`)
+the test pins the auto-detected backend at a 5x floor over the
+pure-python cipher.
 """
 
 SECTIONS = [

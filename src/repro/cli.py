@@ -41,14 +41,10 @@ Commands:
   time. ``--serve`` drives an online serving run over the cluster
   instead, adding the TTFT/TPOT panel.
 
-``run``, ``all``, ``trace``, ``cluster``, ``serve``, ``bench`` and
-``dash`` accept ``--seed N`` to override every workload generator's
-RNG seed process-wide, and ``--crypto-backend {reference,fast}`` to
-pick the fast-path profile (see :mod:`repro.fastpath`): ``fast`` (the
-default) auto-detects the quickest AES-GCM implementation and enables
-the tuned event queue; ``reference`` reproduces the pure-Python
-conformance path bit for bit. Simulated results are identical either
-way — only wall clock changes.
+``run``, ``all``, ``trace``, ``cluster``, ``serve``, ``disagg``,
+``faults``, ``parallel``, ``postmortem``, ``bench`` and ``dash``
+accept ``--seed N`` to override every workload generator's RNG seed
+process-wide.
 """
 
 from __future__ import annotations
@@ -122,17 +118,6 @@ TEE-I/O     hypothetical inline hardware engine shared by N tenants (§8.3)
 """
 
 
-def _add_fastpath_arg(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--crypto-backend", choices=("reference", "fast"), default=None,
-        metavar="PROFILE", dest="crypto_backend",
-        help="fast-path profile: 'fast' (default) auto-detects the "
-             "quickest AES-GCM backend and the tuned event queue; "
-             "'reference' runs the pure-Python conformance path "
-             "(identical simulated results, slower wall clock)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -152,13 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true", help="emit the result rows as JSON")
     run.add_argument("--seed", type=int, default=None, metavar="N",
                      help="override every workload generator's RNG seed")
-    _add_fastpath_arg(run)
 
     everything = sub.add_parser("all", help="run every experiment")
     everything.add_argument("--scale", choices=("quick", "full"), default="quick")
     everything.add_argument("--seed", type=int, default=None, metavar="N",
                             help="override every workload generator's RNG seed")
-    _add_fastpath_arg(everything)
 
     cluster = sub.add_parser(
         "cluster", help="serve a multi-tenant workload on N confidential replicas"
@@ -182,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=None, metavar="N")
     cluster.add_argument("--json", action="store_true",
                          help="emit the run summary as JSON")
-    _add_fastpath_arg(cluster)
 
     serve = sub.add_parser(
         "serve", help="online-serving front end over the confidential cluster"
@@ -208,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=None, metavar="N")
     serve.add_argument("--json", action="store_true",
                        help="emit the run summary (or frontier rows) as JSON")
-    _add_fastpath_arg(serve)
 
     disagg = sub.add_parser(
         "disagg",
@@ -248,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     disagg.add_argument("--seed", type=int, default=None, metavar="N")
     disagg.add_argument("--json", action="store_true",
                         help="emit the run summary (or campaign rows) as JSON")
-    _add_fastpath_arg(disagg)
 
     faults = sub.add_parser(
         "faults",
@@ -259,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit the result rows as JSON")
     faults.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the fault and workload RNG seeds")
-    _add_fastpath_arg(faults)
 
     par = sub.add_parser(
         "parallel",
@@ -270,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="emit the result rows as JSON")
     par.add_argument("--seed", type=int, default=None, metavar="N",
                      help="override every workload generator's RNG seed")
-    _add_fastpath_arg(par)
 
     trace = sub.add_parser(
         "trace", help="run one experiment with telemetry on and export the trace"
@@ -293,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "id REQ (and the aggregate profile) instead of "
                             "exporting; REQ=-1 profiles every machine "
                             "without a per-request waterfall")
-    _add_fastpath_arg(trace)
 
     pm = sub.add_parser(
         "postmortem",
@@ -313,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--ring", type=int, default=256, metavar="N",
                     help="flight-recorder ring size per machine")
     pm.add_argument("--seed", type=int, default=None, metavar="N")
-    _add_fastpath_arg(pm)
 
     bench = sub.add_parser(
         "bench", help="continuous benchmark harness with regression gating"
@@ -337,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=None, metavar="N")
     bench.add_argument("--json", action="store_true",
                        help="emit the comparison (or artifact) as JSON")
-    _add_fastpath_arg(bench)
 
     dash = sub.add_parser(
         "dash", help="live ASCII dashboard over a FlexGen offloading run "
@@ -359,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--seed", type=int, default=None, metavar="N")
     dash.add_argument("--json", action="store_true",
                       help="print only the final summary as JSON")
-    _add_fastpath_arg(dash)
     return parser
 
 
@@ -794,10 +768,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         from .sim import set_default_seed
 
         set_default_seed(args.seed)
-    if getattr(args, "crypto_backend", None) is not None:
-        from . import fastpath
-
-        fastpath.configure(args.crypto_backend)
     if args.command == "list":
         for name, fn in EXPERIMENTS.items():
             summary = (fn.__doc__ or "").strip().splitlines()[0]

@@ -28,8 +28,9 @@ implement the same ``encrypt / decrypt / try_decrypt`` surface:
     byte-identical to the reference for every (key, nonce, aad,
     plaintext).
 
-``fast`` resolves to the first available backend in the order
-``cryptography → numpy → reference``.
+:func:`make_gcm` without an explicit backend uses the first available
+one in the order ``cryptography → numpy → reference``; tests name a
+backend explicitly to pin one.
 
 GCM objects are stateless, so :func:`make_gcm` memoizes them per
 (backend, key): the two endpoints of every :class:`SecureSession`
@@ -43,7 +44,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from .. import fastpath
 from .aes import AES, _SBOX, _T0, _T1, _T2, _T3
 from .gcm import AesGcm, AuthenticationError, _R
 
@@ -56,8 +56,8 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: Auto-detect order for the ``fast`` alias.
-FAST_ORDER = ("cryptography", "numpy", "reference")
+#: Auto-detect order when no backend is named.
+AUTO_ORDER = ("cryptography", "numpy", "reference")
 
 #: Below this many CTR blocks the scalar T-table path beats numpy's
 #: fixed per-call array overhead; batching only pays off for bulk
@@ -232,8 +232,6 @@ _availability: Dict[str, bool] = {"reference": True}
 
 def backend_available(name: str) -> bool:
     """True if ``name`` can be instantiated in this environment."""
-    if name == "fast":
-        return True
     if name not in _FACTORIES:
         return False
     cached = _availability.get(name)
@@ -252,24 +250,23 @@ def backend_available(name: str) -> bool:
 
 
 def available_backends() -> List[str]:
-    """Concrete backends usable here, in fast-alias resolution order."""
-    return [name for name in FAST_ORDER if backend_available(name)]
+    """Concrete backends usable here, in auto-detect order."""
+    return [name for name in AUTO_ORDER if backend_available(name)]
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name (or the active profile's) to a concrete one.
+    """Resolve a backend name (``None``: auto-detect) to a concrete one.
 
-    ``"fast"`` picks the quickest available implementation; asking for
+    ``None`` picks the quickest available implementation; asking for
     a gated backend whose dependency is missing raises so the caller
     can fall back explicitly rather than silently changing speed class.
     """
-    name = name or fastpath.config().crypto_backend
-    if name == "fast":
+    if name is None:
         return available_backends()[0]
     if name not in _FACTORIES:
         raise ValueError(
             f"unknown crypto backend {name!r}; choose from "
-            f"{sorted(_FACTORIES)} or 'fast'"
+            f"{sorted(_FACTORIES)}"
         )
     if not backend_available(name):
         raise RuntimeError(f"crypto backend {name!r} is not available here")
@@ -281,7 +278,7 @@ _gcm_cache: "OrderedDict[Tuple[str, bytes], object]" = OrderedDict()
 
 
 def make_gcm(key: bytes, backend: Optional[str] = None):
-    """A GCM object for ``key`` under the active (or given) backend.
+    """A GCM object for ``key`` under the auto-detected (or given) backend.
 
     Instances are stateless and memoized per (backend, key); the cache
     is bounded FIFO so long-running multi-tenant scenarios cannot grow

@@ -29,7 +29,6 @@ import hmac
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .. import fastpath
 from .session import SecureSession
 
 __all__ = [
@@ -109,7 +108,7 @@ def derive_link_session(root_key: bytes, link: str) -> SecureSession:
 # behaviour-preserving caching, not an approximation. Bounded so a
 # pathological scenario cannot grow them without limit.
 _CACHE_MAX = 4096
-_keypair_cache: Dict[Tuple[bytes, bool], "DhKeyPair"] = {}
+_keypair_cache: Dict[bytes, "DhKeyPair"] = {}
 _secret_cache: Dict[Tuple[int, int], bytes] = {}
 
 
@@ -125,23 +124,18 @@ class DhKeyPair:
         """Deterministic key generation from a seed (the simulation has
         no OS entropy source; callers pass per-endpoint seeds).
 
-        Under the fast profile the private exponent is 256 bits instead
-        of full group width — standard short-exponent DH (RFC 7919
-        §5.2: the exponent only needs twice the target security level),
-        which cuts each modexp ~8×. Exponent width changes the derived
-        keys, so it is part of the profile, never silently mixed.
+        The private exponent is 256 bits rather than full group width —
+        standard short-exponent DH (RFC 7919 §5.2: the exponent only
+        needs twice the target security level), which cuts each modexp
+        ~8× against a 2048-bit exponent.
         """
-        short = fastpath.config().short_dh_exponent
-        cache_key = (bytes(seed), short)
+        cache_key = bytes(seed)
         cached = _keypair_cache.get(cache_key)
         if cached is not None:
             return cached
         digest = hashlib.sha256(b"dh-private:" + seed).digest()
-        if short:
-            # Top bit forced so the exponent is always exactly 256 bits.
-            private = int.from_bytes(digest, "big") | (1 << 255)
-        else:
-            private = int.from_bytes(digest * 8, "big") % (_P - 3) + 2
+        # Top bit forced so the exponent is always exactly 256 bits.
+        private = int.from_bytes(digest, "big") | (1 << 255)
         pair = cls(private, pow(_G, private, _P))
         if len(_keypair_cache) < _CACHE_MAX:
             _keypair_cache[cache_key] = pair

@@ -36,8 +36,6 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from .. import fastpath
-
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. triggering an event twice)."""
@@ -244,36 +242,25 @@ class Condition(Event):
 class Simulator:
     """The event loop: a priority queue of timestamped callbacks.
 
-    Two queue implementations are selectable via ``queue`` (default:
-    the active :mod:`repro.fastpath` profile):
-
-    ``"heap"``
-        The original single binary heap of ``(when, seq, func, args)``.
-
-    ``"fast"``
-        The heap plus a FIFO lane for callbacks scheduled at the
-        *current* timestamp — the dominant case (event dispatch,
-        zero-delay timeouts, process start-ups), which the heap path
-        pays two ``heapq`` operations and a tuple build for. The FIFO
-        preserves the exact ``(when, seq)`` total order: while the
-        kernel is processing time ``t``, every entry still in the heap
-        at time ``t`` was scheduled *before* the clock reached ``t``
-        (later ones go to the FIFO), so heap-resident ``t`` entries
-        always precede FIFO entries in sequence order — the drain
-        order below. ``tests/sim/test_queue_equivalence.py`` holds the
-        two implementations bit-identical over adversarial schedules.
+    Future callbacks live in a binary heap of ``(when, seq, func,
+    args)``; callbacks scheduled at the *current* timestamp — the
+    dominant case (event dispatch, zero-delay timeouts, process
+    start-ups) — go to a plain FIFO lane instead, skipping two
+    ``heapq`` operations and a tuple build. Together they keep the
+    exact ``(when, seq)`` total order of a single heap: while the
+    kernel is processing time ``t``, every entry still in the heap at
+    time ``t`` was scheduled *before* the clock reached ``t`` (later
+    ones go to the FIFO), so heap-resident ``t`` entries always precede
+    FIFO entries in sequence order — the drain order in :meth:`run`.
+    ``tests/sim/test_queue_equivalence.py`` holds the kernel
+    bit-identical to a single-heap oracle over adversarial schedules.
     """
 
-    def __init__(self, queue: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List = []
         self._fifo: deque = deque()
         self._seq = 0
-        queue = queue or fastpath.config().queue
-        if queue not in ("heap", "fast"):
-            raise ValueError(f"unknown queue implementation {queue!r}")
-        self.queue_impl = queue
-        self._fast = queue == "fast"
         # Optional span tracer (see repro.sim.tracing); disabled by
         # default so instrumented components stay overhead-free.
         from .tracing import SpanTracer
@@ -283,29 +270,21 @@ class Simulator:
     # -- scheduling ----------------------------------------------------
 
     def _schedule(self, when: float, func: Callable, *args: Any) -> None:
-        if self._fast and when == self.now:
+        if when == self.now:
             self._fifo.append((func, args))
         else:
             self._seq += 1
             heapq.heappush(self._queue, (when, self._seq, func, args))
 
     def _schedule_callback(self, func: Callable) -> None:
-        if self._fast:
-            self._fifo.append((func, ()))
-        else:
-            self._seq += 1
-            heapq.heappush(self._queue, (self.now, self._seq, func, ()))
+        self._fifo.append((func, ()))
 
     def _dispatch(self, event: Event) -> None:
         callbacks, event.callbacks = event.callbacks, None
         if callbacks:
-            if self._fast:
-                fifo = self._fifo
-                for callback in callbacks:
-                    fifo.append((callback, (event,)))
-            else:
-                for callback in callbacks:
-                    self._schedule(self.now, callback, event)
+            fifo = self._fifo
+            for callback in callbacks:
+                fifo.append((callback, (event,)))
 
     # -- public API ----------------------------------------------------
 
@@ -334,27 +313,6 @@ class Simulator:
 
         When ``until`` is given, the clock is advanced exactly to it
         even if the queue drains earlier.
-        """
-        if self._fast:
-            self._run_fast(until)
-        else:
-            self._run_heap(until)
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_heap(self, until: Optional[float]) -> None:
-        """The original event loop: one binary heap, total order by
-        ``(when, seq)``. Kept verbatim as the differential baseline."""
-        while self._queue:
-            when, _tie, func, args = self._queue[0]
-            if until is not None and when > until:
-                break
-            heapq.heappop(self._queue)
-            self.now = when
-            func(*args)
-
-    def _run_fast(self, until: Optional[float]) -> None:
-        """Heap + current-time FIFO drain, same total order as the heap.
 
         Order per timestamp: heap entries at ``now`` first (scheduled
         before the clock reached ``now``, hence lower sequence
@@ -384,6 +342,8 @@ class Simulator:
             _when, _tie, func, args = pop(queue)
             self.now = when
             func(*args)
+        if until is not None and self.now < until:
+            self.now = until
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next scheduled callback, or None if idle."""

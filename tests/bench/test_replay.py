@@ -11,9 +11,11 @@ import io
 
 import pytest
 
-from repro import fastpath
 from repro.cli import main
-from repro.sim import set_default_seed
+from repro.crypto import backend
+from repro.sim import Simulator, set_default_seed
+
+from ..sim.test_queue_equivalence import HeapSimulator
 
 
 def run_cli(*argv):
@@ -24,12 +26,10 @@ def run_cli(*argv):
 
 @pytest.fixture(autouse=True)
 def _reset_seed():
-    # ``--seed`` and ``--crypto-backend`` override process-wide state;
-    # never leak either into other tests.
-    previous_profile = fastpath.config()
+    # ``--seed`` overrides process-wide state; never leak it into
+    # other tests.
     yield
     set_default_seed(None)
-    fastpath.configure(previous_profile)
 
 
 def twice(*argv):
@@ -106,59 +106,73 @@ class TestReplay:
         assert first != second
 
 
-class TestCrossProfileReplay:
-    """Fast path ≡ reference path, observed end to end through the CLI.
+class TestOracleReplay:
+    """The kernel and cipher ≡ their oracles, end to end through the CLI.
 
-    The fast-path profile swaps the AES-GCM backend, the event queue,
-    the DH exponent width, and payload tiering all at once; every
+    The oracle run patches the single-heap event loop onto
+    :class:`Simulator` and forces the pure-Python AES-GCM backend; every
     simulated quantity any subcommand prints must nevertheless be
-    byte-identical to the pure reference path at the same seed.
+    byte-identical to the default run at the same seed.
     """
 
-    def across_profiles(self, *argv):
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def patch_in_oracles(self):
+        for name in ("_schedule", "_schedule_callback", "_dispatch", "run"):
+            self.monkeypatch.setattr(Simulator, name, getattr(HeapSimulator, name))
+        # A fresh GCM cache, so no instance built by the default run
+        # (under an accelerated backend) is handed out again.
+        self.monkeypatch.setattr(backend, "_gcm_cache", type(backend._gcm_cache)())
+        self.monkeypatch.setattr(backend, "AUTO_ORDER", ("reference",))
+        assert backend.resolve_backend() == "reference"
+
+    def against_oracles(self, *argv):
         set_default_seed(None)
-        code1, ref = run_cli(*argv, "--crypto-backend", "reference")
+        code1, default = run_cli(*argv)
+        self.patch_in_oracles()
         set_default_seed(None)
-        code2, fast = run_cli(*argv, "--crypto-backend", "fast")
+        code2, oracle = run_cli(*argv)
         assert code1 == code2 == 0
-        return ref, fast
+        return default, oracle
 
     def test_run_fig2(self):
-        ref, fast = self.across_profiles("run", "fig2", "--json", "--seed", "11")
-        assert ref == fast
+        default, oracle = self.against_oracles("run", "fig2", "--json", "--seed", "11")
+        assert default == oracle
 
     def test_cluster(self):
-        ref, fast = self.across_profiles(
+        default, oracle = self.against_oracles(
             "cluster", "--replicas", "2", "--rate", "20", "--duration", "0.5",
             "--tenants", "2", "--seed", "5", "--json",
         )
-        assert ref == fast
+        assert default == oracle
 
     def test_faults(self):
-        ref, fast = self.across_profiles("faults", "--seed", "7", "--json")
-        assert ref == fast
+        default, oracle = self.against_oracles("faults", "--seed", "7", "--json")
+        assert default == oracle
 
     @pytest.mark.slow
     def test_parallel(self):
-        ref, fast = self.across_profiles("parallel", "--seed", "13", "--json")
-        assert ref == fast
+        default, oracle = self.against_oracles("parallel", "--seed", "13", "--json")
+        assert default == oracle
 
     def test_serve(self):
-        ref, fast = self.across_profiles(
+        default, oracle = self.against_oracles(
             "serve", "--rate", "12", "--duration", "2", "--seed", "21", "--json",
         )
-        assert ref == fast
+        assert default == oracle
 
     def test_disagg(self):
-        ref, fast = self.across_profiles(
+        default, oracle = self.against_oracles(
             "disagg", "--rate", "6", "--duration", "1.5", "--seed", "9",
             "--json",
         )
-        assert ref == fast
+        assert default == oracle
 
     def test_trace_event_stream(self):
         # Not just aggregates: every telemetry event and timestamp.
-        ref, fast = self.across_profiles(
+        default, oracle = self.against_oracles(
             "trace", "fig2", "--format", "chrome", "--seed", "3"
         )
-        assert ref == fast
+        assert default == oracle

@@ -1,11 +1,17 @@
-"""Wall-clock lockdown for the fast path (slow; deselect with -m 'not slow').
+"""Wall-clock lockdown for the AES-GCM backends (slow; deselect with -m 'not slow').
 
-Pins the headline property the fast-path PR claims: on a fixed
-crypto-dominated workload, the fast profile is at least ``FLOOR``×
-faster than the reference profile *while producing byte-identical
-results*. The workload is deliberately small and deterministic so the
-ratio — not the absolute time — is what matters; ratios are robust to
-machine speed, which absolute budgets are not.
+Pins the headline property of the accelerated backends: on a fixed
+bulk encrypt/decrypt loop, the auto-detected backend
+(``make_gcm(key)``) is at least ``FLOOR``× faster than the pure-Python
+reference (``make_gcm(key, "reference")``) *while producing
+byte-identical results*. The workload is deliberately small and
+deterministic so the ratio — not the absolute time — is what matters;
+ratios are robust to machine speed, which absolute budgets are not.
+
+The loop drives the cipher directly rather than through a session:
+sessions tier every payload above ``TIER_THRESHOLD`` to a 45-byte
+digest, so a session-level workload would no longer exercise the
+cipher on bulk bytes.
 
 Also asserts the wall-clock hygiene lint stays clean: the simulation
 tree itself still never reads wall time (these tests may — they live
@@ -17,78 +23,71 @@ from pathlib import Path
 
 import pytest
 
-from repro import fastpath
-from repro.crypto import SecureSession, SessionHandshake
-from repro.crypto.backend import available_backends
+from repro.crypto.backend import available_backends, make_gcm
+from repro.crypto.gcm import iv_from_counter
 from repro.observatory import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Minimum fast/reference speedup on the crypto workload. The fast
-#: profile's worst accelerated backend (numpy batching) clears this
-#: with margin; hardware AES-GCM clears it by orders of magnitude.
+#: Minimum auto/reference speedup on the bulk GCM loop. The slowest
+#: accelerated backend (numpy batching) clears this with margin;
+#: hardware AES-GCM clears it by orders of magnitude.
 FLOOR = 5.0
 
 _ACCELERATED = [b for b in available_backends() if b != "reference"]
 
 
-def crypto_workload():
-    """Fixed bring-up + bulk-traffic workload; returns a transcript.
+def crypto_workload(backend=None):
+    """Fixed bulk-traffic loop through one backend; returns a transcript.
 
-    Fresh seeds and keys every call so neither the DH memo nor the
-    GCM-instance cache can satisfy a later profile's run from an
-    earlier profile's work (cache keys include the exponent mode and
-    backend, but the point of the measurement is the uncached path).
+    Keys differ per backend label, so one backend's run is never
+    served from the GCM instances another backend's run cached.
     """
     transcript = []
-    profile = fastpath.config().name.encode()
+    label = (backend or "auto").encode()
     for i in range(6):
-        tag = profile + b":%d" % i
-        driver = SessionHandshake("driver", seed=b"wall-" + tag)
-        gpu = SessionHandshake("gpu", seed=b"wall-" + tag)
-        session = driver.complete(gpu.message())
-        assert gpu.complete(driver.message()).key == session.key
-        cpu, dev = session.endpoints()
+        key = bytes([i]) * 8 + label.ljust(8, b".")[:8]
+        gcm = make_gcm(key, backend)
         for j in range(40):
             payload = bytes([(i * 40 + j) % 256]) * 1600
-            message = cpu.encrypt_next(payload, nbytes_logical=1 << 20)
-            transcript.append((message.ciphertext, message.tag))
-            assert dev.decrypt_next(message) == payload
+            nonce = iv_from_counter(1 + i * 40 + j)
+            ciphertext, tag = gcm.encrypt(nonce, payload)
+            transcript.append((ciphertext, tag))
+            assert gcm.decrypt(nonce, ciphertext, tag) == payload
     return transcript
 
 
-def timed(profile):
-    with fastpath.use_profile(profile):
-        start = time.perf_counter()
-        transcript = crypto_workload()
-        return time.perf_counter() - start, transcript
+def timed(backend=None):
+    start = time.perf_counter()
+    transcript = crypto_workload(backend)
+    return time.perf_counter() - start, transcript
 
 
 @pytest.mark.slow
 class TestSpeedupFloor:
     @pytest.mark.skipif(
         not _ACCELERATED,
-        reason="no accelerated AES-GCM backend available; fast == reference",
+        reason="no accelerated AES-GCM backend available; auto == reference",
     )
     def test_fast_profile_at_least_5x_on_crypto_workload(self):
         # Interleave and keep the best of three to shave scheduler noise.
         fast_times, ref_times = [], []
         for _ in range(3):
             ref_s, _ = timed("reference")
-            fast_s, _ = timed("fast")
+            fast_s, _ = timed()
             ref_times.append(ref_s)
             fast_times.append(fast_s)
         speedup = min(ref_times) / min(fast_times)
         assert speedup >= FLOOR, (
-            f"fast profile only {speedup:.1f}x faster than reference "
-            f"(floor {FLOOR}x; backends: {available_backends()})"
+            f"auto-detected backend only {speedup:.1f}x faster than "
+            f"reference (floor {FLOOR}x; backends: {available_backends()})"
         )
 
     def test_profiles_differ_only_in_speed_within_a_profile(self):
-        # Same profile, same seeds ⇒ byte-identical transcripts; the
+        # Same backend, same keys ⇒ byte-identical transcripts; the
         # stopwatch is the only thing allowed to change run over run.
-        _, first = timed("fast")
-        _, second = timed("fast")
+        _, first = timed()
+        _, second = timed()
         assert first == second
 
 

@@ -1,7 +1,8 @@
 """Differential harness: every AES-GCM backend ≡ the reference.
 
-The fast path swaps the pure-Python :class:`AesGcm` for batched or
-hardware implementations (:mod:`repro.crypto.backend`). These tests
+:func:`make_gcm` auto-detects a batched or hardware implementation in
+place of the pure-Python :class:`AesGcm` (:mod:`repro.crypto.backend`),
+which stays the CAVP oracle and the fallback. These tests
 are the lockdown: each available backend must
 
 * reproduce the full NIST CAVP known-answer set bit-exactly
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import AesGcm, AuthenticationError, TAG_SIZE
 from repro.crypto.backend import (
-    FAST_ORDER,
+    AUTO_ORDER,
     NUMPY_MIN_BLOCKS,
     available_backends,
     backend_available,
@@ -41,7 +42,7 @@ BACKENDS = [
             reason=f"{name} dependency not installed",
         ),
     )
-    for name in FAST_ORDER
+    for name in AUTO_ORDER
     if name != "reference"
 ]
 
@@ -150,12 +151,13 @@ class TestRegistry:
         assert backend_available("reference")
         assert "reference" in available_backends()
 
-    def test_fast_resolves_to_first_available(self):
-        assert resolve_backend("fast") == available_backends()[0]
+    def test_default_resolves_to_first_available(self):
+        assert resolve_backend(None) == available_backends()[0]
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("enigma")
+        for name in ("enigma", "fast"):
+            with pytest.raises(ValueError):
+                resolve_backend(name)
 
     def test_make_gcm_memoizes_per_backend_and_key(self):
         key = bytes(16)

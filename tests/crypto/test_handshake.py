@@ -45,6 +45,9 @@ class TestDhKeyPair:
     def test_different_seeds_different_keys(self):
         assert DhKeyPair.generate(b"a").public != DhKeyPair.generate(b"b").public
 
+    def test_private_exponent_is_256_bits(self):
+        assert DhKeyPair.generate(b"x").private.bit_length() == 256
+
     def test_degenerate_peer_rejected(self):
         keypair = DhKeyPair.generate(b"x")
         with pytest.raises(ValueError):

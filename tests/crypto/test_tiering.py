@@ -9,41 +9,40 @@ functional plaintexts. These tests pin the contract:
 * accounting fidelity — exactly one IV per message per direction and
   unchanged ``nbytes_logical``, whatever the payload size;
 * transparency — payloads at or below the threshold produce
-  bit-identical wire bytes to an untiered session.
+  bit-identical wire bytes to plain AES-GCM.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
 from repro.crypto import AuthenticationError, SecureSession
-from repro.crypto.tiering import DIGEST_BYTES, expand, payload_digest, shrink
-
-THRESHOLD = 64
-
-small = st.binary(min_size=0, max_size=THRESHOLD)
-bulk = st.binary(min_size=THRESHOLD + 1, max_size=4 * THRESHOLD).filter(
-    lambda b: len(b) > THRESHOLD
+from repro.crypto.backend import make_gcm
+from repro.crypto.gcm import iv_from_counter
+from repro.crypto.tiering import (
+    DIGEST_BYTES,
+    TIER_THRESHOLD,
+    expand,
+    payload_digest,
+    shrink,
 )
+
+KEY = bytes(range(16))
+
+small = st.binary(min_size=0, max_size=TIER_THRESHOLD)
+bulk = st.binary(min_size=TIER_THRESHOLD + 1, max_size=2 * TIER_THRESHOLD)
 anysize = st.one_of(small, bulk)
 
 
-@pytest.fixture(autouse=True)
-def _tiered_profile():
-    with fastpath.use_profile("fast", tier_threshold=THRESHOLD):
-        yield
-
-
 def endpoints():
-    return SecureSession(key=bytes(range(16))).endpoints()
+    return SecureSession(key=KEY).endpoints()
 
 
 class TestShrinkExpand:
     def test_small_payload_passes_through(self):
-        assert shrink(b"x" * THRESHOLD) == (b"x" * THRESHOLD, None)
+        assert shrink(b"x" * TIER_THRESHOLD) == (b"x" * TIER_THRESHOLD, None)
 
     def test_bulk_payload_becomes_fixed_size_digest(self):
-        payload = bytes(range(256))
+        payload = bytes(range(256)) * 8 + b"!"
         functional, carried = shrink(payload)
         assert carried == payload
         assert functional == payload_digest(payload)
@@ -54,15 +53,11 @@ class TestShrinkExpand:
         assert payload_digest(b"a" * 100) != payload_digest(b"b" * 100)
 
     def test_expand_rejects_mismatched_carry(self):
-        functional, carried = shrink(bytes(200))
+        functional, carried = shrink(bytes(TIER_THRESHOLD + 200))
         with pytest.raises(AuthenticationError):
             expand(functional, carried + b"\x00")
         with pytest.raises(AuthenticationError):
             expand(functional, carried[:-1])
-
-    def test_threshold_zero_disables_tiering(self):
-        with fastpath.use_profile("fast", tier_threshold=0):
-            assert shrink(bytes(1 << 16))[1] is None
 
 
 class TestSessionRoundTrip:
@@ -128,11 +123,11 @@ class TestSessionRoundTrip:
     def test_below_threshold_wire_bytes_identical_to_untiered(self, payload):
         cpu, _ = endpoints()
         tiered = cpu.encrypt_next(payload)
-        with fastpath.use_profile("reference"):
-            ref_cpu, _ = endpoints()
-            untiered = ref_cpu.encrypt_next(payload)
-        assert tiered.ciphertext == untiered.ciphertext
-        assert tiered.tag == untiered.tag
+        ciphertext, tag = make_gcm(KEY, "reference").encrypt(
+            iv_from_counter(tiered.sender_iv), payload
+        )
+        assert tiered.ciphertext == ciphertext
+        assert tiered.tag == tag
         assert tiered.carried is None
 
     @given(payload=bulk)

@@ -171,51 +171,42 @@ class TestSpeculation:
 
 
 class TestPayloadTiering:
-    """Bulk payloads over the fabric with payload tiering active."""
+    """Bulk payloads over the fabric, tiered by the session layer."""
 
-    PAYLOAD = bytes(range(256)) * 16  # 4 KiB, far above the threshold
-
-    def tiered(self):
-        from repro import fastpath
-
-        return fastpath.use_profile("fast", tier_threshold=256)
+    PAYLOAD = bytes(range(256)) * 16  # 4 KiB, far above TIER_THRESHOLD
 
     def test_bulk_roundtrip_bit_exact(self):
-        with self.tiered():
-            m = build_machine(CcMode.ENABLED, n_gpus=2)
-            assert run_transfer(m, 0, 1, self.PAYLOAD) == self.PAYLOAD
+        m = build_machine(CcMode.ENABLED, n_gpus=2)
+        assert run_transfer(m, 0, 1, self.PAYLOAD) == self.PAYLOAD
 
     def test_stage_tiling_survives_tiering(self):
         # The sum(stages) == wire-latency invariant must hold when the
         # functional cipher only touched a 45-byte digest.
-        with self.tiered():
-            m = build_machine(CcMode.ENABLED, n_gpus=2)
-            m.telemetry.enabled = True
-            run_transfer(m, 0, 1, self.PAYLOAD, nbytes=1 << 20)
-            (record,) = [r for r in m.telemetry.requests if r.direction == "link"]
-            total = sum(end - start for _, start, end in record.stages)
-            assert total == pytest.approx(record.complete_time - record.submit_time)
+        m = build_machine(CcMode.ENABLED, n_gpus=2)
+        m.telemetry.enabled = True
+        run_transfer(m, 0, 1, self.PAYLOAD, nbytes=1 << 20)
+        (record,) = [r for r in m.telemetry.requests if r.direction == "link"]
+        total = sum(end - start for _, start, end in record.stages)
+        assert total == pytest.approx(record.complete_time - record.submit_time)
 
     def test_timing_is_driven_by_logical_size_not_payload(self):
         # Same logical transfer, tiny vs bulk functional payload:
         # simulated completion time must be bit-identical.
-        with self.tiered():
-            small = build_machine(CcMode.ENABLED, n_gpus=2)
-            run_transfer(small, 0, 1, b"x", nbytes=1 << 20)
-            big = build_machine(CcMode.ENABLED, n_gpus=2)
-            run_transfer(big, 0, 1, self.PAYLOAD, nbytes=1 << 20)
-            assert small.sim.now == big.sim.now
+        small = build_machine(CcMode.ENABLED, n_gpus=2)
+        run_transfer(small, 0, 1, b"x", nbytes=1 << 20)
+        big = build_machine(CcMode.ENABLED, n_gpus=2)
+        run_transfer(big, 0, 1, self.PAYLOAD, nbytes=1 << 20)
+        assert small.sim.now == big.sim.now
 
     def test_tiered_hop_still_feeds_four_audit_lanes(self):
         # One IV per leg per message, exactly as with bulk encryption.
-        with self.tiered():
-            m = build_machine(CcMode.ENABLED, n_gpus=2)
-            audit = ClusterIvAudit()
-            m.interconnect.attach_audit(audit)
-            for i in range(3):
-                run_transfer(m, 0, 1, self.PAYLOAD)
-            assert audit.observed == 12
-            assert all(iv >= 3 for iv in audit.lanes().values())
+        m = build_machine(CcMode.ENABLED, n_gpus=2)
+        audit = ClusterIvAudit()
+        m.interconnect.attach_audit(audit)
+        for i in range(3):
+            run_transfer(m, 0, 1, self.PAYLOAD)
+        assert audit.observed == 12
+        assert all(iv >= 3 for iv in audit.lanes().values())
 
 
 class TestTelemetry:

@@ -1,19 +1,53 @@
-"""Differential harness: fast event queue ≡ the reference heap.
+"""Differential harness: the FIFO+heap event queue ≡ a single heap.
 
-:class:`repro.sim.core.Simulator` keeps the original binary-heap loop
-(``queue="heap"``) selectable next to the tuned FIFO+heap drain
-(``queue="fast"``). These tests execute identical adversarial
+:class:`repro.sim.core.Simulator` routes current-timestamp callbacks
+through a FIFO lane and keeps a heap only for future ones.
+:class:`HeapSimulator` below is the original single-binary-heap loop,
+kept here as the oracle. These tests execute identical adversarial
 schedules — duplicate timestamps, zero-delay cascades, interrupts,
 event triggering, combinators, staggered ``run(until)`` horizons — on
-both implementations and demand the observed execution order be
-identical, which pins the fast queue to the exact ``(when, seq)``
-total order of the reference.
+both and demand the observed execution order be identical, which pins
+the kernel to the exact ``(when, seq)`` total order of the heap.
 """
 
-import pytest
+import heapq
+from typing import Any, Callable, Optional
+
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Interrupt, Simulator
+from repro.sim.core import Event
+
+
+class HeapSimulator(Simulator):
+    """The original event loop: one binary heap, total order by
+    ``(when, seq)``. The oracle the FIFO+heap kernel is held to."""
+
+    def _schedule(self, when: float, func: Callable, *args: Any) -> None:
+        self._seq += 1
+        heapq.heappush(self._queue, (when, self._seq, func, args))
+
+    def _schedule_callback(self, func: Callable) -> None:
+        self._seq += 1
+        heapq.heappush(self._queue, (self.now, self._seq, func, ()))
+
+    def _dispatch(self, event: Event) -> None:
+        callbacks, event.callbacks = event.callbacks, None
+        if callbacks:
+            for callback in callbacks:
+                self._schedule(self.now, callback, event)
+
+    def run(self, until: Optional[float] = None) -> None:
+        while self._queue:
+            when, _tie, func, args = self._queue[0]
+            if until is not None and when > until:
+                break
+            heapq.heappop(self._queue)
+            self.now = when
+            func(*args)
+        if until is not None and self.now < until:
+            self.now = until
+
 
 N_EVENTS = 4
 
@@ -36,9 +70,9 @@ steps = st.lists(
 plans = st.lists(steps, min_size=1, max_size=5)
 
 
-def execute(queue_impl, plan, horizons):
-    """Run ``plan`` on one queue implementation; return the event log."""
-    sim = Simulator(queue=queue_impl)
+def execute(simulator_cls, plan, horizons):
+    """Run ``plan`` on one kernel class; return the event log."""
+    sim = simulator_cls()
     log = []
     events = [sim.event() for _ in range(N_EVENTS)]
     procs = []
@@ -102,7 +136,7 @@ class TestScheduleEquivalence:
     @given(plan=plans)
     @settings(max_examples=60, deadline=None)
     def test_heap_and_fast_orders_identical(self, plan):
-        assert execute("heap", plan, []) == execute("fast", plan, [])
+        assert execute(HeapSimulator, plan, []) == execute(Simulator, plan, [])
 
     @given(plan=plans, horizons=st.lists(delays, max_size=3).map(sorted))
     @settings(max_examples=60, deadline=None)
@@ -110,30 +144,13 @@ class TestScheduleEquivalence:
         # run(until=...) must leave both queues in equivalent states at
         # every stop, including horizons landing exactly on busy
         # timestamps (the FIFO must be provably drained at each break).
-        assert execute("heap", plan, horizons) == execute("fast", plan, horizons)
+        assert (execute(HeapSimulator, plan, horizons)
+                == execute(Simulator, plan, horizons))
 
 
 class TestQueueSelection:
-    def test_default_follows_fastpath_profile(self):
-        from repro import fastpath
-
-        with fastpath.use_profile("reference"):
-            assert Simulator().queue_impl == "heap"
-        with fastpath.use_profile("fast"):
-            assert Simulator().queue_impl == "fast"
-
-    def test_explicit_queue_overrides_profile(self):
-        from repro import fastpath
-
-        with fastpath.use_profile("fast"):
-            assert Simulator(queue="heap").queue_impl == "heap"
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="calendar")
-
     def test_peek_sees_fifo_entries(self):
-        sim = Simulator(queue="fast")
+        sim = Simulator()
         assert sim.peek() is None
         fired = []
         sim.process(e for e in ())  # start-up callback lands in the FIFO
