@@ -7,11 +7,17 @@ admission control with shedding, pluggable routing (round-robin /
 least-loaded / tenant-affinity), and crash/recover failover that
 re-admits orphaned requests through fresh handshakes while a
 cluster-wide audit proves no IV is ever reused under any key.
+
+The machine lifecycle (:class:`Incarnation`) and the fleet driver
+(:class:`Fleet`) here are shared with :mod:`repro.disagg` and
+:mod:`repro.serve`.
 """
 
 from .cluster import CLUSTER_TRACE, Cluster, ClusterResult, run_cluster
+from .fleet import Fleet
 from .gateway import Gateway
-from .replica import ClusterRequest, Replica, ReplicaDead
+from .incarnation import Incarnation, IncarnationDead
+from .replica import ClusterRequest, Replica
 from .routing import (
     POLICIES,
     AffinityPolicy,
@@ -29,12 +35,14 @@ __all__ = [
     "ClusterIvAudit",
     "ClusterRequest",
     "ClusterResult",
+    "Fleet",
     "Gateway",
+    "Incarnation",
+    "IncarnationDead",
     "IvReuseError",
     "LeastLoadedPolicy",
     "POLICIES",
     "Replica",
-    "ReplicaDead",
     "RoundRobinPolicy",
     "RoutingPolicy",
     "TenantChannel",

@@ -1,10 +1,8 @@
-"""Cluster orchestration: replicas + gateway + workload + faults.
+"""Cluster orchestration: replicas behind one gateway.
 
-:class:`Cluster` builds the whole confidential serving fleet inside a
-**single shared simulator** — N attested CVM+GPU replicas (each its
-own :class:`repro.cc.Machine`) behind one :class:`Gateway` — drives a
-multi-tenant Poisson workload through it, optionally injects a replica
-crash/recovery, and folds everything into a :class:`ClusterResult`.
+:class:`Cluster` is the :class:`~repro.cluster.fleet.Fleet` of N
+attested CVM+GPU replicas (:class:`Replica`) behind one
+:class:`Gateway`; it folds a run into a :class:`ClusterResult`.
 
 The crypto story is end to end: every tenant request is encrypted on
 its per-tenant session at the gateway and decrypted by the replica
@@ -23,25 +21,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core import ClusterConfig
-from ..faults import FaultInjector
 from ..hw import HardwareParams
 from ..models import OPT_13B, ModelSpec
-from ..sim import SeededRng, Simulator, default_seed, mean, percentile
-from ..workloads import TraceSpec, poisson_trace
+from ..sim import mean, percentile
+from ..workloads import Request, TraceSpec
+from .fleet import CLUSTER_TRACE, Fleet
 from .gateway import Gateway
 from .replica import ClusterRequest, Replica
-from .tenant import ClusterIvAudit
 
 __all__ = ["CLUSTER_TRACE", "Cluster", "ClusterResult", "run_cluster"]
-
-#: Short-conversation trace used by the cluster experiments: enough
-#: decode steps to exercise batching and swapping, small enough that
-#: multi-replica sweeps stay fast.
-CLUSTER_TRACE = TraceSpec(
-    name="cluster",
-    mean_prompt=64.0, sigma_prompt=0.6, max_prompt=256,
-    mean_output=24.0, sigma_output=0.5, max_output=64,
-)
 
 
 @dataclass
@@ -120,7 +108,7 @@ class ClusterResult:
         }
 
 
-class Cluster:
+class Cluster(Fleet):
     """N confidential replicas + gateway in one shared simulator."""
 
     def __init__(
@@ -129,146 +117,34 @@ class Cluster:
         spec: ModelSpec = OPT_13B,
         params: Optional[HardwareParams] = None,
     ) -> None:
-        self.config = config
+        super().__init__(config)
         self.spec = spec
-        self.sim = Simulator()
-        self.audit = ClusterIvAudit()
-        #: Fleet-level injector (None without a plan). Each replica
-        #: machine gets its own deterministic child; the parent paces
-        #: the random crash schedule.
-        self.faults: Optional[FaultInjector] = None
-        if config.fault_plan is not None:
-            self.faults = FaultInjector(
-                config.fault_plan, seed=default_seed(config.seed)
-            ).bind(self.sim)
-        self.replicas = [
-            Replica(
-                self.sim,
-                replica_id=i,
-                spec=spec,
-                system=config.system,
-                block_size=config.block_size,
-                reserve_bytes=config.reserve_bytes,
-                params=params,
-                faults=None if self.faults is None else self.faults.child(f"r{i}"),
-            )
-            for i in range(config.replicas)
-        ]
-        self.gateway = Gateway(self.sim, config, self.replicas, audit=self.audit)
+        self.replicas = self.machines = self._spawn(
+            Replica, config.replicas, spec, params
+        )
+        self.gateway = self.front = Gateway(
+            self.sim, config, self.replicas, audit=self.audit
+        )
 
-    # -- workload --------------------------------------------------------
+    def _wrap(self, request: Request, tenant: str) -> ClusterRequest:
+        payload = hashlib.sha256(
+            f"{tenant}:req{request.request_id}".encode()
+        ).digest()[:16]
+        return ClusterRequest(
+            rid=request.request_id,
+            tenant=tenant,
+            request=request,
+            submit_time=request.arrival_time,
+            payload=payload,
+        )
 
-    def workload(
-        self,
-        rate: float,
-        duration: float,
-        tenants: int = 4,
-        trace: TraceSpec = CLUSTER_TRACE,
-        parallel_n: int = 1,
-    ) -> List[ClusterRequest]:
-        """Poisson arrivals spread over ``tenants`` tenants.
-
-        Seeded by the config's seed (overridable process-wide via the
-        CLI ``--seed``), so runs are reproducible end to end.
-        """
-        rng = SeededRng(default_seed(self.config.seed))
-        requests = poisson_trace(trace, rate, duration, rng, parallel_n=parallel_n)
-        rng_t = rng.fork("tenants")
-        out: List[ClusterRequest] = []
-        for request in requests:
-            tenant = f"tenant-{rng_t.randint(0, tenants - 1)}"
-            payload = hashlib.sha256(
-                f"{tenant}:req{request.request_id}".encode()
-            ).digest()[:16]
-            out.append(ClusterRequest(
-                rid=request.request_id,
-                tenant=tenant,
-                request=request,
-                submit_time=request.arrival_time,
-                payload=payload,
-            ))
-        return out
-
-    # -- execution -------------------------------------------------------
-
-    def run(
-        self,
-        requests: List[ClusterRequest],
-        until: Optional[float] = None,
-    ) -> ClusterResult:
-        """Drive ``requests`` through the fleet and summarize the run."""
-        self.sim.process(self._arrivals(sorted(requests, key=lambda c: c.submit_time)))
-        if self.config.fail_at is not None:
-            self.sim.process(self._fault())
-        plan = self.config.fault_plan
-        if self.faults is not None and plan is not None and plan.replica_crash_rate > 0:
-            # Bound the crash schedule so the simulator can drain: the
-            # plan's window if set, else the arrival span.
-            horizon = plan.stop
-            if horizon is None:
-                horizon = max((c.submit_time for c in requests), default=0.0)
-            self.sim.process(self._fault_plane(horizon))
-        self.sim.run(until=until)
-        return self._result(requests)
-
-    def _arrivals(self, requests: List[ClusterRequest]):
-        for creq in requests:
-            delay = creq.submit_time - self.sim.now
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            creq.submit_time = self.sim.now
-            self.gateway.submit(creq)
-
-    def _fault(self):
-        config = self.config
-        yield self.sim.timeout(config.fail_at)
-        self.gateway.fail(config.fail_replica)
-        if config.recover_after > 0:
-            yield self.sim.timeout(config.recover_after)
-            self.gateway.recover(config.fail_replica)
-
-    def _fault_plane(self, horizon: float):
-        """Random replica crashes: exponential inter-arrivals from the
-        fleet injector's cluster stream, each followed by an attested
-        recovery after the plan's delay. Stops pacing at ``horizon``."""
-        inj = self.faults
-        plan = self.config.fault_plan
-        while True:
-            interval = inj.next_crash_interval()
-            if interval is None or self.sim.now + interval > horizon:
-                return
-            yield self.sim.timeout(interval)
-            if not plan.active(self.sim.now):
-                continue
-            victim = inj.pick_replica(len(self.replicas))
-            if not self.replicas[victim].alive:
-                continue
-            inj.record_crash(victim)
-            self.gateway.fail(victim)
-            if plan.replica_recover_after > 0:
-                self.sim.process(
-                    self._recover_later(victim, plan.replica_recover_after)
-                )
-
-    def _recover_later(self, victim: int, delay: float):
-        yield self.sim.timeout(delay)
-        self.gateway.recover(victim)
+    def _scripted_target(self) -> Replica:
+        return self.replicas[self.config.fail_replica]
 
     def _result(self, requests: List[ClusterRequest]) -> ClusterResult:
         gateway = self.gateway
         completed = gateway.completed
-        unfinished = [
-            c for c in requests if c.state not in ("done", "shed")
-        ]
-        # Measure to the last request resolution, not to the last timer:
-        # lingering admission watchdogs would otherwise pad the run and
-        # depress throughput/utilization.
-        resolved = [
-            c.finish_time
-            for c in completed + gateway.shed
-            if not math.isnan(c.finish_time)
-        ]
-        duration = max(resolved) if resolved and not unfinished else self.sim.now
+        duration, unfinished = self._settled(requests)
         depth = gateway.metrics.timeseries("cluster.gateway.queue_depth")
         utilization = {
             r.replica_id: (r.busy_seconds / duration if duration > 0 else 0.0)
@@ -282,7 +158,7 @@ class Cluster:
             offered=len(requests),
             completed=len(completed),
             shed=len(gateway.shed),
-            unfinished=len(unfinished),
+            unfinished=unfinished,
             failovers=gateway.failovers,
             handshakes=gateway.handshakes,
             crashes=sum(r.crashes for r in self.replicas),

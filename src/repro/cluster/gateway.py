@@ -304,25 +304,23 @@ class Gateway:
 
     # -- fault injection -------------------------------------------------
 
-    def fail(self, replica_id: int) -> List[ClusterRequest]:
+    def fail(self, replica: Replica) -> List[ClusterRequest]:
         """Crash one replica; orphans re-enter the queue for failover."""
-        replica = self.replicas[replica_id]
         orphans = replica.crash()
         self.metrics.counter("cluster.replica.crashes").add()
-        self._emit("crash", None, replica=replica_id,
+        self._emit("crash", None, replica=replica.replica_id,
                    detail=f"orphans={len(orphans)}")
         for creq in reversed(orphans):
             self.failovers += 1
             self.metrics.counter("cluster.gateway.failovers").add()
-            self._emit("failover", creq, replica=replica_id)
+            self._emit("failover", creq, replica=replica.replica_id)
             self._requeue(creq)
         return orphans
 
-    def recover(self, replica_id: int) -> None:
+    def recover(self, replica: Replica) -> None:
         """Bring a crashed replica back as a fresh attested incarnation."""
-        replica = self.replicas[replica_id]
         replica.recover()
-        self._emit("recover", None, replica=replica_id,
+        self._emit("recover", None, replica=replica.replica_id,
                    detail=f"epoch={replica.epoch}")
         self._kick()
 

@@ -19,10 +19,9 @@ depend on:
 * **prefix KV reuse** — a tenant whose prompt prefix is still cached
   on this replica skips prefill compute and bytes, which is the win
   the gateway's affinity policy exists to harvest;
-* **crash / recover** — a crash orphans every resident request back
-  to the gateway for failover and tears the incarnation down; recovery
-  re-runs the attested bring-up with fresh seeds (fresh session keys
-  and IVs) and rejoins with an empty cache.
+* **crash / recover** — the :class:`~repro.cluster.incarnation.
+  Incarnation` lifecycle; the orphans go back to the gateway for
+  failover, and the recovered replica rejoins with an empty cache.
 """
 
 from __future__ import annotations
@@ -31,18 +30,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..cc import CcMode, CudaContext, Machine, build_attested_machine
+from ..cc import CudaContext
 from ..core import PipeLLMRuntime
-from ..hw import HardwareParams, default_params
 from ..hw.memory import MemoryChunk
-from ..models import KvGeometry, LayerWork, ModelSpec, TransformerCostModel
+from ..models import LayerWork
 from ..serving.vllm.block_manager import BlockManager
 from ..serving.vllm.scheduler import GroupState, SequenceGroup
-from ..sim import Simulator, mean
-from ..tracing import active_collector
 from ..workloads import Request
+from .fleet import FleetRequest
+from .incarnation import Incarnation
 
-__all__ = ["ClusterRequest", "Replica", "ReplicaDead"]
+__all__ = ["ClusterRequest", "Replica"]
 
 #: Functional payload bytes for control and KV transfers.
 _PAYLOAD_BYTES = 16
@@ -54,44 +52,19 @@ _PREFIX_CACHE_TENANTS = 16
 _RESUME_WATERMARK = 0.02
 
 
-class ReplicaDead(RuntimeError):
-    """A request was submitted to a crashed replica."""
-
-
 @dataclass
-class ClusterRequest:
-    """One tenant request as it moves through the cluster.
+class ClusterRequest(FleetRequest):
+    """One tenant request as it moves through the gateway and replicas."""
 
-    ``request`` is the underlying workload request; the wrapper adds
-    the gateway-level lifecycle (admission, routing, failover) and the
-    end-to-end timestamps the SLO accounting uses.
-    """
-
-    rid: int
-    tenant: str
-    request: Request
-    submit_time: float
     payload: bytes = b""
     #: "queued" | "dispatched" | "running" | "swapped" | "done" | "shed"
     state: str = "queued"
     dispatch_time: float = math.nan
-    finish_time: float = math.nan
-    #: Handshake/dispatch attempts (1 = no failover).
-    attempts: int = 0
     #: Replica ids this request touched, in order.
     replica_history: List[int] = field(default_factory=list)
     prefix_hit: bool = False
-    #: Causal-trace linkage (transient; set only when a collector is
-    #: active): the request's trace context plus the currently open
-    #: queue/attempt spans the gateway manages across failovers.
-    trace: Optional[Any] = None
-    trace_queue: Optional[Any] = None
+    #: The open attempt span the gateway manages across failovers.
     trace_attempt: Optional[Any] = None
-
-    @property
-    def latency(self) -> float:
-        """End-to-end gateway latency (nan until done)."""
-        return self.finish_time - self.submit_time
 
 
 @dataclass
@@ -103,83 +76,32 @@ class _Served:
     #: Prompt tokens that must actually be prefilled (0 = prefix hit).
     prefill_tokens: int = 0
 
+    @property
+    def request(self) -> Request:
+        return self.group.request
 
-class Replica:
-    """One CVM+GPU machine incarnation behind the gateway."""
+    def context_len(self) -> int:
+        return self.group.context_len()
 
-    def __init__(
-        self,
-        sim: Simulator,
-        replica_id: int,
-        spec: ModelSpec,
-        system: str = "pipellm",
-        block_size: int = 16,
-        reserve_bytes: int = 4 << 30,
-        params: Optional[HardwareParams] = None,
-        faults=None,
-    ) -> None:
-        self.sim = sim
-        self.replica_id = replica_id
-        self.spec = spec
-        self.system = system
-        self.block_size = block_size
-        self.reserve_bytes = reserve_bytes
-        self.params = params or default_params()
-        #: Optional :class:`repro.faults.FaultInjector`, shared across
-        #: incarnations (each boot rebinds it to the fresh machine, so
-        #: the fault streams continue deterministically over crashes).
-        self.faults = faults
-        self.cost = TransformerCostModel(spec)
-        self.geometry = KvGeometry(spec, block_size=block_size)
 
+class Replica(Incarnation):
+    """One CVM+GPU serving machine behind the gateway."""
+
+    kind = "replica"
+
+    def __init__(self, *args, **kwargs) -> None:
         #: Set by the gateway when the replica joins the fleet.
         self.gateway = None
-
-        self.epoch = 0
-        self.alive = False
-        self.crashes = 0
-        self.completed = 0
         self.prefix_hits = 0
         self.swap_out_count = 0
         self.swap_in_count = 0
-        #: Stats carried across incarnations (a crash would otherwise
-        #: discard the dead machine's counters).
-        self._busy_acc = 0.0
-        self._auth_failures_acc = 0
+        super().__init__(*args, **kwargs)
 
-        self.machine: Optional[Machine] = None
-        self.runtime = None
-        self.boot()
-
-    # -- lifecycle -------------------------------------------------------
-
-    def boot(self) -> None:
-        """Bring up a fresh incarnation: attested machine + empty state."""
-        self.epoch += 1
-        suffix = f"r{self.replica_id}.e{self.epoch}".encode()
-        if self.system == "native":
-            self.machine = Machine(
-                CcMode.DISABLED, params=self.params, sim=self.sim, faults=self.faults
-            )
-            self.runtime = CudaContext(self.machine)
+    def _boot_state(self) -> None:
+        if self.system == "pipellm":
+            self.runtime = PipeLLMRuntime(self.machine)
         else:
-            # Full CC bring-up per incarnation: the handshake-derived
-            # session key and starting IVs differ every epoch, so a
-            # recovered replica can never collide with its past self.
-            self.machine = build_attested_machine(
-                params=self.params,
-                sim=self.sim,
-                device_id=f"gpu-{self.replica_id}",
-                host_seed=b"cvm:" + suffix,
-                device_seed=b"dev:" + suffix,
-                faults=self.faults,
-            )
-            if self.system == "pipellm":
-                self.runtime = PipeLLMRuntime(self.machine)
-            else:
-                self.runtime = CudaContext(self.machine)
-        self.machine.telemetry.label = f"replica-{self.replica_id}.e{self.epoch}"
-
+            self.runtime = CudaContext(self.machine)
         total_blocks = self.geometry.gpu_block_budget(
             self.params.gpu_memory_bytes, reserved_bytes=self.reserve_bytes
         )
@@ -204,32 +126,13 @@ class Replica:
         #: tenant -> longest prompt prefix still warm on this replica.
         self.prefix_cache: Dict[str, int] = {}
 
-        self.alive = True
-        self._wake = self.sim.event()
-        self._loop_proc = self.sim.process(self._loop(self.epoch))
-
-    def crash(self) -> List[ClusterRequest]:
-        """Kill this incarnation; returns every orphaned request."""
-        if not self.alive:
-            return []
-        self.alive = False
-        self.crashes += 1
-        self._busy_acc += self.machine.gpu.compute_seconds
-        self._auth_failures_acc += self.machine.gpu.auth_failures
-        if self._loop_proc.is_alive:
-            self._loop_proc.interrupt("crash")
+    def _orphans(self) -> List[ClusterRequest]:
         orphans = [s.creq for s in self.running + self.swapped] + list(self._queue)
         self._queue = []
         self.running = []
         self.swapped = []
         self.prefix_cache = {}
         return orphans
-
-    def recover(self) -> None:
-        """Re-attest and rejoin the fleet as a fresh incarnation."""
-        if self.alive:
-            return
-        self.boot()
 
     # -- gateway-facing surface ------------------------------------------
 
@@ -238,43 +141,21 @@ class Replica:
         """Requests resident on this replica (the routing load signal)."""
         return len(self._queue) + len(self.running) + len(self.swapped)
 
-    @property
-    def busy_seconds(self) -> float:
-        """GPU-busy seconds over every incarnation so far."""
-        current = self.machine.gpu.compute_seconds if self.alive else 0.0
-        return self._busy_acc + current
-
-    @property
-    def auth_failures(self) -> int:
-        """GCM tag-validation failures over every incarnation so far."""
-        current = self.machine.gpu.auth_failures if self.alive else 0
-        return self._auth_failures_acc + current
-
     def submit(self, creq: ClusterRequest) -> None:
         """Accept one routed request into the local admission queue."""
-        if not self.alive:
-            raise ReplicaDead(f"replica-{self.replica_id} is down")
-        creq.state = "dispatched"
+        self._enqueue(creq, "dispatched")
         creq.replica_history.append(self.replica_id)
-        self._queue.append(creq)
-        self._kick()
-
-    def _kick(self) -> None:
-        if not self._wake.triggered:
-            self._wake.succeed()
 
     # -- serving loop ----------------------------------------------------
 
     def _loop(self, epoch: int):
-        sim = self.sim
         while self.alive and self.epoch == epoch:
             resumed = self._resume_swapped()
             admitted = self._admit()
             if not self.running:
                 self._reject_unservable()
                 if not (self._queue or self.swapped):
-                    self._wake = sim.event()
-                    yield self._wake
+                    yield self._idle()
                 continue
 
             # Preempt (swap out) until this step's block growth fits,
@@ -296,19 +177,10 @@ class Replica:
                 if served.group.swap_region is region:
                     served.group.swap_region = None
 
-            step_start = sim.now
-            work = self._step_work(admitted)
-            yield self.machine.gpu.compute(work.flops, work.bytes_touched, layers=work.layers)
-            sim.tracer.record(f"cluster.replica-{self.replica_id}", "step", step_start, sim.now)
-            collector = active_collector()
-            if collector is not None and sim.now > step_start:
-                for served in self.running:
-                    if served.creq.trace_attempt is not None:
-                        collector.add(
-                            served.creq.trace_attempt, "step", "compute",
-                            f"replica-{self.replica_id}.e{self.epoch}",
-                            step_start, sim.now,
-                        )
+            yield from self._compute(
+                self._step_work(admitted), f"cluster.replica-{self.replica_id}",
+                "step", lambda: [s.creq.trace_attempt for s in self.running],
+            )
 
             # Sampled tokens return as a small transfer (not waited on).
             seqs = sum(s.group.request.parallel_n for s in self.running)
@@ -423,21 +295,11 @@ class Replica:
     # -- compute & progress ----------------------------------------------
 
     def _step_work(self, admitted: List[_Served]) -> LayerWork:
-        prefill_tokens = sum(s.prefill_tokens for s in admitted)
-        decode = [s for s in self.running if s not in admitted or s.prefill_tokens == 0]
-        decode_seqs = sum(s.group.request.parallel_n for s in decode)
-        flops = 0.0
-        bytes_touched = 0.0
-        if prefill_tokens:
-            work = self.cost.prefill(prefill_tokens)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        if decode_seqs:
-            ctx = mean([float(s.group.context_len()) for s in decode])
-            work = self.cost.decode_step(decode_seqs, ctx)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        return LayerWork(flops, bytes_touched, layers=self.spec.n_layers)
+        # Prefill tokens count once per request, not per parallel sample.
+        return super()._step_work(
+            sum(s.prefill_tokens for s in admitted),
+            [s for s in self.running if s not in admitted or s.prefill_tokens == 0],
+        )
 
     def _advance(self) -> None:
         now = self.sim.now
@@ -464,10 +326,3 @@ class Replica:
         )
         while len(self.prefix_cache) > _PREFIX_CACHE_TENANTS:
             self.prefix_cache.pop(next(iter(self.prefix_cache)))
-
-    def __repr__(self) -> str:
-        state = "up" if self.alive else "down"
-        return (
-            f"Replica({self.replica_id}, {state}, epoch={self.epoch}, "
-            f"outstanding={self.outstanding})"
-        )

@@ -17,7 +17,7 @@ from .migration import (
     MigrationSpeculator,
 )
 from .scheduler import DisaggScheduler
-from .workers import DecodeWorker, DisaggRequest, PrefillWorker, WorkerDead
+from .workers import DecodeWorker, DisaggRequest, PrefillWorker
 
 __all__ = [
     "MIGRATION_CHUNK_BYTES",
@@ -30,6 +30,5 @@ __all__ = [
     "MigrationRecord",
     "MigrationSpeculator",
     "PrefillWorker",
-    "WorkerDead",
     "run_disagg",
 ]

@@ -1,14 +1,11 @@
-"""Disaggregated fleet orchestration: pools + scheduler + workload.
+"""Disaggregated fleet orchestration: pools + scheduler + fabric.
 
-:class:`DisaggCluster` builds the whole split-serving fleet inside a
-**single shared simulator** — dedicated prefill workers and
-continuous-batching decode workers, each its own attested
-:class:`repro.cc.Machine` incarnation — wires them to a
-:class:`~repro.disagg.migration.MigrationFabric` whose per-link
-AES-GCM sessions all chain off one fleet root key, drives a
-multi-tenant Poisson workload through the migration-aware scheduler,
-optionally crashes a worker mid-flight, and folds everything into a
-:class:`DisaggResult`.
+:class:`DisaggCluster` is the :class:`~repro.cluster.fleet.Fleet` of
+dedicated prefill workers and continuous-batching decode workers,
+wired to a :class:`~repro.disagg.migration.MigrationFabric` whose
+per-link AES-GCM sessions all chain off one fleet root key, with the
+migration-aware :class:`~repro.disagg.scheduler.DisaggScheduler` as
+its front door. It folds a run into a :class:`DisaggResult`.
 
 One :class:`~repro.cluster.tenant.ClusterIvAudit` watches every
 migration endpoint ever derived — across crashes, re-attestations and
@@ -23,20 +20,17 @@ measured against.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..cluster import ClusterIvAudit
-from ..cluster.cluster import CLUSTER_TRACE
+from ..cluster import CLUSTER_TRACE, Fleet
 from ..core import DisaggConfig
 from ..crypto import hkdf
-from ..faults import FaultInjector
 from ..hw import HardwareParams, get_params
 from ..models import KvGeometry, OPT_13B, ModelSpec
-from ..sim import SeededRng, Simulator, default_seed, mean, percentile
-from ..workloads import TraceSpec, poisson_trace
+from ..sim import default_seed, mean, percentile
+from ..workloads import Request, TraceSpec
 from .migration import MigrationFabric
 from .scheduler import DisaggScheduler
 from .workers import DecodeWorker, DisaggRequest, PrefillWorker
@@ -139,7 +133,7 @@ class DisaggResult:
         }
 
 
-class DisaggCluster:
+class DisaggCluster(Fleet):
     """Prefill + decode pools + migration fabric in one simulator."""
 
     def __init__(
@@ -148,37 +142,17 @@ class DisaggCluster:
         spec: ModelSpec = OPT_13B,
         params: Optional[HardwareParams] = None,
     ) -> None:
-        self.config = config
+        super().__init__(config)
         self.spec = spec
         self.params = params or get_params(config.hw_pack or "h100-cc")
-        self.sim = Simulator()
-        self.audit = ClusterIvAudit()
         self.geometry = KvGeometry(spec, block_size=config.block_size)
-        self.faults: Optional[FaultInjector] = None
-        if config.fault_plan is not None:
-            self.faults = FaultInjector(
-                config.fault_plan, seed=default_seed(config.seed)
-            ).bind(self.sim)
-
-        def child(label: str):
-            return None if self.faults is None else self.faults.child(label)
-
-        self.prefill_pool = [
-            PrefillWorker(
-                self.sim, worker_id=i, spec=spec, system=config.system,
-                block_size=config.block_size, reserve_bytes=config.reserve_bytes,
-                params=self.params, faults=child(f"p{i}"),
-            )
-            for i in range(config.prefill_workers)
-        ]
-        self.decode_pool = [
-            DecodeWorker(
-                self.sim, worker_id=i, spec=spec, system=config.system,
-                block_size=config.block_size, reserve_bytes=config.reserve_bytes,
-                params=self.params, faults=child(f"d{i}"),
-            )
-            for i in range(config.decode_workers)
-        ]
+        self.prefill_pool = self._spawn(
+            PrefillWorker, config.prefill_workers, spec, self.params
+        )
+        self.decode_pool = self._spawn(
+            DecodeWorker, config.decode_workers, spec, self.params
+        )
+        self.workers = self.machines = [*self.prefill_pool, *self.decode_pool]
         # The fleet root key every migration link chains off. Derived,
         # not random: same seed → same keys → byte-identical replays.
         fleet_key = hkdf(
@@ -189,122 +163,31 @@ class DisaggCluster:
             self.sim, fleet_key, self.params, system=config.system,
             audit=self.audit, faults=self.faults,
         )
-        self.scheduler = DisaggScheduler(
+        self.scheduler = self.front = DisaggScheduler(
             self.sim, self.prefill_pool, self.decode_pool, self.fabric,
             decode_policy=config.decode_policy,
         )
 
-    @property
-    def workers(self) -> List:
-        return [*self.prefill_pool, *self.decode_pool]
+    def _wrap(self, request: Request, tenant: str) -> DisaggRequest:
+        # The KV footprint migration will move is fixed here, from the
+        # prompt alone — decode-side growth never crosses the wire.
+        return DisaggRequest(
+            rid=request.request_id,
+            tenant=tenant,
+            request=request,
+            submit_time=request.arrival_time,
+            kv_bytes=self.geometry.bytes_for_tokens(request.prompt_len)
+            * request.parallel_n,
+        )
 
-    # -- workload --------------------------------------------------------
-
-    def workload(
-        self,
-        rate: float,
-        duration: float,
-        tenants: int = 4,
-        trace: TraceSpec = CLUSTER_TRACE,
-        parallel_n: int = 1,
-    ) -> List[DisaggRequest]:
-        """Poisson arrivals spread over ``tenants`` tenants.
-
-        Seeded by the config's seed (overridable process-wide via the
-        CLI ``--seed``), so runs are reproducible end to end. The KV
-        footprint each request will migrate is fixed here, from the
-        prompt alone — decode-side growth never crosses the wire.
-        """
-        rng = SeededRng(default_seed(self.config.seed))
-        requests = poisson_trace(trace, rate, duration, rng, parallel_n=parallel_n)
-        rng_t = rng.fork("tenants")
-        out: List[DisaggRequest] = []
-        for request in requests:
-            tenant = f"tenant-{rng_t.randint(0, tenants - 1)}"
-            out.append(DisaggRequest(
-                rid=request.request_id,
-                tenant=tenant,
-                request=request,
-                submit_time=request.arrival_time,
-                kv_bytes=self.geometry.bytes_for_tokens(request.prompt_len)
-                * request.parallel_n,
-            ))
-        return out
-
-    # -- execution -------------------------------------------------------
-
-    def run(
-        self,
-        requests: List[DisaggRequest],
-        until: Optional[float] = None,
-    ) -> DisaggResult:
-        """Drive ``requests`` through the fleet and summarize the run."""
-        self.sim.process(self._arrivals(sorted(requests, key=lambda c: c.submit_time)))
-        if self.config.fail_at is not None:
-            self.sim.process(self._fault())
-        plan = self.config.fault_plan
-        if self.faults is not None and plan is not None and plan.replica_crash_rate > 0:
-            horizon = plan.stop
-            if horizon is None:
-                horizon = max((c.submit_time for c in requests), default=0.0)
-            self.sim.process(self._fault_plane(horizon))
-        self.sim.run(until=until)
-        return self._result(requests)
-
-    def _arrivals(self, requests: List[DisaggRequest]):
-        for creq in requests:
-            delay = creq.submit_time - self.sim.now
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            creq.submit_time = self.sim.now
-            self.scheduler.submit(creq)
-
-    def _fault(self):
-        config = self.config
-        yield self.sim.timeout(config.fail_at)
-        self.scheduler.fail(config.fail_kind, config.fail_index)
-        if config.recover_after > 0:
-            yield self.sim.timeout(config.recover_after)
-            self.scheduler.recover(config.fail_kind, config.fail_index)
-
-    def _fault_plane(self, horizon: float):
-        """Random worker crashes across both pools, plan-paced."""
-        inj = self.faults
-        plan = self.config.fault_plan
-        while True:
-            interval = inj.next_crash_interval()
-            if interval is None or self.sim.now + interval > horizon:
-                return
-            yield self.sim.timeout(interval)
-            if not plan.active(self.sim.now):
-                continue
-            index = inj.pick_replica(len(self.workers))
-            kind = "prefill" if index < len(self.prefill_pool) else "decode"
-            pool_index = index if kind == "prefill" else index - len(self.prefill_pool)
-            pool = self.prefill_pool if kind == "prefill" else self.decode_pool
-            if not pool[pool_index].alive:
-                continue
-            inj.record_crash(index)
-            self.scheduler.fail(kind, pool_index)
-            if plan.replica_recover_after > 0:
-                self.sim.process(self._recover_later(
-                    kind, pool_index, plan.replica_recover_after
-                ))
-
-    def _recover_later(self, kind: str, index: int, delay: float):
-        yield self.sim.timeout(delay)
-        self.scheduler.recover(kind, index)
+    def _scripted_target(self) -> PrefillWorker | DecodeWorker:
+        pool = self.prefill_pool if self.config.fail_kind == "prefill" else self.decode_pool
+        return pool[self.config.fail_index]
 
     def _result(self, requests: List[DisaggRequest]) -> DisaggResult:
         scheduler = self.scheduler
         completed = scheduler.completed
-        unfinished = [c for c in requests if c.state not in ("done", "shed")]
-        resolved = [
-            c.finish_time
-            for c in completed + scheduler.shed
-            if not math.isnan(c.finish_time)
-        ]
-        duration = max(resolved) if resolved and not unfinished else self.sim.now
+        duration, unfinished = self._settled(requests)
         stats = self.fabric.stats()
         chunks = stats["chunks"]
         shipped = stats["chunks_shipped"]
@@ -316,7 +199,7 @@ class DisaggCluster:
             offered=len(requests),
             completed=len(completed),
             shed=len(scheduler.shed),
-            unfinished=len(unfinished),
+            unfinished=unfinished,
             failovers=scheduler.failovers,
             replays=scheduler.replays,
             resumes=scheduler.resumes,

@@ -313,7 +313,7 @@ class MigrationFabric:
             staged = False
             if self.speculator is not None:
                 staged = self.speculator.lookup(
-                    f"{src.label}.e{src_epoch}", dst.worker_id, self.chunk_bytes
+                    f"{src.label}.e{src_epoch}", dst.replica_id, self.chunk_bytes
                 )
             payload = chunk_payload(creq.rid, index)
             if self.system == "native":

@@ -176,12 +176,11 @@ class DisaggScheduler:
                 return worker
         return None
 
-    def fail(self, kind: str, index: int) -> None:
+    def fail(self, worker: PrefillWorker | DecodeWorker) -> None:
         """Crash one worker; orphans fail over per the decision rule."""
-        pool = self.prefill_pool if kind == "prefill" else self.decode_pool
-        for creq in pool[index].crash():
+        for creq in worker.crash():
             self.failovers += 1
-            self._failover(creq, kind)
+            self._failover(creq, worker.kind)
 
     def _failover(self, creq: DisaggRequest, kind: str) -> None:
         if kind == "prefill":
@@ -199,10 +198,9 @@ class DisaggScheduler:
                 return
         self._replay(creq)
 
-    def recover(self, kind: str, index: int) -> None:
+    def recover(self, worker: PrefillWorker | DecodeWorker) -> None:
         """Re-attest one worker and flush everything parked on it."""
-        pool = self.prefill_pool if kind == "prefill" else self.decode_pool
-        pool[index].recover()
+        worker.recover()
         for creq in self._drain(self._parked):
             self._dispatch(creq)
         for creq, src in self._drain(self._parked_migrations):

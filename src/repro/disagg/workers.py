@@ -10,43 +10,30 @@ monolithic-baseline topology, where it must, inline, serialized with
 its own decode steps — exactly the head-of-line blocking disaggregation
 exists to remove).
 
-Both worker kinds are full attested incarnations on the shared
-simulator, with the same crash/recover epoch discipline as
-:class:`repro.cluster.replica.Replica`: a crash interrupts the serving
-loop, orphans resident work back to the scheduler, and discards every
-incarnation-local secret (retained KV copies included); recovery
-re-runs the attested bring-up with fresh seeds, so post-crash traffic
-rides freshly keyed channels.
+Both worker kinds are :class:`~repro.cluster.incarnation.Incarnation`
+subclasses: a crash orphans resident work back to the scheduler and
+loses the retained KV copies with the rest of the incarnation's state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import List, Optional
 
-from ..cc import CcMode, Machine, build_attested_machine
-from ..hw import HardwareParams, default_params
-from ..models import KvGeometry, LayerWork, ModelSpec, TransformerCostModel
-from ..sim import Simulator, mean
+from ..cluster.fleet import FleetRequest
+from ..cluster.incarnation import Incarnation
+from ..models import LayerWork
 from ..tracing import active_collector
 from ..workloads import Request
 
-__all__ = ["DisaggRequest", "WorkerDead", "PrefillWorker", "DecodeWorker"]
-
-
-class WorkerDead(RuntimeError):
-    """A request was submitted to a crashed worker."""
+__all__ = ["DisaggRequest", "PrefillWorker", "DecodeWorker"]
 
 
 @dataclass
-class DisaggRequest:
+class DisaggRequest(FleetRequest):
     """One request as it moves through the disaggregated pipeline."""
 
-    rid: int
-    tenant: str
-    request: Request
-    submit_time: float
     #: KV bytes produced by prefill (what migration must move).
     kv_bytes: int = 0
     #: "queued" | "prefilling" | "migrating" | "holding" | "decoding"
@@ -56,158 +43,18 @@ class DisaggRequest:
     #: When the KV cache became resident on the decode worker.
     kv_ready_time: float = math.nan
     first_token_time: float = math.nan
-    finish_time: float = math.nan
-    #: Prefill executions (1 = no replay).
-    attempts: int = 0
     #: Migrations resumed from a retained prefill copy (no recompute).
     resumes: int = 0
     #: Worker labels this request touched, in order.
     history: List[str] = field(default_factory=list)
-    #: Causal-trace linkage (set only when a collector is active).
-    trace: Optional[Any] = None
-    trace_queue: Optional[Any] = None
 
     @property
     def ttft(self) -> float:
         """Submit-to-first-token latency (nan until the first token)."""
         return self.first_token_time - self.submit_time
 
-    @property
-    def latency(self) -> float:
-        """End-to-end latency (nan until done)."""
-        return self.finish_time - self.submit_time
 
-
-class _Worker:
-    """Shared incarnation machinery of both worker kinds."""
-
-    kind = "worker"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        worker_id: int,
-        spec: ModelSpec,
-        system: str = "pipellm",
-        block_size: int = 16,
-        reserve_bytes: int = 4 << 30,
-        params: Optional[HardwareParams] = None,
-        faults=None,
-    ) -> None:
-        self.sim = sim
-        self.worker_id = worker_id
-        self.spec = spec
-        self.system = system
-        self.block_size = block_size
-        self.reserve_bytes = reserve_bytes
-        self.params = params or default_params()
-        self.faults = faults
-        self.cost = TransformerCostModel(spec)
-        self.geometry = KvGeometry(spec, block_size=block_size)
-
-        #: Set by the scheduler when the worker joins its pool.
-        self.scheduler = None
-
-        self.epoch = 0
-        self.alive = False
-        self.crashes = 0
-        self.completed = 0
-        self._busy_acc = 0.0
-
-        self.machine: Optional[Machine] = None
-        self.boot()
-
-    @property
-    def label(self) -> str:
-        """Stable pool-wide name ("p0", "d1", ...)."""
-        return f"{self.kind[0]}{self.worker_id}"
-
-    @property
-    def replica_id(self) -> int:
-        """Alias so the cluster routing policies rank workers as-is."""
-        return self.worker_id
-
-    @property
-    def incarnation(self) -> str:
-        return f"{self.kind}-{self.worker_id}.e{self.epoch}"
-
-    # -- lifecycle -------------------------------------------------------
-
-    def boot(self) -> None:
-        """Bring up a fresh incarnation: attested machine, empty state."""
-        self.epoch += 1
-        suffix = f"{self.label}.e{self.epoch}".encode()
-        if self.system == "native":
-            self.machine = Machine(
-                CcMode.DISABLED, params=self.params, sim=self.sim,
-                faults=self.faults,
-            )
-        else:
-            # Fresh attested bring-up per incarnation: epoch-derived
-            # seeds give each incarnation its own CVM↔GPU session key
-            # and IV streams, and the migration fabric keys its links
-            # by (label, epoch), so nothing post-crash can collide
-            # with anything pre-crash.
-            self.machine = build_attested_machine(
-                params=self.params,
-                sim=self.sim,
-                device_id=f"gpu-{self.label}",
-                host_seed=b"cvm:" + suffix,
-                device_seed=b"dev:" + suffix,
-                faults=self.faults,
-            )
-        self.machine.telemetry.label = self.incarnation
-        self._boot_state()
-        self.alive = True
-        self._wake = self.sim.event()
-        self._loop_proc = self.sim.process(self._loop(self.epoch))
-
-    def crash(self) -> List[DisaggRequest]:
-        """Kill this incarnation; returns every orphaned request."""
-        if not self.alive:
-            return []
-        self.alive = False
-        self.crashes += 1
-        self._busy_acc += self.machine.gpu.compute_seconds
-        if self._loop_proc.is_alive:
-            self._loop_proc.interrupt("crash")
-        return self._orphans()
-
-    def recover(self) -> None:
-        """Re-attest and rejoin the pool as a fresh incarnation."""
-        if not self.alive:
-            self.boot()
-
-    @property
-    def busy_seconds(self) -> float:
-        """GPU-busy seconds over every incarnation so far."""
-        current = self.machine.gpu.compute_seconds if self.alive else 0.0
-        return self._busy_acc + current
-
-    def _kick(self) -> None:
-        if not self._wake.triggered:
-            self._wake.succeed()
-
-    # -- subclass surface -------------------------------------------------
-
-    def _boot_state(self) -> None:
-        raise NotImplementedError
-
-    def _orphans(self) -> List[DisaggRequest]:
-        raise NotImplementedError
-
-    def _loop(self, epoch: int):
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        state = "up" if self.alive else "down"
-        return (
-            f"{type(self).__name__}({self.worker_id}, {state}, "
-            f"epoch={self.epoch}, outstanding={self.outstanding})"
-        )
-
-
-class PrefillWorker(_Worker):
+class PrefillWorker(Incarnation):
     """One dedicated prompt-prefill machine.
 
     Prefills run one request at a time, back to back — the compute
@@ -220,6 +67,8 @@ class PrefillWorker(_Worker):
     """
 
     kind = "prefill"
+    #: Set by the scheduler when the worker joins its pool.
+    scheduler = None
 
     def _boot_state(self) -> None:
         self._queue: List[DisaggRequest] = []
@@ -245,12 +94,8 @@ class PrefillWorker(_Worker):
         return len(self._queue) + (1 if self._active is not None else 0)
 
     def submit(self, creq: DisaggRequest) -> None:
-        if not self.alive:
-            raise WorkerDead(f"{self.label} is down")
-        creq.state = "prefilling"
+        self._enqueue(creq, "prefilling")
         creq.history.append(self.label)
-        self._queue.append(creq)
-        self._kick()
 
     def has_kv(self, rid: int) -> bool:
         """Is this request's KV copy still retained here?"""
@@ -263,30 +108,18 @@ class PrefillWorker(_Worker):
     # -- serving loop ----------------------------------------------------
 
     def _loop(self, epoch: int):
-        sim = self.sim
         while self.alive and self.epoch == epoch:
             if not self._queue:
-                self._wake = sim.event()
-                yield self._wake
+                yield self._idle()
                 continue
             creq = self._queue.pop(0)
             self._active = creq
-            start = sim.now
-            work = self.cost.prefill(
-                creq.request.prompt_len * creq.request.parallel_n
+            yield from self._compute(
+                self._step_work(creq.request.prompt_len * creq.request.parallel_n, ()),
+                f"disagg.{self.label}", "prefill", lambda: [creq.trace],
             )
-            yield self.machine.gpu.compute(
-                work.flops, work.bytes_touched, layers=self.spec.n_layers
-            )
-            sim.tracer.record(f"disagg.{self.label}", "prefill", start, sim.now)
-            collector = active_collector()
-            if collector is not None and creq.trace is not None:
-                collector.add(
-                    creq.trace, "prefill", "compute", self.incarnation,
-                    start, sim.now,
-                )
             self._retained[creq.rid] = creq.kv_bytes
-            creq.prefill_done_time = sim.now
+            creq.prefill_done_time = self.sim.now
             self._active = None
             self.completed += 1
             # Prefill samples the first token itself — TTFT is prefill
@@ -310,11 +143,15 @@ class _Decoding:
     def done(self) -> bool:
         return self.generated >= self.creq.request.output_len
 
+    @property
+    def request(self) -> Request:
+        return self.creq.request
+
     def context_len(self) -> int:
         return self.creq.request.prompt_len + self.generated
 
 
-class DecodeWorker(_Worker):
+class DecodeWorker(Incarnation):
     """One continuous-batching decode machine.
 
     Requests enter through :meth:`submit_ready` (their KV migrated in —
@@ -328,6 +165,8 @@ class DecodeWorker(_Worker):
     """
 
     kind = "decode"
+    #: Set by the scheduler when the worker joins its pool.
+    scheduler = None
 
     def _boot_state(self) -> None:
         self._queue: List[DisaggRequest] = []
@@ -362,48 +201,27 @@ class DecodeWorker(_Worker):
 
     def submit_ready(self, creq: DisaggRequest) -> None:
         """Admit a request whose KV cache has arrived (disagg path)."""
-        if not self.alive:
-            raise WorkerDead(f"{self.label} is down")
-        creq.state = "holding"
+        self._enqueue(creq, "holding")
         creq.history.append(self.label)
-        self._queue.append(creq)
-        self._kick()
 
     def submit_local(self, creq: DisaggRequest) -> None:
         """Accept a request that must prefill *here* (monolithic)."""
-        if not self.alive:
-            raise WorkerDead(f"{self.label} is down")
-        creq.state = "holding"
-        creq.history.append(self.label)
+        self.submit_ready(creq)
         creq.kv_ready_time = self.sim.now  # KV is born local.
-        self._queue.append(creq)
-        self._kick()
 
     # -- serving loop ----------------------------------------------------
 
     def _loop(self, epoch: int):
-        sim = self.sim
         while self.alive and self.epoch == epoch:
             admitted = self._admit()
             if not self.running:
-                self._wake = sim.event()
-                yield self._wake
+                yield self._idle()
                 continue
-            step_start = sim.now
-            work = self._step_work(admitted)
-            yield self.machine.gpu.compute(
-                work.flops, work.bytes_touched, layers=work.layers
+            yield from self._compute(
+                self._step_work(admitted), f"disagg.{self.label}", "step",
+                lambda: [d.creq.trace for d in self.running],
             )
             self.steps += 1
-            sim.tracer.record(f"disagg.{self.label}", "step", step_start, sim.now)
-            collector = active_collector()
-            if collector is not None and sim.now > step_start:
-                for decoding in self.running:
-                    if decoding.creq.trace is not None:
-                        collector.add(
-                            decoding.creq.trace, "step", "compute",
-                            self.incarnation, step_start, sim.now,
-                        )
             self._advance()
 
     def _admit(self) -> List[_Decoding]:
@@ -449,23 +267,10 @@ class DecodeWorker(_Worker):
     def _step_work(self, admitted: List[_Decoding]) -> LayerWork:
         # Monolithic inline prefills ride inside the batch step —
         # every resident request's next token waits on them.
-        prefill_tokens = sum(
-            d.prefill_tokens * d.creq.request.parallel_n for d in admitted
+        return super()._step_work(
+            sum(d.prefill_tokens * d.creq.request.parallel_n for d in admitted),
+            [d for d in self.running if d.prefill_tokens == 0 or d not in admitted],
         )
-        decode = [d for d in self.running if d.prefill_tokens == 0 or d not in admitted]
-        decode_seqs = sum(d.creq.request.parallel_n for d in decode)
-        flops = 0.0
-        bytes_touched = 0.0
-        if prefill_tokens:
-            work = self.cost.prefill(prefill_tokens)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        if decode_seqs:
-            ctx = mean([float(d.context_len()) for d in decode])
-            work = self.cost.decode_step(decode_seqs, ctx)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        return LayerWork(flops, bytes_touched, layers=self.spec.n_layers)
 
     def _advance(self) -> None:
         now = self.sim.now

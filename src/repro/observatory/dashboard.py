@@ -294,9 +294,7 @@ def run_serve_dashboard(
             label=f"serve-{system}", gateway=cluster.gateway,
         )
 
-        cluster.sim.process(frontend._arrivals(
-            sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        ))
+        frontend.start(requests)
         frames: List[str] = []
         while len(frontend.responses) < len(requests):
             before = cluster.sim.now

@@ -437,28 +437,18 @@ class ServeFrontend:
         ``duration`` is the offered-load window goodput normalizes
         over (the load spec's arrival window, not the drain time).
         """
-        self.sim.process(self._arrivals(
-            sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        ))
-        if self.config.fail_at is not None:
-            self.sim.process(self._fault())
+        self.start(requests)
         self.sim.run(until=until)
         return self.result(duration)
 
-    def _arrivals(self, requests: List[CompletionRequest]):
-        for request in requests:
-            delay = request.arrival_time - self.sim.now
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            self.submit(request)
-
-    def _fault(self):
-        config = self.config
-        yield self.sim.timeout(config.fail_at)
-        self.gateway.fail(config.fail_replica)
-        if config.recover_after > 0:
-            yield self.sim.timeout(config.recover_after)
-            self.gateway.recover(config.fail_replica)
+    def start(self, requests: List[CompletionRequest]) -> None:
+        """Schedule ``requests``' arrivals (without overwriting their
+        arrival times) plus the cluster's scripted and plan-paced
+        replica crashes; the caller runs the simulator."""
+        self.cluster.start(
+            sorted(requests, key=lambda r: (r.arrival_time, r.request_id)),
+            lambda r: r.arrival_time, self.submit,
+        )
 
     def result(self, duration: float) -> ServeResult:
         """Summarize the run; every offered request must be resolved."""

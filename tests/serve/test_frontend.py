@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import ClusterConfig
+from repro.faults import FaultPlan
 from repro.serve import (
     LoadSpec,
     ServeFrontend,
@@ -52,6 +53,18 @@ class TestAccounting:
             LoadSpec(rate=8.0, duration=5.0),
         )
         assert result.failovers > 0
+        assert result.completed + result.shed == result.offered
+        assert result.auth_failures == 0
+
+    def test_fault_plan_crash_schedule_drives_serve_runs(self):
+        # ClusterConfig.fault_plan's random replica crashes apply to the
+        # serving front end too, not only to run_cluster/run_disagg.
+        plan = FaultPlan(replica_crash_rate=1.0, replica_recover_after=0.5)
+        result = run_serve(
+            ClusterConfig(replicas=2, fault_plan=plan, seed=5),
+            LoadSpec(rate=8, duration=4, seed=5), seed=5,
+        )
+        assert result.crashes > 0
         assert result.completed + result.shed == result.offered
         assert result.auth_failures == 0
 
