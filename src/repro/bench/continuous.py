@@ -81,13 +81,10 @@ class SuiteScale:
     parallel_gpus: int
     parallel_batch: int
     parallel_tokens: int
-    # Online-serving campaign (appended fields keep older call sites
-    # positional-compatible).
-    serve_rate: float = 24.0
-    serve_duration: float = 5.0
-    # Disaggregated prefill/decode campaign (appended, same rule).
-    disagg_rate: float = 12.0
-    disagg_duration: float = 4.0
+    serve_rate: float
+    serve_duration: float
+    disagg_rate: float
+    disagg_duration: float
 
 
 SUITES: Dict[str, SuiteScale] = {
@@ -166,7 +163,7 @@ def _profiled_flexgen(system, suite: SuiteScale, seed: int) -> Dict[str, Any]:
     return out
 
 
-def _micro_campaign(suite: SuiteScale) -> Dict[str, Any]:
+def _micro_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     scale = Scale(
         name=f"bench-{suite.name}", flexgen_requests=suite.flexgen_requests,
         flexgen_output=suite.flexgen_output, vllm_duration=10.0,
@@ -201,7 +198,7 @@ def _cluster_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     }
 
 
-def _faults_campaign(suite: SuiteScale) -> Dict[str, Any]:
+def _faults_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     scale = Scale(
         name=f"bench-{suite.name}", flexgen_requests=suite.flexgen_requests,
         flexgen_output=suite.flexgen_output, vllm_duration=10.0,
@@ -227,7 +224,7 @@ def _faults_campaign(suite: SuiteScale) -> Dict[str, Any]:
     }
 
 
-def _parallel_campaign(suite: SuiteScale) -> Dict[str, Any]:
+def _parallel_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     """Multi-GPU TP decode across the three systems (one GPU count)."""
     runs = {}
     audit = None
@@ -255,7 +252,7 @@ def _parallel_campaign(suite: SuiteScale) -> Dict[str, Any]:
     }
 
 
-def _serve_campaign(suite: SuiteScale) -> Dict[str, Any]:
+def _serve_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     """Online-serving front end: CC vs PipeLLM at one offered load."""
     from ..serve import LoadSpec, SloSpec, run_serve
     from ..workloads import SHAREGPT_SERVE
@@ -324,6 +321,24 @@ def _disagg_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     return out
 
 
+#: Every campaign of a suite, in artifact order. Each takes the suite
+#: scale and the seed and runs under that seed's process-wide
+#: override; none depends on another having run first.
+CAMPAIGNS: Dict[str, Callable[[SuiteScale, int], Dict[str, Any]]] = {
+    "micro-fig2": _micro_campaign,
+    "offload-nocc": lambda suite, seed: _profiled_flexgen(WITHOUT_CC, suite, seed),
+    "offload-cc": lambda suite, seed: _profiled_flexgen(CC, suite, seed),
+    "offload-pipellm": lambda suite, seed: _profiled_flexgen(
+        pipellm(OFFLOAD_ENC_THREADS, OFFLOAD_DEC_THREADS), suite, seed
+    ),
+    "cluster": _cluster_campaign,
+    "faults": _faults_campaign,
+    "parallel": _parallel_campaign,
+    "serve": _serve_campaign,
+    "disagg": _disagg_campaign,
+}
+
+
 def run_suite(
     suite: str = "standard",
     seed: int = 1,
@@ -343,24 +358,7 @@ def run_suite(
     previous_seed = default_seed(None)  # type: ignore[arg-type]
     set_default_seed(seed)
     try:
-        pipe = pipellm(OFFLOAD_ENC_THREADS, OFFLOAD_DEC_THREADS)
-        campaigns = {
-            "micro-fig2": _micro_campaign(scale),
-            "offload-nocc": _profiled_flexgen(WITHOUT_CC, scale, seed),
-            "offload-cc": _profiled_flexgen(CC, scale, seed),
-            "offload-pipellm": _profiled_flexgen(pipe, scale, seed),
-            "cluster": _cluster_campaign(scale, default_seed(seed)),
-            "faults": _faults_campaign(scale),
-            # Appended last: earlier campaigns' RNG draws are
-            # unperturbed, so their metrics match pre-parallel artifacts
-            # bit for bit.
-            "parallel": _parallel_campaign(scale),
-            # Same rule again: serve runs after everything above so all
-            # pre-existing campaign metrics stay bit-identical.
-            "serve": _serve_campaign(scale),
-            # And again: disagg appended last for the same reason.
-            "disagg": _disagg_campaign(scale, default_seed(seed)),
-        }
+        campaigns = {name: run(scale, seed) for name, run in CAMPAIGNS.items()}
     finally:
         set_default_seed(previous_seed)
 

@@ -96,11 +96,11 @@ def _run_tp(system: str, n_gpus: int) -> Tuple[ParallelResult, Optional[ClusterI
     return engine.run(output_tokens=TP_OUTPUT_TOKENS), audit
 
 
-def _run_pp(system: str, n_gpus: int, schedule: str) -> Tuple[ParallelResult, Optional[ClusterIvAudit]]:
+def _run_pp(system: str, n_gpus: int) -> Tuple[ParallelResult, Optional[ClusterIvAudit]]:
     machine, audit = _build(system, n_gpus)
     engine = PipelineParallelEngine(
         machine, OPT_30B, microbatches=PP_MICROBATCHES,
-        microbatch_tokens=PP_MICROBATCH_TOKENS, schedule=schedule, label=system,
+        microbatch_tokens=PP_MICROBATCH_TOKENS, label=system,
     )
     return engine.run_inference(), audit
 
@@ -203,7 +203,7 @@ def parallel_scaling(
                     )
 
     add_rows("tp", _run_tp)
-    add_rows("pp", lambda system, n: _run_pp(system, n, "gpipe"))
+    add_rows("pp", _run_pp)
 
     # -- headline acceptance: >=50% of the CC gap recovered at 2 GPUs ---
     if 2 in gpu_counts:

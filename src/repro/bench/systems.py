@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..cc import CcMode, CudaContext, DeviceRuntime, Machine
@@ -69,9 +69,6 @@ class SystemSpec:
         else:
             runtime = CudaContext(machine)
         return machine, runtime
-
-    def with_threads(self, enc: int, dec: int) -> "SystemSpec":
-        return replace(self, enc_threads=enc, dec_threads=dec)
 
 
 WITHOUT_CC = SystemSpec("w/o CC", CcMode.DISABLED)

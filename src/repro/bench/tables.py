@@ -10,7 +10,7 @@ table or figure reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 __all__ = ["ExperimentResult"]
 

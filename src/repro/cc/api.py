@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional
 
 from ..hw.memory import MemoryChunk

@@ -181,10 +181,6 @@ class _PoolDetector(_ScoredDetector):
         if key in self._pool:
             self._pool.remove(key)
 
-    @property
-    def pool(self) -> Sequence[ChunkKey]:
-        return tuple(self._pool)
-
 
 class FifoDetector(_PoolDetector):
     """First-swapped-out, first-swapped-in (layer-wise KV swapping)."""

@@ -162,10 +162,6 @@ class PipeLLMRuntime(DeviceRuntime):
     def mode_switches(self) -> int:
         return self._mode_switches.value
 
-    @property
-    def degraded_commits(self) -> int:
-        return self._degraded_commits.value
-
     # -- model hints (§4.2: "We assume LLM models are known") ----------------
 
     def hint_weight_chunk_size(self, nbytes: int) -> None:

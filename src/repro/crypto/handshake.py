@@ -218,13 +218,3 @@ class SessionHandshake:
         """Finish the handshake: a session with synchronized IVs."""
         key, h2d_iv, d2h_iv = self.derive(peer)
         return SecureSession(key, h2d_start_iv=h2d_iv, d2h_start_iv=d2h_iv)
-
-    def complete_link(self, peer: HandshakeMessage, link: str) -> SecureSession:
-        """Derive one inter-GPU link's session from this handshake.
-
-        Both sides compute the same link key because both chain the
-        same HKDF off the handshake-derived session key — no extra
-        round trip per link (see :func:`derive_link_session`).
-        """
-        key, _, _ = self.derive(peer)
-        return derive_link_session(key, link)

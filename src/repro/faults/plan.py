@@ -16,7 +16,7 @@ recovers after it passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["FaultPlan"]
@@ -124,19 +124,6 @@ class FaultPlan:
         if now < self.start:
             return False
         return self.stop is None or now < self.stop
-
-    @property
-    def any_faults(self) -> bool:
-        """Does the plan inject anything at all?"""
-        return (
-            any(getattr(self, name) > 0.0 for name in _RATE_FIELDS)
-            or self.engine_slowdown > 1.0
-            or self.replica_crash_rate > 0.0
-        )
-
-    def windowed(self, start: float, stop: Optional[float]) -> "FaultPlan":
-        """The same plan confined to a different live window."""
-        return replace(self, start=start, stop=stop)
 
     @classmethod
     def storm(cls, rate: float, start: float = 0.0,

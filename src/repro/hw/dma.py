@@ -44,10 +44,6 @@ class DmaStaging:
         self.max_outstanding = 0
         self.stage_count = 0
 
-    @property
-    def outstanding(self) -> int:
-        return self._slots.in_use
-
     def stage(self, nbytes: int) -> Generator[Event, None, None]:
         """Copy validated ciphertext into shared memory, slot by slot.
 

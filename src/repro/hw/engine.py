@@ -18,7 +18,7 @@ happen in the channel layer. Both layers share the same notion of
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import List
 
 from ..sim import Event, Simulator, WorkerPool
 from .params import HardwareParams
@@ -58,10 +58,6 @@ class CryptoEngine:
         return self.faults.engine_service_time(service, pool)
 
     # -- encryption ------------------------------------------------------
-
-    def encrypt_service_time(self, nbytes: int, ways: int = 1) -> float:
-        """Pure service time for encrypting ``nbytes`` split ``ways``-wide."""
-        return self.params.enc_time(nbytes, threads=ways)
 
     def submit_encrypt(self, nbytes: int, urgent: bool = False) -> Event:
         """Queue one chunk on one encryption worker; event on completion."""
@@ -137,14 +133,6 @@ class CryptoEngine:
 
     # -- introspection ----------------------------------------------------------
 
-    @property
-    def enc_queue_len(self) -> int:
-        return self._enc_pool.queue_len
-
-    @property
-    def dec_queue_len(self) -> int:
-        return self._dec_pool.queue_len
-
     def utilization(self, horizon: float) -> float:
         """Fraction of total worker-seconds spent busy up to ``horizon``."""
         if horizon <= 0:
@@ -152,7 +140,3 @@ class CryptoEngine:
         busy = self._enc_pool.busy_seconds + self._dec_pool.busy_seconds
         return busy / (horizon * (self.enc_threads + self.dec_threads))
 
-    def drain(self) -> Generator[Event, None, None]:
-        """Process helper that idles until both pools are empty."""
-        while self._enc_pool.queue_len or self._dec_pool.queue_len:
-            yield self.sim.timeout(1e-4)

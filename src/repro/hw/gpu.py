@@ -77,9 +77,6 @@ class GpuEnclave:
         self._contents.pop(tag, None)
         return nbytes
 
-    def allocation(self, tag: str) -> int:
-        return self._allocations.get(tag, 0)
-
     # -- copy engine (functional) ---------------------------------------------
 
     def receive_ciphertext(self, chunk: MemoryChunk, message: EncryptedMessage) -> bytes:

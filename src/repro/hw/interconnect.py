@@ -424,10 +424,6 @@ class Interconnect:
 
     # -- introspection ---------------------------------------------------
 
-    @property
-    def bytes_moved(self) -> int:
-        return self.p2p_bytes + self.bounce_bytes
-
     def hit_rate(self) -> float:
         """Staged fraction of speculated hops (0.0 with no speculator)."""
         total = self.spec_hits + self.spec_misses

@@ -20,8 +20,8 @@ stale ciphertext. The asynchronous decryptor (§5.4) similarly revokes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "AccessViolation",
@@ -70,10 +70,6 @@ class Region:
     size: int
     tag: str
     payload: bytearray
-
-    @property
-    def end(self) -> int:
-        return self.addr + self.size
 
     def chunk(self) -> MemoryChunk:
         """Snapshot this region as a transferable chunk."""
@@ -160,9 +156,6 @@ class HostMemory:
             return self._regions[addr]
         except KeyError:
             raise KeyError(f"no region at address {addr:#x}") from None
-
-    def regions(self) -> List[Region]:
-        return list(self._regions.values())
 
     # -- protection ---------------------------------------------------------
 

@@ -153,10 +153,6 @@ class HardwareParams:
         """DMA time of a pre-encrypted chunk over the CC-mode path."""
         return self.dma_overhead + nbytes / self.cc_dma_bandwidth
 
-    def p2p_time(self, nbytes: int) -> float:
-        """One direct GPU-to-GPU hop (CC disabled only)."""
-        return self.p2p_latency + nbytes / self.p2p_bandwidth
-
     def with_overrides(self, **kwargs) -> "HardwareParams":
         """Return a copy with selected fields replaced."""
         return replace(self, **kwargs)

@@ -19,7 +19,7 @@ event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..sim import BandwidthPipe, Event, Simulator
 from .params import HardwareParams
@@ -120,11 +120,3 @@ class PcieLink:
         """How many NOP-sized transfers a snooper counted (§8.1)."""
         return sum(1 for record in self.bus_log if record.nbytes == nop_bytes)
 
-    @property
-    def bytes_moved(self) -> int:
-        return (
-            self.h2d.bytes_moved
-            + self.d2h.bytes_moved
-            + self.h2d_cc.bytes_moved
-            + self.d2h_cc.bytes_moved
-        )

@@ -48,10 +48,6 @@ class ModelSpec:
         return int((self.vocab + self.max_seq_len) * self.hidden * 2)
 
     @property
-    def total_params(self) -> int:
-        return self.n_layers * self.layer_params + (self.vocab + self.max_seq_len) * self.hidden
-
-    @property
     def total_bytes(self) -> int:
         return self.n_layers * self.layer_bytes + self.embedding_bytes
 

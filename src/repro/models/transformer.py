@@ -27,7 +27,7 @@ class LayerWork:
 
 
 class TransformerCostModel:
-    """Per-step workload sizing for serving and fine-tuning."""
+    """Per-step workload sizing for serving."""
 
     def __init__(self, spec: ModelSpec) -> None:
         self.spec = spec
@@ -65,15 +65,3 @@ class TransformerCostModel:
             per_layer.bytes_touched * self.spec.n_layers,
             layers=self.spec.n_layers,
         )
-
-    # -- fine-tuning ----------------------------------------------------------
-
-    def finetune_layer_step(self, batch_tokens: int) -> LayerWork:
-        """Forward+backward for one layer over a batch of tokens.
-
-        The usual 3× rule: backward costs about twice the forward
-        GEMMs. LoRA adds a few percent; ignored.
-        """
-        forward = self.spec.layer_prefill_flops(batch_tokens)
-        bytes_touched = 3 * self.spec.layer_bytes
-        return LayerWork(3.0 * forward, bytes_touched)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.stats import mean, percentile
-from ..telemetry.events import ClusterEvent, SpeculationEvent
+from ..telemetry.events import SpeculationEvent
 from ..telemetry.hub import RequestRecord, TelemetryHub
 
 __all__ = [
@@ -167,9 +167,6 @@ class AttributionProfile:
     speculation: SpeculationAccount
     #: GPU busy fraction over the horizon (0.0 when no tracer spans).
     gpu_busy_fraction: float = 0.0
-    #: Mean gateway/admission-queue wait per dispatched request
-    #: (cluster mode only; 0.0 standalone).
-    gateway_wait_mean_s: float = 0.0
 
     @property
     def total_blocked_s(self) -> float:
@@ -229,30 +226,17 @@ def _speculation_account(
     return account
 
 
-def _gateway_wait_mean(gateway_hub: TelemetryHub) -> float:
-    """Mean enqueue→dispatch wait from the gateway's cluster events."""
-    enqueued: Dict[int, float] = {}
-    waits: List[float] = []
-    for event in gateway_hub.events_of(ClusterEvent):
-        if event.action == "enqueue":
-            enqueued[event.request_id] = event.time
-        elif event.action == "dispatch" and event.request_id in enqueued:
-            waits.append(event.time - enqueued.pop(event.request_id))
-    return mean(waits)
-
-
 def profile_hub(
     hub: TelemetryHub,
     horizon: Optional[float] = None,
     enc_bandwidth: Optional[float] = None,
-    gateway_hub: Optional[TelemetryHub] = None,
 ) -> AttributionProfile:
     """Profile every completed request recorded on ``hub``.
 
     ``horizon`` (defaults to the hub's simulated now, else the last
     completion) scales the GPU-busy fraction; ``enc_bandwidth`` (the
     machine's one-thread AES rate, B/s) prices the speculation
-    account; ``gateway_hub`` adds cluster queue-wait attribution.
+    account.
     """
     requests = [
         attribution
@@ -280,9 +264,6 @@ def profile_hub(
         totals=totals,
         speculation=_speculation_account(hub, enc_bandwidth),
         gpu_busy_fraction=gpu_fraction,
-        gateway_wait_mean_s=(
-            _gateway_wait_mean(gateway_hub) if gateway_hub is not None else 0.0
-        ),
     )
 
 
@@ -362,9 +343,5 @@ def render_profile(profile: AttributionProfile) -> str:
             f"  wasted {spec.wasted_s * 1e3:.3f} ms"
             f"  (net {spec.net_saved_s * 1e3:+.3f} ms,"
             f" {spec.nops_padded} NOPs, {spec.invalidated} invalidations)"
-        )
-    if profile.gateway_wait_mean_s:
-        lines.append(
-            f"  gateway queue wait: mean {profile.gateway_wait_mean_s * 1e3:.3f} ms"
         )
     return "\n".join(lines)

@@ -1,25 +1,14 @@
-"""Pipeline-parallel execution over the encrypted interconnect.
+"""Pipeline-parallel inference over the encrypted interconnect.
 
-GPipe-style layer partitioning: GPU *i* owns a contiguous slice of the
-model's layers, microbatches stream through the stages, and each
-stage-to-stage handoff ships one activation tensor across the fabric
-(P2P with CC off, the bounce bridge with CC on).
-
-Two schedules:
-
-* **gpipe** — all microbatches flow forward through the pipeline,
-  then (for fine-tuning) all gradients flow backward. Simple, with
-  the classic bubble at each end.
-* **1f1b** — each stage warms up with at most ``n_stages − stage``
-  forwards, then alternates one-forward-one-backward, bounding
-  in-flight activations. Same total work, smaller bubble.
-
-Inference runs the forward path only. Stages are simulator processes
-coupled by :class:`~repro.sim.resources.Store` queues, so the
-pipeline's natural overlap (stage 2 computing microbatch 1 while
-stage 1 computes microbatch 2) falls out of the event engine, and the
-activation hops contend for links and crypto pools exactly like any
-other fabric traffic.
+GPipe-style, forward only: GPU *i* owns a contiguous slice of the
+model's layers, microbatches stream forward through the stages, and
+each stage-to-stage handoff ships one activation tensor across the
+fabric (P2P with CC off, the bounce bridge with CC on). Stages are
+simulator processes coupled by :class:`~repro.sim.resources.Store`
+queues, so the pipeline's natural overlap (stage 2 computing
+microbatch 1 while stage 1 computes microbatch 2) falls out of the
+event engine, and the activation hops contend for links and crypto
+pools exactly like any other fabric traffic.
 
 Pipeline parallelism moves far fewer bytes per FLOP than tensor
 parallelism (one activation per microbatch per boundary vs two
@@ -30,12 +19,12 @@ campaign shows the contrast between the two regimes.
 from __future__ import annotations
 
 import hashlib
-from typing import List
+from typing import List, Optional
 
 from ..models.specs import ModelSpec
 from ..models.transformer import LayerWork, TransformerCostModel
 from ..sim import Store
-from .collectives import ParallelResult, decode_ints, encode_ints
+from .collectives import ParallelResult, encode_ints
 
 __all__ = ["PipelineParallelEngine"]
 
@@ -49,18 +38,14 @@ class PipelineParallelEngine:
         spec: ModelSpec,
         microbatches: int = 4,
         microbatch_tokens: int = 256,
-        schedule: str = "gpipe",
         label: str = "",
     ) -> None:
-        if schedule not in ("gpipe", "1f1b"):
-            raise ValueError("schedule must be 'gpipe' or '1f1b'")
         if microbatches < 1:
             raise ValueError("microbatches must be >= 1")
         self.machine = machine
         self.spec = spec
         self.microbatches = microbatches
         self.microbatch_tokens = microbatch_tokens
-        self.schedule = schedule
         self.label = label or ("cc" if machine.cc_enabled else "nocc")
         self.cost = TransformerCostModel(spec)
         self.n = len(machine.gpus)
@@ -74,96 +59,48 @@ class PipelineParallelEngine:
         self._digest = hashlib.sha256()
         self.tokens_processed = 0
 
-    # -- per-stage work ---------------------------------------------------
-
     def _forward_work(self, stage: int) -> LayerWork:
         layers = self.stage_layers[stage]
         per_layer = self.cost.prefill_layer(self.microbatch_tokens)
         return LayerWork(per_layer.flops * layers, per_layer.bytes_touched * layers,
                          layers=layers)
 
-    def _backward_work(self, stage: int) -> LayerWork:
-        # Backward ≈ 2× the forward GEMMs; weights touched twice.
-        forward = self._forward_work(stage)
-        return LayerWork(2.0 * forward.flops, 2.0 * forward.bytes_touched,
-                         layers=forward.layers)
-
-    def _ship(self, src: int, dst: int, mb: int, direction: str):
-        """One activation/gradient handoff; returns the fabric event."""
-        payload = encode_ints([mb + 1, src + 1, dst + 1, 1 if direction == "fwd" else -1])
+    def _ship(self, src: int, dst: int, mb: int):
+        """One activation handoff; returns the fabric event."""
+        # The trailing 1 marks a forward hop; the delivered payload is
+        # part of the checksum.
+        payload = encode_ints([mb + 1, src + 1, dst + 1, 1])
         return self.machine.interconnect.transfer(
             src, dst, payload, nbytes=self.activation_bytes,
-            tag=f"pp.{direction}.mb{mb}.s{dst}", collective=f"pp.{direction}",
+            tag=f"pp.fwd.mb{mb}.s{dst}", collective="pp.fwd",
         )
 
-    # -- stage processes --------------------------------------------------
-
-    def _stage(self, stage: int, fwd_in: Store, fwd_out, bwd_in, bwd_out,
-               train: bool):
+    def _stage(self, stage: int, fwd_in: Store, fwd_out: Optional[Store]):
         gpu = self.machine.gpus[stage]
-        fwd_work = self._forward_work(stage)
-        bwd_work = self._backward_work(stage)
-        m = self.microbatches
-        fwd_done = 0
-        bwd_done = 0
-        # 1F1B: at most (n - stage) forwards may be in flight ahead of
-        # the backwards; GPipe: all forwards first.
-        window = (self.n - stage) if self.schedule == "1f1b" else m
-        while fwd_done < m or (train and bwd_done < m):
-            run_fwd = fwd_done < m and (
-                not train or fwd_done - bwd_done < window or bwd_in is None
-            )
-            if run_fwd:
-                mb = yield fwd_in.get()
-                yield gpu.compute(fwd_work.flops, fwd_work.bytes_touched,
-                                  layers=fwd_work.layers)
-                if fwd_out is not None:
-                    delivered = yield self._ship(stage, stage + 1, mb, "fwd")
-                    self._digest.update(b"pp:fwd:" + delivered)
-                    fwd_out.put(mb)
-                else:
-                    # Last stage: the microbatch's tokens are done (for
-                    # inference) or turn around into the backward pass.
-                    self._digest.update(f"pp:out:{mb}:{stage}".encode())
-                    if not train:
-                        self.tokens_processed += self.microbatch_tokens
-                    elif bwd_in is not None:
-                        bwd_in.put(mb)
-                fwd_done += 1
-                continue
-            # Backward step (training only).
-            mb = yield bwd_in.get()
-            yield gpu.compute(bwd_work.flops, bwd_work.bytes_touched,
-                              layers=bwd_work.layers)
-            if stage > 0:
-                delivered = yield self._ship(stage, stage - 1, mb, "bwd")
-                self._digest.update(b"pp:bwd:" + delivered)
-                bwd_out.put(mb)
+        work = self._forward_work(stage)
+        for _ in range(self.microbatches):
+            mb = yield fwd_in.get()
+            yield gpu.compute(work.flops, work.bytes_touched, layers=work.layers)
+            if fwd_out is not None:
+                delivered = yield self._ship(stage, stage + 1, mb)
+                self._digest.update(b"pp:fwd:" + delivered)
+                fwd_out.put(mb)
             else:
-                self._digest.update(f"pp:grad:{mb}".encode())
+                # Last stage: the microbatch's tokens are done.
+                self._digest.update(f"pp:out:{mb}:{stage}".encode())
                 self.tokens_processed += self.microbatch_tokens
-            bwd_done += 1
 
-    def _launch(self, train: bool) -> None:
-        sim = self.machine.sim
-        n = self.n
-        fwd_queues: List[Store] = [Store(sim) for _ in range(n)]
-        bwd_queues: List[Store] = [Store(sim) for _ in range(n)] if train else [None] * n
-        for mb in range(self.microbatches):
-            fwd_queues[0].put(mb)
-        for stage in range(n):
-            fwd_out = fwd_queues[stage + 1] if stage + 1 < n else None
-            bwd_in = bwd_queues[stage] if train else None
-            bwd_out = bwd_queues[stage - 1] if train and stage > 0 else None
-            sim.process(self._stage(stage, fwd_queues[stage], fwd_out,
-                                    bwd_in, bwd_out, train))
-
-    # -- entry points -----------------------------------------------------
-
-    def _run(self, train: bool) -> ParallelResult:
+    def run_inference(self) -> ParallelResult:
+        """Stream every microbatch forward through the pipeline."""
         machine = self.machine
-        start = machine.sim.now
-        self._launch(train)
+        sim = machine.sim
+        start = sim.now
+        queues: List[Store] = [Store(sim) for _ in range(self.n)]
+        for mb in range(self.microbatches):
+            queues[0].put(mb)
+        for stage in range(self.n):
+            fwd_out = queues[stage + 1] if stage + 1 < self.n else None
+            sim.process(self._stage(stage, queues[stage], fwd_out))
         machine.run()
         fabric = machine.interconnect
         return ParallelResult(
@@ -171,18 +108,10 @@ class PipelineParallelEngine:
             system=self.label,
             n_gpus=self.n,
             tokens=self.tokens_processed,
-            elapsed_s=machine.sim.now - start,
+            elapsed_s=sim.now - start,
             checksum=self._digest.hexdigest(),
             hops=fabric.hops if fabric else 0,
             p2p_bytes=fabric.p2p_bytes if fabric else 0,
             bounce_bytes=fabric.bounce_bytes if fabric else 0,
             spec_hit_rate=fabric.hit_rate() if fabric else 0.0,
         )
-
-    def run_inference(self) -> ParallelResult:
-        """Stream every microbatch forward through the pipeline."""
-        return self._run(train=False)
-
-    def run_finetune_step(self) -> ParallelResult:
-        """One optimizer step: forwards + backwards per the schedule."""
-        return self._run(train=True)

@@ -104,6 +104,3 @@ class LinkSpeculator:
             self.misses += 1
         return hit
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0

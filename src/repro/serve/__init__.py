@@ -5,8 +5,7 @@ The last layer of the stack: an OpenAI-style request/response surface
 (:mod:`~repro.serve.load`), SLO-aware admission control
 (:mod:`~repro.serve.admission`), and the :class:`ServeFrontend` that
 wires them onto :class:`repro.cluster.Gateway` with per-token
-streaming telemetry. :mod:`~repro.serve.pipeline` generalizes the
-surface over the offline engines.
+streaming telemetry.
 """
 
 from .admission import (
@@ -24,40 +23,23 @@ from .api import (
     Usage,
 )
 from .frontend import ServeFrontend, ServeResult, run_serve
-from .load import DEFAULT_TIER_MIX, LoadSpec, generate_load, production_rate
-from .pipeline import (
-    ClusterPipeline,
-    DisaggPipeline,
-    FlexGenPipeline,
-    PeftPipeline,
-    ServingPipeline,
-    VllmPipeline,
-    make_pipeline,
-)
+from .load import DEFAULT_TIER_MIX, LoadSpec, generate_load
 
 __all__ = [
     "TIERS",
     "DEFAULT_TIER_MIX",
     "AdmissionPolicy",
-    "ClusterPipeline",
-    "DisaggPipeline",
     "CompletionRequest",
     "CompletionResponse",
     "FifoAdmission",
-    "FlexGenPipeline",
     "LoadSpec",
-    "PeftPipeline",
     "ServeFrontend",
     "ServeResult",
-    "ServingPipeline",
     "SloAdmission",
     "SloSpec",
     "StreamChunk",
     "Usage",
-    "VllmPipeline",
     "generate_load",
     "make_admission",
-    "make_pipeline",
-    "production_rate",
     "run_serve",
 ]

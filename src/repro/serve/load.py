@@ -7,10 +7,6 @@ and an offered rate, and :func:`generate_load` samples the full
 arrival sequence up front — open loop, so offered load never adapts
 to the service's backlog (the property that makes latency-vs-load
 frontiers honest).
-
-:func:`production_rate` converts a concurrent-user population with a
-think time into the equivalent open-loop request rate, the scaling
-rule used to pick the sweep points in ``bench/serve.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from ..sim import SeededRng, default_seed
 from ..workloads import SHAREGPT_SERVE, TraceSpec, poisson_trace
 from .api import TIERS, CompletionRequest
 
-__all__ = ["LoadSpec", "generate_load", "production_rate"]
+__all__ = ["LoadSpec", "generate_load"]
 
 #: Default traffic mix: mostly interactive chat, some standard API
 #: calls, a batch tail.
@@ -55,18 +51,6 @@ class LoadSpec:
         for tier, _ in self.tier_mix:
             if tier not in TIERS:
                 raise ValueError(f"unknown tier {tier!r}")
-
-
-def production_rate(concurrent_users: int, think_time_s: float) -> float:
-    """Open-loop rate equivalent to a closed user population.
-
-    ``users / think_time`` is the standard conversion: each simulated
-    user issues one request per think time, so 800 users at 100 s
-    think time offer 8 req/s.
-    """
-    if concurrent_users < 1 or think_time_s <= 0:
-        raise ValueError("need >= 1 user and a positive think time")
-    return concurrent_users / think_time_s
 
 
 def _pick_tier(mix: Tuple[Tuple[str, float], ...], u: float) -> str:

@@ -42,14 +42,11 @@ class PeftConfig:
 
     spec: ModelSpec
     batches: List[FineTuneBatch]
+    #: How many layers stay resident on the GPU (DeepSpeed offloads
+    #: the rest to make room for activations).
+    resident_layers: int
     #: LoRA rank (adapter size: 2·r·h per projection, 4 projections).
     lora_rank: int = 16
-    #: How many layers stay resident on the GPU (DeepSpeed offloads
-    #: the rest to make room for activations; None = computed from
-    #: the activation footprint).
-    resident_layers: Optional[int] = None
-    #: Bytes of GPU memory reserved per batch token for activations.
-    activation_bytes_per_token: int = 1 << 20
     seed: int = 1
 
 
@@ -82,12 +79,7 @@ class PeftEngine:
         self._rng = SeededRng(config.seed)
         spec = config.spec
 
-        resident = (
-            config.resident_layers
-            if config.resident_layers is not None
-            else self._compute_resident_layers()
-        )
-        self.n_resident = max(0, min(spec.n_layers, resident))
+        self.n_resident = max(0, min(spec.n_layers, config.resident_layers))
         self.offloaded = list(range(self.n_resident, spec.n_layers))
         runtime.hint_weight_chunk_size(spec.layer_bytes)
 
@@ -107,18 +99,6 @@ class PeftEngine:
 
         self.swap_in_count = 0
         self.result: Optional[PeftResult] = None
-
-    def _compute_resident_layers(self) -> int:
-        spec = self.config.spec
-        mean_tokens = sum(b.total_tokens for b in self.config.batches) / len(self.config.batches)
-        activation_bytes = int(mean_tokens * self.config.activation_bytes_per_token)
-        budget = (
-            self.machine.params.gpu_memory_bytes
-            - activation_bytes
-            - spec.embedding_bytes
-            - _PREFETCH_DEPTH * spec.layer_bytes
-        )
-        return int(budget // spec.layer_bytes)
 
     # -- public API ------------------------------------------------------------
 

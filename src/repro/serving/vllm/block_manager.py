@@ -36,9 +36,6 @@ class BlockManager:
     def free_blocks(self) -> int:
         return self.total_blocks - self.used_blocks
 
-    def owned_by(self, owner: str) -> int:
-        return self._allocations.get(owner, 0)
-
     def can_allocate(self, n_blocks: int) -> bool:
         return n_blocks <= self.free_blocks
 

@@ -14,7 +14,7 @@ Three primitives cover everything the hardware and serving models need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, Tuple
 
 from .core import Event, Simulator
 
@@ -44,11 +44,6 @@ class Resource:
     def in_use(self) -> int:
         """Number of currently-held slots."""
         return self._in_use
-
-    @property
-    def queue_len(self) -> int:
-        """Number of acquire requests waiting for a slot."""
-        return len(self._waiters)
 
     def acquire(self) -> Event:
         """Return an event that succeeds once a slot is granted."""
@@ -97,12 +92,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def drain(self) -> List[Any]:
-        """Remove and return all queued items without blocking."""
-        items = list(self._items)
-        self._items.clear()
-        return items
 
 
 class BandwidthPipe:
@@ -156,11 +145,6 @@ class BandwidthPipe:
             self.sim.tracer.record(self.name, "xfer", start, finish)
         return self.sim.timeout(finish - self.sim.now, value=nbytes)
 
-    def transfer_proc(self, nbytes: int) -> Generator[Event, None, int]:
-        """Process-style helper: ``yield from pipe.transfer_proc(n)``."""
-        yield self.transfer(nbytes)
-        return nbytes
-
 
 class WorkerPool:
     """N identical workers pulling jobs from a two-level priority queue.
@@ -212,10 +196,6 @@ class WorkerPool:
             else:
                 queue.append(job)
         return done
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._high) + len(self._low)
 
     def _next_job(self):
         if self._high:

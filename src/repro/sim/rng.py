@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import List, Optional, Sequence
+from typing import Optional
 
 __all__ = ["SeededRng", "default_seed", "set_default_seed"]
 
@@ -61,12 +61,6 @@ class SeededRng:
 
     def random(self) -> float:
         return self._rng.random()
-
-    def choice(self, seq: Sequence):
-        return self._rng.choice(seq)
-
-    def shuffle(self, seq: List) -> None:
-        self._rng.shuffle(seq)
 
     def exponential(self, rate: float) -> float:
         """Exponential inter-arrival sample for a Poisson process."""

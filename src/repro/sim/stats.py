@@ -74,16 +74,6 @@ class LatencyStat:
     def p(self, q: float) -> float:
         return percentile(self.samples, q)
 
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "p50": self.p(50),
-            "p90": self.p(90),
-            "p99": self.p(99),
-            "max": max(self.samples) if self.samples else 0.0,
-        }
-
 
 class TimeSeries:
     """(time, value) samples, e.g. queue depth or bandwidth over time."""

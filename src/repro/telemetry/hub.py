@@ -96,11 +96,6 @@ class RequestRecord:
             self.stages.append((stage, start, end))
 
     @property
-    def api_latency(self) -> float:
-        """Blocking time of the API call (nan until api_done)."""
-        return self.api_done_time - self.submit_time
-
-    @property
     def wire_latency(self) -> float:
         """Submission-to-landing time (nan until complete)."""
         return self.complete_time - self.submit_time
@@ -222,9 +217,6 @@ class TelemetryHub:
 
     def enable(self) -> None:
         self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     # -- event bus ------------------------------------------------------
 

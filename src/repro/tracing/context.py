@@ -84,10 +84,6 @@ class CausalSpan:
     def open(self) -> bool:
         return math.isnan(self.end)
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "trace_id": self.trace_id,

@@ -6,7 +6,6 @@ from .synthetic import (
     FLEXGEN_256_32,
     FLEXGEN_32_128,
     SyntheticShape,
-    synthetic_requests,
 )
 from .traces import (
     ALPACA,
@@ -14,7 +13,6 @@ from .traces import (
     SHAREGPT,
     SHAREGPT_SERVE,
     TraceSpec,
-    generate_trace,
     poisson_trace,
 )
 
@@ -29,8 +27,6 @@ __all__ = [
     "SHAREGPT_SERVE",
     "SyntheticShape",
     "TraceSpec",
-    "generate_trace",
     "poisson_trace",
-    "synthetic_requests",
     "ultrachat_batches",
 ]

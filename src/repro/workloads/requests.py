@@ -26,10 +26,6 @@ class Request:
         if self.parallel_n < 1:
             raise ValueError("parallel_n must be >= 1")
 
-    @property
-    def total_output_tokens(self) -> int:
-        return self.output_len * self.parallel_n
-
 
 @dataclass
 class FineTuneBatch:

@@ -8,11 +8,7 @@ per test case, batched for maximum throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-from .requests import Request
-
-__all__ = ["SyntheticShape", "FLEXGEN_32_128", "FLEXGEN_256_32", "synthetic_requests"]
+__all__ = ["SyntheticShape", "FLEXGEN_32_128", "FLEXGEN_256_32"]
 
 
 @dataclass(frozen=True)
@@ -29,18 +25,3 @@ class SyntheticShape:
 
 FLEXGEN_32_128 = SyntheticShape(prompt_len=32, output_len=128)
 FLEXGEN_256_32 = SyntheticShape(prompt_len=256, output_len=32)
-
-
-def synthetic_requests(shape: SyntheticShape, count: int) -> List[Request]:
-    """``count`` identical requests arriving at time zero."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    return [
-        Request(
-            request_id=i,
-            arrival_time=0.0,
-            prompt_len=shape.prompt_len,
-            output_len=shape.output_len,
-        )
-        for i in range(count)
-    ]

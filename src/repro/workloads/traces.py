@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from ..sim import SeededRng
 from .requests import Request
@@ -26,7 +26,6 @@ __all__ = [
     "ALPACA",
     "SHAREGPT_SERVE",
     "ALPACA_SERVE",
-    "generate_trace",
     "poisson_trace",
 ]
 
@@ -85,27 +84,6 @@ ALPACA_SERVE = TraceSpec(
     mean_prompt=19.0, sigma_prompt=0.8, max_prompt=128,
     mean_output=24.0, sigma_output=0.7, max_output=64,
 )
-
-
-def generate_trace(
-    spec: TraceSpec,
-    count: int,
-    rng: SeededRng,
-    parallel_n: int = 1,
-) -> List[Request]:
-    """Sample ``count`` requests with zero arrival times (batch mode)."""
-    rng_p = rng.fork(f"{spec.name}.prompt")
-    rng_o = rng.fork(f"{spec.name}.output")
-    return [
-        Request(
-            request_id=i,
-            arrival_time=0.0,
-            prompt_len=spec.sample_prompt(rng_p),
-            output_len=spec.sample_output(rng_o),
-            parallel_n=parallel_n,
-        )
-        for i in range(count)
-    ]
 
 
 def poisson_trace(

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness: systems registry and tables."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import (
@@ -50,7 +52,7 @@ class TestSystemSpecs:
         assert runtime.config.sabotage == "reverse"
 
     def test_with_threads(self):
-        spec = CC.with_threads(3, 5)
+        spec = replace(CC, enc_threads=3, dec_threads=5)
         machine, _ = spec.build()
         assert machine.engine.enc_threads == 3
         assert machine.engine.dec_threads == 5

@@ -182,5 +182,5 @@ class TestScoring:
         det = LifoDetector()
         for i in ids:
             det.observe_swap_out(key(i))
-        pool = set(det.pool)
+        pool = {key(i) for i in ids}
         assert all(k in pool for k in det.predict(100))

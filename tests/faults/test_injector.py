@@ -1,5 +1,7 @@
 """FaultInjector: determinism, domain stream isolation, window gating."""
 
+from dataclasses import replace
+
 from repro.faults import FaultInjector, FaultPlan
 
 STORM = FaultPlan.storm(0.5)
@@ -55,7 +57,7 @@ class TestWindowGating:
     def test_inactive_before_start(self):
         class Clock:
             now = 0.0
-        injector = FaultInjector(STORM.windowed(1.0, 2.0), seed=1).bind(Clock())
+        injector = FaultInjector(replace(STORM, start=1.0, stop=2.0), seed=1).bind(Clock())
         assert not any(any(d[:4]) for d in decisions(injector, 50))
         assert injector.injected_total == 0
         Clock.now = 1.5

@@ -1,5 +1,7 @@
 """FaultPlan: validation, live window, and the storm factory."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultPlan
@@ -8,7 +10,10 @@ from repro.faults import FaultPlan
 class TestValidation:
     def test_defaults_inject_nothing(self):
         plan = FaultPlan()
-        assert not plan.any_faults
+        assert plan.engine_slowdown == 1.0 and plan.replica_crash_rate == 0.0
+        assert all(getattr(plan, f"{name}_rate") == 0.0 for name in (
+            "pcie_jitter", "pcie_drop", "engine_stall", "tag_corrupt",
+            "iv_desync", "mispredict"))
 
     @pytest.mark.parametrize("field", [
         "pcie_jitter_rate", "pcie_drop_rate", "engine_stall_rate",
@@ -50,10 +55,12 @@ class TestWindow:
 
     def test_windowed_returns_new_plan(self):
         plan = FaultPlan(mispredict_rate=0.3)
-        shifted = plan.windowed(5.0, 6.0)
+        shifted = replace(plan, start=5.0, stop=6.0)
         assert (shifted.start, shifted.stop) == (5.0, 6.0)
         assert shifted.mispredict_rate == 0.3
+        assert not shifted.active(4.9) and shifted.active(5.5) and not shifted.active(6.0)
         assert plan.stop is None  # original untouched (frozen)
+
 
 
 class TestStorm:
@@ -63,12 +70,7 @@ class TestStorm:
         assert plan.iv_desync_rate == pytest.approx(0.1)
         assert plan.tag_corrupt_rate == pytest.approx(0.1)
         assert (plan.start, plan.stop) == (0.1, 0.9)
-        assert plan.any_faults
 
     def test_zero_storm_is_clean(self):
-        assert not FaultPlan.storm(0.0).any_faults
-
-    def test_any_faults_sees_every_knob(self):
-        assert FaultPlan(engine_slowdown=1.5).any_faults
-        assert FaultPlan(replica_crash_rate=0.2).any_faults
-        assert FaultPlan(pcie_drop_rate=0.01).any_faults
+        plan = FaultPlan.storm(0.0)
+        assert plan.mispredict_rate == plan.iv_desync_rate == plan.tag_corrupt_rate == 0.0

@@ -172,7 +172,7 @@ class TestPcieLink:
         link.transfer_h2d(100)
         link.transfer_d2h(200, cc_path=True)
         sim.run()
-        assert link.bytes_moved == 300
+        assert (link.h2d.bytes_moved, link.d2h_cc.bytes_moved) == (100, 200)
 
 
 class TestDmaStaging:

@@ -35,11 +35,6 @@ class TestAllocation:
         with pytest.raises(KeyError):
             memory.region_at(region.addr)
 
-    def test_regions_listing(self, memory):
-        memory.allocate(1, "a")
-        memory.allocate(1, "b")
-        assert sorted(r.tag for r in memory.regions()) == ["a", "b"]
-
     def test_addresses_never_reused(self, memory):
         region = memory.allocate(100, "a")
         memory.free(region)

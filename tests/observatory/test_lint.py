@@ -22,8 +22,7 @@ class TestRepoIsClean:
         """The serving front end is simulated code: zero wall-clock reads."""
         serve = SRC / "serve"
         names = {p.name for p in serve.glob("*.py")}
-        assert {"admission.py", "api.py", "frontend.py",
-                "load.py", "pipeline.py"} <= names
+        assert {"admission.py", "api.py", "frontend.py", "load.py"} <= names
         assert wall_clock_call_sites(serve, allowed=()) == []
 
     def test_allowed_files_do_use_wall_clock(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import CC, pipellm, run_flexgen
+from repro.cc import CcMode, build_machine
 from repro.models import OPT_66B
 from repro.observatory import MetricsRegistry, bind_machine
 from repro.telemetry import recording
@@ -168,6 +169,23 @@ class TestBindMachine:
         for line in text.strip().splitlines():
             assert line.startswith("#") or " " in line
         assert "repro_resource_utilization" in text
+
+    @pytest.mark.parametrize("mode", [CcMode.DISABLED, CcMode.ENABLED])
+    def test_multi_gpu_machine_exposes_fabric_pipes(self, mode):
+        machine = build_machine(mode, n_gpus=2)
+        machine.interconnect.transfer(0, 1, b"activations", nbytes=1 << 20)
+        machine.run()
+        registry = MetricsRegistry()
+        bind_machine(registry, machine, label="tp2")
+        snap = registry.snapshot(machine.sim.now)
+        resources = {
+            s["labels"]["resource"]: s["value"]
+            for s in snap["resource_utilization"]["series"]
+        }
+        fabric = {r: v for r, v in resources.items() if r.startswith("link.")}
+        assert fabric and any(v > 0.0 for v in fabric.values())
+        assert all(0.0 <= v <= 1.0 for v in fabric.values())
+        assert "repro_resource_utilization" in registry.exposition(machine.sim.now)
 
 
 class TestBindGatewayServing:

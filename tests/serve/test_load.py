@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import DEFAULT_TIER_MIX, LoadSpec, generate_load, production_rate
+from repro.serve import DEFAULT_TIER_MIX, LoadSpec, generate_load
 from repro.workloads import ALPACA_SERVE, SHAREGPT_SERVE
 
 
@@ -20,18 +20,6 @@ class TestLoadSpec:
             LoadSpec(tier_mix=(("interactive", 0.5),))  # sums to 0.5
         with pytest.raises(ValueError):
             LoadSpec(tier_mix=(("gold", 1.0),))
-
-
-class TestProductionRate:
-    def test_users_over_think_time(self):
-        # 800 concurrent users at 100 s think time offer 8 req/s.
-        assert production_rate(800, 100.0) == pytest.approx(8.0)
-
-    def test_rejects_degenerate_populations(self):
-        with pytest.raises(ValueError):
-            production_rate(0, 10.0)
-        with pytest.raises(ValueError):
-            production_rate(10, 0.0)
 
 
 class TestGenerateLoad:

@@ -17,7 +17,6 @@ class TestBasics:
         manager.allocate("req1", 30)
         manager.allocate("req2", 20)
         assert manager.used_blocks == 50
-        assert manager.owned_by("req1") == 30
         assert manager.free_owner("req1") == 30
         assert manager.used_blocks == 20
 
@@ -25,7 +24,7 @@ class TestBasics:
         manager = BlockManager(100)
         manager.allocate("req1", 10)
         manager.allocate("req1", 5)
-        assert manager.owned_by("req1") == 15
+        assert manager.free_owner("req1") == 15
 
     def test_over_allocation_rejected(self):
         manager = BlockManager(10)

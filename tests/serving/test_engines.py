@@ -179,4 +179,4 @@ class TestPeft:
     def test_validation(self):
         machine, runtime = build("w/o CC")
         with pytest.raises(ValueError):
-            PeftEngine(machine, runtime, PeftConfig(OPT_30B, []))
+            PeftEngine(machine, runtime, PeftConfig(OPT_30B, [], resident_layers=0))

@@ -47,7 +47,6 @@ class TestResource:
             sim.process(holder())
         sim.run(until=1.0)
         assert res.in_use == 2
-        assert res.queue_len == 1
 
     def test_release_without_acquire(self, sim):
         res = Resource(sim)
@@ -99,13 +98,6 @@ class TestStore:
         sim.process(getter())
         sim.run()
         assert got == [1, 2, 3]
-
-    def test_drain(self, sim):
-        store = Store(sim)
-        store.put("a")
-        store.put("b")
-        assert store.drain() == ["a", "b"]
-        assert len(store) == 0
 
 
 class TestBandwidthPipe:

@@ -64,10 +64,3 @@ class TestDistributions:
         rng = SeededRng(5)
         for _ in range(50):
             assert 1.0 <= rng.uniform(1.0, 2.0) <= 2.0
-
-    def test_shuffle_permutation(self):
-        rng = SeededRng(5)
-        items = list(range(20))
-        shuffled = list(items)
-        rng.shuffle(shuffled)
-        assert sorted(shuffled) == items

@@ -70,19 +70,18 @@ class TestLatencyStat:
         stat = LatencyStat("lat")
         for v in (1.0, 2.0, 3.0, 4.0):
             stat.record(v)
-        summary = stat.summary()
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["max"] == 4.0
+        assert stat.count == 4
+        assert stat.mean == pytest.approx(2.5)
+        assert stat.p(100) == 4.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             LatencyStat("lat").record(-1.0)
 
     def test_empty_summary(self):
-        summary = LatencyStat("lat").summary()
-        assert summary["count"] == 0
-        assert summary["max"] == 0.0
+        stat = LatencyStat("lat")
+        assert stat.count == 0
+        assert stat.mean == 0.0
 
 
 class TestTimeSeries:

@@ -68,6 +68,6 @@ class TestBackpressure:
     def test_disabled_hub_feeds_no_taps(self):
         hub = make_hub()
         tap = hub.tap(max_events=4)
-        hub.disable()
+        hub.enabled = False
         hub.emit(event(0))
         assert tap.seen == 0 and len(tap) == 0

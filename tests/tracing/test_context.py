@@ -18,7 +18,7 @@ def test_start_trace_mints_root():
     root = col.root("t-1")
     assert root is not None and root.open
     col.end(ctx, 2.0)
-    assert not root.open and root.duration == 2.0
+    assert not root.open and root.end - root.start == 2.0
     assert col.trace_ids() == ["t-1"]
 
 

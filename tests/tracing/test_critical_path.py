@@ -200,7 +200,7 @@ def _assert_all_traces_exact(col, expect_min_traces):
         path = extract_trace(col, trace_id)
         assert path.closure_problems == [], (trace_id, path.closure_problems)
         root = col.root(trace_id)
-        assert path.duration == root.duration, trace_id
+        assert path.duration == root.end - root.start, trace_id
     return ids
 
 

@@ -12,11 +12,14 @@ from repro.workloads import (
     Request,
     SHAREGPT,
     SHAREGPT_SERVE,
-    generate_trace,
     poisson_trace,
-    synthetic_requests,
     ultrachat_batches,
 )
+
+
+def sample(spec, count, rng):
+    """About ``count`` requests drawn from ``spec`` (Poisson, one second)."""
+    return poisson_trace(spec, rate=count, duration=1.0, rng=rng)
 
 
 def _percentile(values, q):
@@ -31,10 +34,6 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(0, 0.0, prompt_len=1, output_len=1, parallel_n=0)
 
-    def test_total_output(self):
-        request = Request(0, 0.0, prompt_len=10, output_len=20, parallel_n=3)
-        assert request.total_output_tokens == 60
-
 
 class TestSynthetic:
     def test_fixed_shapes(self):
@@ -42,37 +41,28 @@ class TestSynthetic:
         assert FLEXGEN_32_128.output_len == 128
         assert FLEXGEN_256_32.label == "in256/out32"
 
-    def test_requests_identical(self):
-        requests = synthetic_requests(FLEXGEN_32_128, 10)
-        assert len(requests) == 10
-        assert all(r.prompt_len == 32 and r.output_len == 128 for r in requests)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            synthetic_requests(FLEXGEN_32_128, 0)
-
 
 class TestTraces:
     def test_sharegpt_is_long_alpaca_is_short(self):
         rng = SeededRng(1)
-        share = generate_trace(SHAREGPT, 300, rng)
-        alpaca = generate_trace(ALPACA, 300, rng)
+        share = sample(SHAREGPT, 300, rng)
+        alpaca = sample(ALPACA, 300, rng)
         assert mean([r.prompt_len for r in share]) > 3 * mean([r.prompt_len for r in alpaca])
         assert mean([r.output_len for r in share]) > 3 * mean([r.output_len for r in alpaca])
 
     def test_mean_lengths_near_spec(self):
-        requests = generate_trace(SHAREGPT, 2000, SeededRng(2))
+        requests = sample(SHAREGPT, 2000, SeededRng(2))
         assert mean([r.prompt_len for r in requests]) == pytest.approx(161, rel=0.35)
         assert mean([r.output_len for r in requests]) == pytest.approx(338, rel=0.35)
 
     def test_lengths_clamped(self):
-        requests = generate_trace(SHAREGPT, 500, SeededRng(3))
+        requests = sample(SHAREGPT, 500, SeededRng(3))
         assert all(4 <= r.prompt_len <= SHAREGPT.max_prompt for r in requests)
         assert all(4 <= r.output_len <= SHAREGPT.max_output for r in requests)
 
     def test_deterministic(self):
-        a = generate_trace(ALPACA, 50, SeededRng(7))
-        b = generate_trace(ALPACA, 50, SeededRng(7))
+        a = sample(ALPACA, 50, SeededRng(7))
+        b = sample(ALPACA, 50, SeededRng(7))
         assert [(r.prompt_len, r.output_len) for r in a] == [
             (r.prompt_len, r.output_len) for r in b
         ]
@@ -83,32 +73,32 @@ class TestServeTraces:
     batch traces, with outputs clamped to interactive completion sizes."""
 
     def test_prompts_keep_the_published_means(self):
-        share = generate_trace(SHAREGPT_SERVE, 2000, SeededRng(2))
-        alpaca = generate_trace(ALPACA_SERVE, 2000, SeededRng(2))
+        share = sample(SHAREGPT_SERVE, 2000, SeededRng(2))
+        alpaca = sample(ALPACA_SERVE, 2000, SeededRng(2))
         # ShareGPT's clamp at 512 pulls the arithmetic mean below 161.
         assert mean([r.prompt_len for r in share]) == pytest.approx(150, rel=0.2)
         assert mean([r.prompt_len for r in alpaca]) == pytest.approx(19, rel=0.2)
 
     def test_outputs_clamped_to_interactive_sizes(self):
-        share = generate_trace(SHAREGPT_SERVE, 1000, SeededRng(3))
-        alpaca = generate_trace(ALPACA_SERVE, 1000, SeededRng(3))
+        share = sample(SHAREGPT_SERVE, 1000, SeededRng(3))
+        alpaca = sample(ALPACA_SERVE, 1000, SeededRng(3))
         assert all(r.output_len <= SHAREGPT_SERVE.max_output == 128 for r in share)
         assert all(r.output_len <= ALPACA_SERVE.max_output == 64 for r in alpaca)
         assert mean([r.output_len for r in share]) < mean(
-            [r.output_len for r in generate_trace(SHAREGPT, 1000, SeededRng(3))]
+            [r.output_len for r in sample(SHAREGPT, 1000, SeededRng(3))]
         )
 
     def test_lognormal_shape_median_below_mean(self):
         # A heavy right tail: p50 well under the mean, p95 near the clamp.
-        requests = generate_trace(SHAREGPT_SERVE, 4000, SeededRng(2))
+        requests = sample(SHAREGPT_SERVE, 4000, SeededRng(2))
         prompts = [r.prompt_len for r in requests]
         assert _percentile(prompts, 0.5) < 0.8 * mean(prompts)
         assert _percentile(prompts, 0.95) > 2 * mean(prompts)
         assert all(4 <= p <= SHAREGPT_SERVE.max_prompt for p in prompts)
 
     def test_serve_presets_deterministic(self):
-        a = generate_trace(ALPACA_SERVE, 50, SeededRng(11))
-        b = generate_trace(ALPACA_SERVE, 50, SeededRng(11))
+        a = sample(ALPACA_SERVE, 50, SeededRng(11))
+        b = sample(ALPACA_SERVE, 50, SeededRng(11))
         assert [(r.prompt_len, r.output_len) for r in a] == [
             (r.prompt_len, r.output_len) for r in b
         ]
