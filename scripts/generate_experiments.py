@@ -289,7 +289,14 @@ to the end-to-end latency exactly). w/o CC is pure PCIe; CC spends
 (encryption-bound); PipeLLM's AES share collapses to a few percent
 (pcie-bound) because staged hits move encryption off the critical
 path — `net_saved_s` counts the AES seconds removed, minus the work
-wasted on invalidated staging entries.""",
+wasted on invalidated staging entries. The TP-2 rows profile the
+encrypted inter-GPU fabric: CC's serialized bridge waits on inline
+AES for both legs (encryption-bound); with the link speculator the
+AES legs all but vanish and ~98 % of blocked time is the bounce DMA
+(bridge-bound, the regime "The Serialized Bridge" names). Verdicts
+use the same stage classes and ordered rule as the fleet critical
+path, so `trace --attrib`, `dash` and post-mortems make the same
+call.""",
     ),
 ]
 

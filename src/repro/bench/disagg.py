@@ -36,7 +36,7 @@ from ..core import DisaggConfig
 from ..disagg import DisaggCluster, run_disagg
 from ..faults import FaultPlan
 from ..hw import pack_names
-from ..tracing import TraceCollector, collecting, fleet_attribution
+from ..tracing import TraceCollector, collecting, extract_traces, fleet_attribution
 from ..workloads import TraceSpec
 from .tables import ExperimentResult
 
@@ -215,7 +215,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
                 18.0, stress_duration, tenants=1, trace=STRESS_TRACE
             ))
         _check_drained(run, f"stress {system}")
-        attribution = fleet_attribution(collector)
+        attribution = fleet_attribution(extract_traces(collector))
         _require(
             not attribution.closure_problems,
             f"stress {system}: causal ledger not closed: "
@@ -267,7 +267,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
         f"crash mid-migration must exercise resume "
         f"(failovers={crash_run.failovers}, resumes={crash_run.resumes})",
     )
-    attribution = fleet_attribution(collector)
+    attribution = fleet_attribution(extract_traces(collector))
     _require(
         not attribution.closure_problems,
         f"crash run: causal ledger not closed: "

@@ -81,6 +81,7 @@ from .bench import (
     serve_frontier,
 )
 from .hw import pack_names as hw_pack_names
+from .sim import set_default_seed
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -409,6 +410,7 @@ def _run_postmortem(args, out) -> int:
         TraceCollector,
         collecting,
         default_event_rules,
+        extract_traces,
         postmortem_bundle,
         render_critical_path_table,
         write_postmortem,
@@ -448,9 +450,10 @@ def _run_postmortem(args, out) -> int:
     )
     if not recorder.snapshots:
         recorder.snapshot("end-of-run", end_time)
+    paths = extract_traces(collector)
     bundle = postmortem_bundle(
         recorder=recorder,
-        collector=collector,
+        paths=paths,
         alerts=engine,
         meta={
             "command": "postmortem",
@@ -468,8 +471,7 @@ def _run_postmortem(args, out) -> int:
         },
     )
     if args.out:
-        written = write_postmortem(args.out, bundle, hubs=hubs,
-                                   collector=collector)
+        written = write_postmortem(args.out, bundle, hubs=hubs, paths=paths)
         for name, path in sorted(written.items()):
             print(f"wrote {name}: {path}", file=out)
         print(
@@ -481,7 +483,7 @@ def _run_postmortem(args, out) -> int:
         )
     else:
         print(json.dumps(bundle, indent=2, sort_keys=True), file=out)
-    print(render_critical_path_table(collector), file=out)
+    print(render_critical_path_table(paths), file=out)
     return 1 if bundle["closure"]["problems"] else 0
 
 
@@ -762,12 +764,19 @@ def _run_serve(args, out) -> int:
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
+    """Run one subcommand; ``--seed`` holds only for this call."""
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        from .sim import set_default_seed
+    seed = getattr(args, "seed", None)
+    previous = set_default_seed(seed) if seed is not None else None
+    try:
+        return _dispatch(args, out)
+    finally:
+        if seed is not None:
+            set_default_seed(previous)
 
-        set_default_seed(args.seed)
+
+def _dispatch(args, out) -> int:
     if args.command == "list":
         for name, fn in EXPERIMENTS.items():
             summary = (fn.__doc__ or "").strip().splitlines()[0]

@@ -4,7 +4,9 @@ The quantitative lens on everything the rest of the repo simulates:
 
 * :mod:`repro.observatory.profiler` — exact per-request blocking-time
   attribution (encrypt / wire-order / staging / control / PCIe /
-  decrypt), the Fig. 2 bottleneck verdict, speculation accounting;
+  interconnect / decrypt), the Fig. 2 bottleneck verdict in the
+  fleet's attribution vocabulary (:mod:`repro.tracing.critical_path`),
+  speculation accounting;
 * :mod:`repro.observatory.registry` — pull-style metric families with
   labels, Prometheus text exposition and JSON snapshots, driven purely
   by simulated time;
@@ -18,7 +20,6 @@ The quantitative lens on everything the rest of the repo simulates:
 
 from .lint import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
 from .profiler import (
-    STAGES,
     AttributionProfile,
     RequestAttribution,
     SpeculationAccount,
@@ -44,7 +45,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "RequestAttribution",
-    "STAGES",
     "SpeculationAccount",
     "attribute_request",
     "bind_gateway",

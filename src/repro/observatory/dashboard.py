@@ -23,7 +23,7 @@ from ..models import OPT_66B
 from ..serving import FlexGenConfig, FlexGenEngine
 from ..telemetry import recording
 from ..workloads import SyntheticShape
-from .profiler import CRYPTO_STAGES, TRANSFER_STAGES, profile_hub
+from .profiler import profile_hub, render_class_shares
 from .registry import MetricsRegistry, bind_gateway, bind_machine
 
 __all__ = [
@@ -168,8 +168,7 @@ class Dashboard:
             )
             lines.append(
                 f"critical path: {profile.verdict}"
-                f"  (crypto {100 * profile.bucket_share(CRYPTO_STAGES):.0f}%"
-                f" / transfer {100 * profile.bucket_share(TRANSFER_STAGES):.0f}%"
+                f"  ({render_class_shares(profile, 0)}"
                 f" over {len(profile.requests)} requests)"
             )
         return "\n".join(lines)

@@ -15,11 +15,12 @@ story at a glance:
 
 * per-stage blocking-time totals and shares (aggregate and per
   request),
-* a dominant-bottleneck **verdict** — ``encryption-bound`` when the
-  crypto stages dominate the blocked time (the CC baseline's regime),
-  ``pcie-bound`` when the transfer stages do (PipeLLM's regime: the
-  AES wait is hidden behind speculation), ``compute-bound`` when the
-  GPU is the busiest resource over the horizon,
+* a dominant-bottleneck **verdict** from the fleet's
+  :func:`~repro.tracing.critical_path.verdict` over the class shares,
+  with the GPU busy fraction as the ``compute`` share —
+  ``encryption-bound`` for the CC baseline, ``pcie-bound`` or
+  ``bridge-bound`` under PipeLLM (the AES wait hidden behind
+  speculation), ``compute-bound`` when the GPU is the busiest,
 * **speculation accounting**: encryption seconds moved off the
   critical path by staged hits versus seconds wasted pre-encrypting
   chunks that were later invalidated, plus NOP-padding overhead.
@@ -28,45 +29,23 @@ story at a glance:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..sim.stats import mean, percentile
 from ..telemetry.events import SpeculationEvent
 from ..telemetry.hub import RequestRecord, TelemetryHub
+from ..tracing.critical_path import CLASS_VERDICTS, class_totals, verdict
 
 __all__ = [
     "AttributionProfile",
     "RequestAttribution",
     "SpeculationAccount",
-    "STAGES",
     "attribute_request",
     "profile_hub",
+    "render_class_shares",
     "render_profile",
     "render_waterfall",
 ]
-
-#: Canonical stage order, critical-path position first. "other" is the
-#: residual of wire latency not covered by any recorded interval
-#: (process-scheduling slack; ~0 in practice) — keeping it explicit is
-#: what makes the attributions sum to end-to-end latency exactly.
-STAGES: Tuple[str, ...] = (
-    "encrypt",
-    "wire-order",
-    "staging",
-    "control",
-    "pcie",
-    "interconnect",
-    "decrypt",
-    "gateway",
-    "other",
-)
-
-#: Stage buckets behind the bottleneck verdict. Crypto stages are the
-#: CPU AES-GCM waits; transfer stages are everything that moves or
-#: orders bytes on the CPU↔GPU wire.
-CRYPTO_STAGES = ("encrypt", "decrypt")
-TRANSFER_STAGES = ("wire-order", "staging", "control", "pcie", "interconnect")
-
 
 @dataclass
 class RequestAttribution:
@@ -80,8 +59,8 @@ class RequestAttribution:
     size: int
     submit_time: float
     complete_time: float
-    #: Stage name → blocked seconds. Includes the "other" residual, so
-    #: ``sum(stages.values()) == total`` to float precision.
+    #: Stage name → blocked seconds in record order, the "other" residual
+    #: last, so ``sum(stages.values()) == total`` to float precision.
     stages: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -176,19 +155,16 @@ class AttributionProfile:
         total = self.total_blocked_s
         return self.totals.get(stage, 0.0) / total if total > 0 else 0.0
 
-    def bucket_share(self, stages: Sequence[str]) -> float:
-        return sum(self.share(stage) for stage in stages)
+    def class_shares(self) -> Dict[str, float]:
+        """Share of blocked time per attribution class."""
+        total = self.total_blocked_s
+        by_class = class_totals(self.totals.items()) if total > 0 else {}
+        return {cls: seconds / total for cls, seconds in by_class.items()}
 
     @property
     def verdict(self) -> str:
         """Dominant-bottleneck call, reproducing the Fig. 2 regimes."""
-        crypto = self.bucket_share(CRYPTO_STAGES)
-        transfer = self.bucket_share(TRANSFER_STAGES)
-        if self.gpu_busy_fraction > 0.5 and self.gpu_busy_fraction > max(crypto, transfer):
-            return "compute-bound"
-        if not self.requests:
-            return "idle"
-        return "encryption-bound" if crypto >= transfer else "pcie-bound"
+        return verdict({**self.class_shares(), "compute": self.gpu_busy_fraction})
 
     def latency_percentiles(self) -> Dict[str, float]:
         latencies = [r.total for r in self.requests]
@@ -275,6 +251,15 @@ def _bar(fraction: float, width: int = 28) -> str:
     return "#" * filled + "." * (width - filled)
 
 
+def render_class_shares(profile: AttributionProfile, digits: int) -> str:
+    """``aes 88.0% / pcie 12.0%``: class shares in verdict order."""
+    shares = profile.class_shares()
+    return " / ".join(
+        f"{cls} {100 * shares[cls]:.{digits}f}%"
+        for cls, _ in CLASS_VERDICTS if cls in shares
+    )
+
+
 def render_waterfall(attribution: RequestAttribution, width: int = 56) -> str:
     """ASCII waterfall of one request's critical path.
 
@@ -293,11 +278,7 @@ def render_waterfall(attribution: RequestAttribution, width: int = 56) -> str:
     ]
     total = attribution.total
     label_width = max((len(s) for s in attribution.stages), default=5) + 2
-    extras = [s for s in attribution.stages if s not in STAGES]
-    for stage in list(STAGES) + extras:
-        seconds = attribution.stages.get(stage)
-        if seconds is None:
-            continue
+    for stage, seconds in attribution.stages.items():
         lines.append(
             f"  {stage.ljust(label_width)}"
             f"{_bar(seconds / total if total > 0 else 0.0, width)}"
@@ -317,14 +298,10 @@ def render_profile(profile: AttributionProfile) -> str:
         f"critical-path profile: {profile.label or 'machine'}"
         f"  ({len(profile.requests)} requests,"
         f" {profile.total_blocked_s * 1e3:.3f} ms blocked)",
-        f"verdict: {profile.verdict}"
-        f"  (crypto {100 * profile.bucket_share(CRYPTO_STAGES):.1f}%"
-        f" / transfer {100 * profile.bucket_share(TRANSFER_STAGES):.1f}%"
+        f"verdict: {profile.verdict}  ({render_class_shares(profile, 1)}"
         f" / gpu busy {100 * profile.gpu_busy_fraction:.1f}%)",
     ]
-    for stage in STAGES:
-        if stage not in profile.totals:
-            continue
+    for stage in sorted(profile.totals, key=lambda s: s == "other"):
         share = profile.share(stage)
         lines.append(
             f"  {stage.ljust(12)}{_bar(share)}"

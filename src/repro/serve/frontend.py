@@ -59,7 +59,8 @@ class _ServeRecord:
     #: Tokens streamed in the current delivery attempt (resets on
     #: failover — the replacement replica regenerates the stream).
     attempt_tokens: int = 0
-    stream_open: bool = False
+    #: Start of the attempt's open ``stream`` span (nan: none open).
+    stream_start: float = math.nan
     done: bool = False
     chunks: List[StreamChunk] = field(default_factory=list)
     #: Root causal span of the request's trace (None when no
@@ -300,8 +301,7 @@ class ServeFrontend:
                 max(0.0, now - rec.request.arrival_time)
             )
         if rec.attempt_tokens == 0:
-            tracer.begin(rec.lane, "stream", now)
-            rec.stream_open = True
+            rec.stream_start = now
             self._emit("first-token", rec, token_index=index)
         else:
             tracer.record(rec.lane, "token", rec.last_token_time, now)
@@ -316,9 +316,7 @@ class ServeFrontend:
         rec = self.records.get(creq.rid)
         if rec is None or rec.done:
             return
-        if rec.stream_open:
-            self.telemetry.tracer.end(rec.lane, "stream", self.sim.now)
-            rec.stream_open = False
+        if self._close_stream(rec):
             self._emit("restart", rec, detail=f"tokens={rec.attempt_tokens}")
         rec.attempt_tokens = 0
         rec.last_token_time = math.nan
@@ -329,9 +327,7 @@ class ServeFrontend:
             return
         now = self.sim.now
         rec.done = True
-        if rec.stream_open:
-            self.telemetry.tracer.end(rec.lane, "stream", now)
-            rec.stream_open = False
+        self._close_stream(rec)
         tokens = creq.request.output_len
         ttft = rec.first_token_time - rec.request.arrival_time
         tpot = math.nan
@@ -369,6 +365,14 @@ class ServeFrontend:
         self.admission.on_done(rec.request)
         self._pump()
 
+    def _close_stream(self, rec: _ServeRecord) -> bool:
+        """Record the open ``stream`` span, if any; True if one was."""
+        if math.isnan(rec.stream_start):
+            return False
+        self.telemetry.tracer.record(rec.lane, "stream", rec.stream_start, self.sim.now)
+        rec.stream_start = math.nan
+        return True
+
     # -- shedding --------------------------------------------------------
 
     def _shed_local(self, rec: _ServeRecord, reason: str) -> None:
@@ -380,9 +384,7 @@ class ServeFrontend:
     def _finish_shed(self, rec: _ServeRecord, reason: str) -> None:
         now = self.sim.now
         rec.done = True
-        if rec.stream_open:
-            self.telemetry.tracer.end(rec.lane, "stream", now)
-            rec.stream_open = False
+        self._close_stream(rec)
         self._trace_close(rec.trace_hold)
         rec.trace_hold = None
         self._trace_close(rec.trace_root, status=f"shed:{reason}")

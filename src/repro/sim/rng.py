@@ -22,12 +22,14 @@ __all__ = ["SeededRng", "default_seed", "set_default_seed"]
 _SEED_OVERRIDE: Optional[int] = None
 
 
-def set_default_seed(seed: Optional[int]) -> None:
-    """Install (or with None, clear) the process-wide seed override."""
+def set_default_seed(seed: Optional[int]) -> Optional[int]:
+    """Install (or with None, clear) the process-wide seed override;
+    returns the override it replaced, so callers can restore it."""
     global _SEED_OVERRIDE
     if seed is not None and seed < 0:
         raise ValueError("seed must be non-negative")
-    _SEED_OVERRIDE = seed
+    previous, _SEED_OVERRIDE = _SEED_OVERRIDE, seed
+    return previous
 
 
 def default_seed(fallback: int) -> int:

@@ -10,8 +10,8 @@ simulation* rather than drawn by hand — see ``examples/timeline.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 __all__ = ["Span", "SpanTracer", "render_gantt"]
 
@@ -36,36 +36,14 @@ class SpanTracer:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.spans: List[Span] = []
-        # Stack of open start times per (lane, label): concurrent
-        # same-label spans on one lane nest instead of overwriting.
-        self._open: Dict[tuple, List[float]] = {}
 
     def record(self, lane: str, label: str, start: float, end: float) -> None:
-        """Record a closed span directly."""
+        """Record one closed span (the tracer's only recording call)."""
         if not self.enabled:
             return
         if end < start:
             raise ValueError("span ends before it starts")
         self.spans.append(Span(lane, label, start, end))
-
-    def begin(self, lane: str, label: str, now: float) -> None:
-        """Open a span; close it with :meth:`end`. Nesting is LIFO."""
-        if self.enabled:
-            self._open.setdefault((lane, label), []).append(now)
-
-    def end(self, lane: str, label: str, now: float) -> None:
-        stack = self._open.get((lane, label))
-        if not stack:
-            return
-        start = stack.pop()
-        if not stack:
-            del self._open[(lane, label)]
-        if self.enabled:
-            self.record(lane, label, start, now)
-
-    def open_depth(self, lane: str, label: str) -> int:
-        """How many spans are currently open under (lane, label)."""
-        return len(self._open.get((lane, label), ()))
 
     def lanes(self) -> List[str]:
         seen: List[str] = []

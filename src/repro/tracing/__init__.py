@@ -9,8 +9,9 @@ The diagnosability layer over :mod:`repro.telemetry`:
   request instead of flat per-machine lanes;
 * :mod:`repro.tracing.critical_path` — exact critical-path extraction
   over those DAGs (the chain telescopes to the measured request
-  latency float-exactly), DAG closure checks, and fleet-level
-  attribution with encryption-/bridge-/pcie-/compute-bound verdicts;
+  latency float-exactly), DAG closure checks, and the one stage table
+  and ``verdict`` rule (encryption-/bridge-/pcie-/compute-bound...)
+  that the profiler, ``repro dash``, bench and post-mortems share;
 * :class:`AlertEngine` — multi-window SLO burn-rate alerting plus
   anomaly-burst rules over the recovery-event stream, in simulated
   time only;
@@ -35,11 +36,14 @@ from .critical_path import (
     Segment,
     TraceCriticalPath,
     check_closure,
+    class_totals,
     critical_path,
     critical_path_duration,
     extract_trace,
+    extract_traces,
     fleet_attribution,
     stage_class,
+    verdict,
 )
 from .recorder import (
     FlightRecorder,
@@ -65,14 +69,17 @@ __all__ = [
     "TraceCriticalPath",
     "active_collector",
     "check_closure",
+    "class_totals",
     "collecting",
     "critical_path",
     "critical_path_duration",
     "default_event_rules",
     "extract_trace",
+    "extract_traces",
     "fleet_attribution",
     "postmortem_bundle",
     "render_critical_path_table",
     "stage_class",
+    "verdict",
     "write_postmortem",
 ]

@@ -25,12 +25,16 @@ per-stage-class time and a bottleneck verdict (encryption-bound /
 bridge-bound / migration-bound / pcie-bound / compute-bound /
 queue-bound) that generalizes the Fig. 2 logic from one machine to
 the whole fleet.
+
+:data:`STAGE_CLASSES`, :func:`class_totals` and :func:`verdict` are
+the repo's one attribution vocabulary: the per-machine profiler,
+``repro dash``, bench verdicts and post-mortems all call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .context import ROOT_PARENT, CausalSpan, TraceCollector
 
@@ -41,10 +45,13 @@ __all__ = [
     "TraceCriticalPath",
     "FleetAttribution",
     "stage_class",
+    "class_totals",
+    "verdict",
     "critical_path",
     "critical_path_duration",
     "check_closure",
     "extract_trace",
+    "extract_traces",
     "fleet_attribution",
 ]
 
@@ -75,7 +82,7 @@ STAGE_CLASSES: Dict[str, str] = {
 }
 
 #: Attribution class → per-run verdict, in dominance-check order
-#: (ties break toward the earlier entry; "other" never wins alone).
+#: (ties break toward the earlier entry).
 CLASS_VERDICTS: Tuple[Tuple[str, str], ...] = (
     ("aes", "encryption-bound"),
     ("bridge", "bridge-bound"),
@@ -90,6 +97,27 @@ CLASS_VERDICTS: Tuple[Tuple[str, str], ...] = (
 def stage_class(stage: str) -> str:
     """The attribution class of one span stage label."""
     return STAGE_CLASSES.get(stage, "other")
+
+
+def class_totals(stage_seconds: Iterable[Tuple[str, float]]) -> Dict[str, float]:
+    """Fold ``(stage, seconds)`` pairs into seconds per attribution class."""
+    out: Dict[str, float] = {}
+    for stage, seconds in stage_seconds:
+        cls = stage_class(stage)
+        out[cls] = out.get(cls, 0.0) + seconds
+    return out
+
+
+def verdict(by_class: Mapping[str, float]) -> str:
+    """Ordered argmax over :data:`CLASS_VERDICTS` of time (or shares)
+    per class: ties break toward the earlier entry; ``"idle"`` when
+    nothing was attributed."""
+    call, best = "idle", 0.0
+    for cls, cls_verdict in CLASS_VERDICTS:
+        seconds = by_class.get(cls, 0.0)
+        if seconds > best:
+            best, call = seconds, cls_verdict
+    return call
 
 
 @dataclass(frozen=True)
@@ -236,11 +264,7 @@ class TraceCriticalPath:
 
     def by_class(self) -> Dict[str, float]:
         """Critical-path seconds per attribution class."""
-        out: Dict[str, float] = {}
-        for segment in self.segments:
-            cls = stage_class(segment.stage)
-            out[cls] = out.get(cls, 0.0) + segment.duration
-        return out
+        return class_totals((s.stage, s.duration) for s in self.segments)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -264,6 +288,11 @@ def extract_trace(
     if problems:
         return TraceCriticalPath(trace_id, status, [], problems)
     return TraceCriticalPath(trace_id, status, critical_path(spans))
+
+
+def extract_traces(collector: TraceCollector) -> List[TraceCriticalPath]:
+    """Every trace of a collector, extracted once, in collection order."""
+    return [extract_trace(collector, t) for t in collector.trace_ids()]
 
 
 @dataclass
@@ -292,36 +321,24 @@ class FleetAttribution:
         }
 
 
-def fleet_attribution(
-    collector: TraceCollector,
-    trace_ids: Optional[Iterable[str]] = None,
-) -> FleetAttribution:
-    """Aggregate every trace's critical path into one verdict.
+def fleet_attribution(paths: Sequence[TraceCriticalPath]) -> FleetAttribution:
+    """Aggregate extracted critical paths into one verdict.
 
     Traces failing closure contribute their problems (namespaced by
     trace id) but no time — a broken DAG must never silently skew
     the attribution it invalidates.
     """
-    ids = list(trace_ids) if trace_ids is not None else collector.trace_ids()
     by_class: Dict[str, float] = {}
     problems: List[str] = []
     n = 0
-    for trace_id in ids:
-        path = extract_trace(collector, trace_id)
+    for path in paths:
         if path.closure_problems:
-            problems.extend(f"{trace_id}: {p}" for p in path.closure_problems)
+            problems.extend(f"{path.trace_id}: {p}" for p in path.closure_problems)
             continue
         n += 1
         for cls, seconds in path.by_class().items():
             by_class[cls] = by_class.get(cls, 0.0) + seconds
-    total = sum(by_class.values())
-    verdict, best = "idle", 0.0
-    if n and total > 0:
-        for cls, cls_verdict in CLASS_VERDICTS:
-            seconds = by_class.get(cls, 0.0)
-            if seconds > best:
-                best, verdict = seconds, cls_verdict
     return FleetAttribution(
-        n_traces=n, total_s=total, by_class=by_class, verdict=verdict,
-        closure_problems=problems,
+        n_traces=n, total_s=sum(by_class.values()), by_class=by_class,
+        verdict=verdict(by_class), closure_problems=problems,
     )

@@ -12,9 +12,11 @@ not a gigabyte of full-run history.
 log, every traced request's critical path and the fleet verdict into
 one JSON-serializable document; :func:`write_postmortem` writes it to
 disk alongside a Chrome trace and a human-readable critical-path
-table. Everything is keyed, sorted and timestamped in simulated time
-only, so ``python -m repro postmortem`` produces byte-identical
-bundles under one seed.
+table. Both take the critical paths already extracted
+(:func:`~repro.tracing.critical_path.extract_traces`), so each trace
+is walked once per post-mortem. Everything is keyed, sorted and
+timestamped in simulated time only, so ``python -m repro postmortem``
+produces byte-identical bundles under one seed.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from ..telemetry.events import AlertEvent, ClusterEvent, RecoveryEvent, TelemetryEvent
-from .context import TraceCollector
-from .critical_path import extract_trace, fleet_attribution
+from .critical_path import TraceCriticalPath, fleet_attribution, verdict
 
 __all__ = [
     "FlightRecorder",
@@ -115,28 +116,28 @@ class FlightRecorder:
 
 def postmortem_bundle(
     recorder: Optional[FlightRecorder] = None,
-    collector: Optional[TraceCollector] = None,
+    paths: Optional[Sequence[TraceCriticalPath]] = None,
     alerts=None,
     meta: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One JSON-serializable post-mortem document.
 
-    Sections are independent: any of the recorder, the span collector
-    and the alert engine may be absent and its section is empty — a
-    bundle from a run that only recorded events is still a bundle.
+    Sections are independent: any of the recorder, the extracted
+    critical paths and the alert engine may be absent and its section
+    is empty — a bundle from a run that only recorded events is still
+    a bundle.
     """
     traces: List[Dict[str, Any]] = []
     fleet: Dict[str, Any] = {}
     closure = {"traces_checked": 0, "problems": []}
-    if collector is not None:
-        for trace_id in collector.trace_ids():
-            path = extract_trace(collector, trace_id)
-            traces.append(path.as_dict())
-            closure["traces_checked"] += 1
-            closure["problems"].extend(
-                f"{trace_id}: {p}" for p in path.closure_problems
-            )
-        fleet = fleet_attribution(collector).as_dict()
+    if paths is not None:
+        attribution = fleet_attribution(paths)
+        traces = [path.as_dict() for path in paths]
+        fleet = attribution.as_dict()
+        closure = {
+            "traces_checked": len(paths),
+            "problems": list(attribution.closure_problems),
+        }
     return {
         "schema": "repro.postmortem/v1",
         "meta": dict(meta or {}),
@@ -148,26 +149,22 @@ def postmortem_bundle(
     }
 
 
-def render_critical_path_table(collector: TraceCollector) -> str:
+def render_critical_path_table(paths: Sequence[TraceCriticalPath]) -> str:
     """Fixed-width per-trace critical-path table (one row per trace)."""
     header = (
-        f"{'trace':28} {'status':12} {'dur_ms':>9} {'segs':>5}  dominant"
+        f"{'trace':28} {'status':12} {'dur_ms':>9} {'segs':>5}  verdict"
     )
     lines = [header, "-" * len(header)]
-    for trace_id in collector.trace_ids():
-        path = extract_trace(collector, trace_id)
+    for path in paths:
         if path.closure_problems:
             lines.append(
-                f"{trace_id:28} {'BROKEN':12} {'-':>9} {'-':>5}  "
+                f"{path.trace_id:28} {'BROKEN':12} {'-':>9} {'-':>5}  "
                 + "; ".join(path.closure_problems)
             )
             continue
-        by_class = path.by_class()
-        dominant = max(sorted(by_class), key=lambda c: by_class[c]) \
-            if by_class else "-"
         lines.append(
-            f"{trace_id:28} {path.status:12} {path.duration * 1e3:>9.4f} "
-            f"{len(path.segments):>5}  {dominant}"
+            f"{path.trace_id:28} {path.status:12} {path.duration * 1e3:>9.4f} "
+            f"{len(path.segments):>5}  {verdict(path.by_class())}"
         )
     if len(lines) == 2:
         lines.append("(no traces collected)")
@@ -178,7 +175,7 @@ def write_postmortem(
     outdir,
     bundle: Dict[str, Any],
     hubs=(),
-    collector: Optional[TraceCollector] = None,
+    paths: Optional[Sequence[TraceCriticalPath]] = None,
 ) -> Dict[str, str]:
     """Write the bundle + companions; returns name → path written.
 
@@ -204,8 +201,8 @@ def write_postmortem(
     )
     written["trace"] = str(trace_path)
 
-    if collector is not None:
+    if paths is not None:
         table_path = out / "critical_paths.txt"
-        table_path.write_text(render_critical_path_table(collector) + "\n")
+        table_path.write_text(render_critical_path_table(paths) + "\n")
         written["critical_paths"] = str(table_path)
     return written

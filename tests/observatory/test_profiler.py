@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from repro.bench import CC, pipellm, run_flexgen
 from repro.models import OPT_66B
 from repro.observatory import (
-    STAGES,
     attribute_request,
     profile_hub,
     render_profile,
     render_waterfall,
 )
-from repro.observatory.profiler import CRYPTO_STAGES, TRANSFER_STAGES
 from repro.telemetry import TelemetryHub, recording
 from repro.telemetry.hub import RequestRecord
+from repro.tracing import STAGE_CLASSES, class_totals
 from repro.workloads import SyntheticShape
 
 
@@ -52,7 +51,7 @@ class TestSyntheticFixtures:
         profile = profile_hub(synthetic_hub([record]))
         assert profile.verdict == "encryption-bound"
         assert profile.totals == {"encrypt": 8e-3, "pcie": 2e-3}
-        assert profile.bucket_share(CRYPTO_STAGES) == 0.8
+        assert profile.class_shares()["aes"] == 0.8
 
     def test_pcie_bound_fixture_exact(self):
         # Staged hit: only transfer stages block, AES is off-path.
@@ -62,9 +61,18 @@ class TestSyntheticFixtures:
         record.mark_stage("pcie", 1e-3, 5e-3)
         profile = profile_hub(synthetic_hub([record]))
         assert profile.verdict == "pcie-bound"
-        assert profile.bucket_share(TRANSFER_STAGES) == 1.0
-        assert profile.bucket_share(CRYPTO_STAGES) == 0.0
+        assert profile.class_shares() == {"pcie": 1.0}
         assert profile.totals["pcie"] == 4e-3
+
+    def test_interconnect_is_bridge_bound(self):
+        # Inter-GPU bounce hops: the DMA legs dominate the inline AES.
+        record = make_record(size=4096, complete=10e-3, outcome="hit_now")
+        record.mark_stage("encrypt", 0.0, 1e-3)
+        record.mark_stage("interconnect", 1e-3, 9e-3)
+        record.mark_stage("decrypt", 9e-3, 10e-3)
+        profile = profile_hub(synthetic_hub([record]))
+        assert profile.verdict == "bridge-bound"
+        assert set(profile.class_shares()) == {"aes", "bridge"}
 
     def test_residual_lands_in_other(self):
         record = make_record(complete=10e-3)
@@ -72,6 +80,13 @@ class TestSyntheticFixtures:
         attribution = attribute_request(record)
         assert attribution.stages["other"] == 10e-3 - 6e-3
         assert sum(attribution.stages.values()) == attribution.total
+
+    def test_waterfall_keeps_record_order_with_other_last(self):
+        record = make_record(complete=10e-3)
+        record.mark_stage("pcie", 0.0, 2e-3)
+        record.mark_stage("encrypt", 2e-3, 6e-3)
+        rows = render_waterfall(attribute_request(record)).splitlines()[2:-1]
+        assert [row.split()[0] for row in rows] == ["pcie", "encrypt", "other"]
 
     def test_incomplete_request_skipped(self):
         assert attribute_request(make_record()) is None
@@ -108,7 +123,7 @@ class TestAttributionInvariant:
     @given(
         intervals=st.lists(
             st.tuples(
-                st.sampled_from([s for s in STAGES if s != "other"]),
+                st.sampled_from(sorted(STAGE_CLASSES)),
                 st.floats(min_value=1e-9, max_value=0.5),
             ),
             min_size=0,
@@ -131,6 +146,11 @@ class TestAttributionInvariant:
             rel_tol=1e-9, abs_tol=1e-15,
         )
         assert all(v >= 0.0 for v in attribution.stages.values())
+        # The class fold behind the verdict neither drops nor adds time.
+        assert math.isclose(
+            sum(class_totals(attribution.stages.items()).values()),
+            attribution.total, rel_tol=1e-9, abs_tol=1e-15,
+        )
 
 
 class TestRealRuns:
@@ -158,7 +178,7 @@ class TestRealRuns:
         profile = self.run_profiled(CC)
         self.assert_invariant(profile)
         assert profile.verdict == "encryption-bound"
-        assert profile.bucket_share(CRYPTO_STAGES) > 0.5
+        assert profile.class_shares()["aes"] > 0.5
 
     def test_pipellm_is_not_encryption_bound(self):
         profile = self.run_profiled(pipellm(8, 2))
@@ -170,7 +190,7 @@ class TestRealRuns:
     def test_renderers_cover_required_content(self):
         profile = self.run_profiled(CC)
         report = render_profile(profile)
-        assert "verdict: encryption-bound" in report
+        assert "verdict: encryption-bound  (aes " in report
         assert "encrypt" in report and "pcie" in report
         waterfall = render_waterfall(profile.requests[0])
         assert "= wire latency" in waterfall

@@ -5,9 +5,12 @@ Each request's delivery attempt is one ``stream`` span on its own
 inter-token gaps. The invariants: token spans nest inside a stream
 span (LIFO — the stream opens first and closes last), all times are
 monotone in simulated time, and a replica crash mid-stream never
-leaves an orphaned open span — the restarted attempt opens a fresh
-stream span, or the request is shed cleanly.
+leaves an orphaned open stream on the front end's records — the
+restarted attempt opens a fresh stream span, or the request is shed
+cleanly.
 """
+
+import math
 
 import pytest
 
@@ -31,6 +34,14 @@ def _run(rate=8.0, duration=3.0, **config_kw):
         requests = generate_load(LoadSpec(rate=rate, duration=duration))
         result = frontend.run(requests, duration=duration)
     return frontend, result
+
+
+def _assert_no_open_streams(frontend):
+    """No front-end record is left holding an open stream span."""
+    assert frontend.records
+    for rec in frontend.records.values():
+        assert rec.done
+        assert math.isnan(rec.stream_start), f"{rec.lane} left a stream open"
 
 
 def _lanes(frontend):
@@ -66,9 +77,7 @@ class TestStreamSpanOrdering:
 
     def test_no_open_spans_after_drain(self):
         frontend, _ = _run()
-        tracer = frontend.telemetry.tracer
-        for lane in _lanes(frontend):
-            assert tracer.open_depth(lane, "stream") == 0
+        _assert_no_open_streams(frontend)
 
     def test_one_stream_span_per_completed_request_without_faults(self):
         frontend, result = _run()
@@ -90,10 +99,8 @@ class TestCrashMidStream:
         assert restarts, "no stream restarted despite a mid-run crash"
         assert result.completed + result.shed == result.offered
 
-        tracer = frontend.telemetry.tracer
+        _assert_no_open_streams(frontend)
         lanes = _lanes(frontend)
-        for lane in lanes:
-            assert tracer.open_depth(lane, "stream") == 0
 
         # A restarted request has one stream span per delivery attempt,
         # all disjoint and ordered.

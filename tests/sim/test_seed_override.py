@@ -37,6 +37,19 @@ class TestSeedOverride:
 
 
 class TestCliSeedThreading:
+    @pytest.mark.parametrize("outer", [None, 123])
+    def test_cli_seed_does_not_leak_past_main(self, capsys, outer):
+        """``--seed`` holds only for one call: the override in place
+        before it (none, or one already installed) is back afterwards."""
+        from repro.cli import main
+
+        set_default_seed(outer)
+        argv = ["cluster", "--replicas", "1", "--rate", "2", "--duration", "1",
+                "--tenants", "1", "--seed", "7", "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert default_seed(42) == (42 if outer is None else outer)
+
     def test_cluster_runs_reproducible_with_seed(self, capsys):
         import json
 

@@ -15,30 +15,6 @@ class TestSpanTracer:
         assert tracer.busy_time("gpu") == pytest.approx(1.5)
         assert tracer.lanes() == ["gpu", "enc"]
 
-    def test_begin_end(self):
-        tracer = SpanTracer()
-        tracer.begin("lane", "x", 1.0)
-        tracer.end("lane", "x", 2.0)
-        assert tracer.spans[0].duration == pytest.approx(1.0)
-
-    def test_end_without_begin_ignored(self):
-        tracer = SpanTracer()
-        tracer.end("lane", "x", 2.0)
-        assert tracer.spans == []
-
-    def test_nested_same_key_spans(self):
-        # Regression: begin/begin/end/end on one (lane, label) used to
-        # overwrite the first start; now the opens stack LIFO.
-        tracer = SpanTracer()
-        tracer.begin("pool", "job", 0.0)
-        tracer.begin("pool", "job", 1.0)
-        assert tracer.open_depth("pool", "job") == 2
-        tracer.end("pool", "job", 2.0)   # closes the inner (1.0) open
-        tracer.end("pool", "job", 5.0)   # closes the outer (0.0) open
-        assert tracer.open_depth("pool", "job") == 0
-        durations = sorted(s.duration for s in tracer.spans)
-        assert durations == pytest.approx([1.0, 5.0])
-
     def test_overlapping_spans_all_retained(self):
         tracer = SpanTracer()
         tracer.record("lane", "a", 0.0, 2.0)
@@ -54,8 +30,6 @@ class TestSpanTracer:
     def test_disabled_records_nothing(self):
         tracer = SpanTracer(enabled=False)
         tracer.record("gpu", "c", 0.0, 1.0)
-        tracer.begin("l", "x", 0.0)
-        tracer.end("l", "x", 1.0)
         assert tracer.spans == []
 
     def test_invalid_span_rejected(self):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tracing import (
+    CLASS_VERDICTS,
     ROOT_PARENT,
     CausalSpan,
     TraceCollector,
@@ -22,8 +23,10 @@ from repro.tracing import (
     critical_path,
     critical_path_duration,
     extract_trace,
+    extract_traces,
     fleet_attribution,
     stage_class,
+    verdict,
 )
 from repro.tracing.critical_path import Segment
 
@@ -138,6 +141,25 @@ def test_stage_classes_cover_the_taxonomy():
     assert stage_class("whatever") == "other"
 
 
+def test_verdict_is_idle_when_nothing_attributed():
+    assert verdict({}) == "idle"
+    assert verdict({"aes": 0.0, "pcie": 0.0}) == "idle"
+
+
+def test_verdict_ties_follow_class_verdict_order():
+    # Every pair of equal classes resolves toward the earlier entry.
+    for i, (first, first_verdict) in enumerate(CLASS_VERDICTS):
+        for later, _ in CLASS_VERDICTS[i + 1:]:
+            assert verdict({later: 0.5, first: 0.5}) == first_verdict
+    assert verdict({"pcie": 0.4, "bridge": 0.4, "aes": 0.2}) == "bridge-bound"
+
+
+def test_verdict_compute_share_above_the_others_is_compute_bound():
+    assert verdict({"aes": 0.3, "pcie": 0.7, "compute": 0.9}) == "compute-bound"
+    assert verdict({"aes": 0.3, "pcie": 0.7, "compute": 0.6}) == "pcie-bound"
+    assert verdict({"other": 1.0}) == "other-bound"
+
+
 def test_fleet_attribution_verdict_and_broken_trace_exclusion():
     col = TraceCollector()
     root = col.start_trace("good", "request", "request", "gw", 0.0)
@@ -145,7 +167,7 @@ def test_fleet_attribution_verdict_and_broken_trace_exclusion():
     col.end(root, 1.0)
     # A broken trace must contribute problems but no time.
     col.start_trace("bad", "request", "request", "gw", 0.0)  # never closed
-    fleet = fleet_attribution(col)
+    fleet = fleet_attribution(extract_traces(col))
     assert fleet.n_traces == 1
     assert fleet.verdict == "encryption-bound"
     assert fleet.share("aes") == pytest.approx(0.9)
@@ -273,6 +295,36 @@ def test_parallel_interconnect_hops_get_root_traces():
         engine.run(output_tokens=1)
     ids = _assert_all_traces_exact(col, expect_min_traces=4)
     assert all(".hop-" in t for t in ids)
-    fleet = fleet_attribution(col)
+    fleet = fleet_attribution(extract_traces(col))
     assert fleet.n_traces == len(ids)
     assert fleet.total_s > 0
+
+
+@pytest.mark.parametrize("speculate,expected", [
+    (False, "encryption-bound"),
+    (True, "bridge-bound"),
+])
+def test_profiler_and_fleet_attribution_agree_on_tp2(speculate, expected):
+    """The per-machine profiler and the fleet critical path make the
+    same bottleneck call on one TP-2 run: one vocabulary, one verdict."""
+    from repro.cc import CcMode, build_machine
+    from repro.models import OPT_13B
+    from repro.observatory import profile_hub
+    from repro.parallel import LinkSpeculator, TensorParallelEngine
+    from repro.telemetry import recording
+
+    with recording(), collecting() as col:
+        machine = build_machine(
+            CcMode.ENABLED, n_gpus=2, enc_threads=8, dec_threads=2
+        )
+        if speculate:
+            machine.interconnect.attach_speculator(
+                LinkSpeculator(lambda: machine.sim.now)
+            )
+        TensorParallelEngine(machine, OPT_13B, batch=16).run(output_tokens=2)
+        profile = profile_hub(
+            machine.telemetry,
+            enc_bandwidth=machine.params.enc_bandwidth_per_thread,
+        )
+    fleet = fleet_attribution(extract_traces(col))
+    assert profile.verdict == fleet.verdict == expected

@@ -18,6 +18,7 @@ from repro.tracing import (
     AlertEngine,
     FlightRecorder,
     TraceCollector,
+    extract_traces,
     postmortem_bundle,
     render_critical_path_table,
     write_postmortem,
@@ -101,7 +102,8 @@ def test_bundle_schema_and_sections():
     engine = AlertEngine()
     engine._fire("slo-burn", "page", 0.9, 4.0, 2.0, "test")
     bundle = postmortem_bundle(
-        recorder=recorder, collector=col, alerts=engine, meta={"seed": 7}
+        recorder=recorder, paths=extract_traces(col), alerts=engine,
+        meta={"seed": 7},
     )
     assert bundle["schema"] == "repro.postmortem/v1"
     assert bundle["meta"] == {"seed": 7}
@@ -123,7 +125,7 @@ def test_empty_bundle_still_a_bundle():
 def test_bundle_reports_closure_problems():
     col = TraceCollector()
     col.start_trace("t-1", "request", "request", "gw", 0.0)  # dangling
-    bundle = postmortem_bundle(collector=col)
+    bundle = postmortem_bundle(paths=extract_traces(col))
     assert bundle["closure"]["traces_checked"] == 1
     assert any("dangling" in p for p in bundle["closure"]["problems"])
 
@@ -133,10 +135,10 @@ def test_render_table_marks_broken_traces():
     root = col.start_trace("ok-trace", "request", "request", "gw", 0.0)
     col.end(root, 1.0)
     col.start_trace("bad-trace", "request", "request", "gw", 0.0)
-    table = render_critical_path_table(col)
+    table = render_critical_path_table(extract_traces(col))
     assert "ok-trace" in table
     assert "BROKEN" in table
-    assert render_critical_path_table(TraceCollector()).endswith(
+    assert render_critical_path_table([]).endswith(
         "(no traces collected)"
     )
 
@@ -145,9 +147,9 @@ def test_write_postmortem_files(tmp_path):
     col = TraceCollector()
     root = col.start_trace("t-1", "request", "request", "gw", 0.0)
     col.end(root, 1.0)
+    paths = extract_traces(col)
     written = write_postmortem(
-        tmp_path, postmortem_bundle(collector=col), hubs=[_hub()],
-        collector=col,
+        tmp_path, postmortem_bundle(paths=paths), hubs=[_hub()], paths=paths,
     )
     assert sorted(written) == ["critical_paths", "postmortem", "trace"]
     doc = json.loads(Path(written["postmortem"]).read_text())
