@@ -155,7 +155,7 @@ def serve_frontier(scale: str = "quick") -> ExperimentResult:
     )
 
     # Per-request latency metrics reached the telemetry layer (the
-    # serve.* latency stats bind_gateway scrapes into the registry).
+    # serve.* latency stats `repro dash --serve` renders).
     assert low_run.ttfts and low_run.tpots
 
     gap = (

@@ -1,4 +1,4 @@
-"""Performance observatory: profiler, metrics registry, dashboard.
+"""Performance observatory: profiler, dashboard, wall-clock lint.
 
 The quantitative lens on everything the rest of the repo simulates:
 
@@ -7,13 +7,11 @@ The quantitative lens on everything the rest of the repo simulates:
   interconnect / decrypt), the Fig. 2 bottleneck verdict in the
   fleet's attribution vocabulary (:mod:`repro.tracing.critical_path`),
   speculation accounting;
-* :mod:`repro.observatory.registry` — pull-style metric families with
-  labels, Prometheus text exposition and JSON snapshots, driven purely
-  by simulated time;
 * :mod:`repro.observatory.dashboard` — ``python -m repro dash``, a
   live ASCII view (utilization, latency percentiles, speculation
-  hit-rate, IV-audit status, degradation mode) that provably does not
-  perturb the simulation;
+  hit-rate, IV-audit status, degradation mode) read straight from the
+  machine's :class:`~repro.sim.stats.MetricSet` and live hardware
+  state, that provably does not perturb the simulation;
 * :mod:`repro.observatory.lint` — the structural wall-clock hygiene
   check keeping simulated and real time apart.
 """
@@ -28,27 +26,13 @@ from .profiler import (
     render_profile,
     render_waterfall,
 )
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    bind_gateway,
-    bind_machine,
-)
 
 __all__ = [
     "ALLOWED_WALL_CLOCK_FILES",
     "AttributionProfile",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "RequestAttribution",
     "SpeculationAccount",
     "attribute_request",
-    "bind_gateway",
-    "bind_machine",
     "profile_hub",
     "render_profile",
     "render_waterfall",

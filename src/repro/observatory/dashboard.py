@@ -3,7 +3,7 @@
 The dashboard *observes* a simulation without perturbing it: the
 serving engine's main process is started, then the kernel is advanced
 in fixed slices of simulated time and one frame is rendered per slice
-from the metrics registry and the critical-path profiler. Rendering is
+from the machine's metrics and the critical-path profiler. Rendering is
 strictly read-only — a run with ``render=False`` produces the exact
 same simulation state and summary, which a test pins byte-for-byte.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bench.systems import SystemSpec, pipellm
 from ..models import OPT_66B
@@ -24,7 +24,6 @@ from ..serving import FlexGenConfig, FlexGenEngine
 from ..telemetry import recording
 from ..workloads import SyntheticShape
 from .profiler import profile_hub, render_class_shares
-from .registry import MetricsRegistry, bind_gateway, bind_machine
 
 __all__ = [
     "Dashboard",
@@ -40,93 +39,104 @@ def _bar(fraction: float, width: int = 24) -> str:
     return "[" + "#" * filled + "." * (width - filled) + f"] {100 * fraction:5.1f}%"
 
 
-_MODE_NAMES = {0.0: "SPECULATIVE", 1.0: "PROBING", 2.0: "DEGRADED"}
+def _percentiles(label: str, stat, scale: float, spec: str, unit: str) -> str:
+    """One ``p50 / p95 / p99`` row of a :class:`LatencyStat`."""
+    cells = [f"p{q} {stat.p(q) * scale:{spec}} {unit}" for q in (50, 95, 99)]
+    return f"  {label}  " + "   ".join(cells)
+
+
+def _sampled(metrics, name: str):
+    """The latency stat ``name`` once it holds a sample, else None."""
+    stat = metrics.latencies.get(name)
+    return stat if stat is not None and stat.count else None
+
+
+def _count(metrics, name: str) -> int:
+    counter = metrics.counters.get(name)
+    return int(counter.value) if counter is not None else 0
 
 
 class Dashboard:
-    """Renders one machine's live state as a fixed-width ASCII frame."""
+    """Renders one machine's live state as a fixed-width ASCII frame.
 
-    def __init__(self, machine, runtime=None, label: str = "", gateway=None) -> None:
+    Every panel reads the machine's (and gateway's) :class:`MetricSet`
+    and live hardware occupancy directly, at render time.
+    """
+
+    def __init__(self, machine, runtime=None, gateway=None) -> None:
         self.machine = machine
         self.runtime = runtime
-        self.registry = MetricsRegistry()
-        bind_machine(self.registry, machine, runtime=runtime, label=label or "dash")
-        if gateway is not None:
-            bind_gateway(self.registry, gateway)
-        self._label = label or "dash"
+        self.gateway = gateway
+
+    def _utilization(self, now: float) -> List[Tuple[str, float]]:
+        """Busy fraction of each resource over ``now`` simulated
+        seconds, sorted by resource name (:func:`_bar` clamps to 1)."""
+        machine = self.machine
+        pcie = machine.pcie
+        busy = {
+            "pcie": max(
+                pcie.h2d.busy_time(), pcie.d2h.busy_time(),
+                pcie.h2d_cc.busy_time(), pcie.d2h_cc.busy_time(),
+            ) / now,
+            "crypto-engine": machine.engine.utilization(now),
+            "gpu": machine.gpu.compute_seconds / now,
+        }
+        if machine.interconnect is not None:
+            for pipe in machine.interconnect.pipes():
+                busy[pipe.name] = pipe.busy_time() / now
+        return sorted(busy.items())
 
     def frame(self) -> str:
         now = self.machine.sim.now
-        snap = self.registry.snapshot(now)
+        metrics = self.machine.metrics
         lines = [
             f"== repro dash · t={now * 1e3:10.3f} ms simulated ==",
             "",
             "utilization",
         ]
-        for series in snap["resource_utilization"]["series"]:
-            resource = series["labels"]["resource"]
-            lines.append(f"  {resource.ljust(14)}{_bar(series['value'])}")
+        if now > 0:
+            for resource, value in self._utilization(now):
+                lines.append(f"  {resource.ljust(14)}{_bar(value)}")
 
         lines.append("")
         lines.append("wire latency (simulated)")
-        latency = {
-            (s["labels"]["direction"], s["labels"]["quantile"]): s["value"]
-            for s in snap["wire_latency_seconds"]["series"]
-        }
         for direction in ("h2d", "d2h"):
-            if (direction, "p50") not in latency:
-                continue
-            lines.append(
-                f"  {direction}  p50 {latency[(direction, 'p50')] * 1e6:9.1f} us"
-                f"   p95 {latency[(direction, 'p95')] * 1e6:9.1f} us"
-                f"   p99 {latency[(direction, 'p99')] * 1e6:9.1f} us"
-            )
+            stat = _sampled(metrics, f"telemetry.{direction}_wire_s")
+            if stat is not None:
+                lines.append(_percentiles(direction, stat, 1e6, "9.1f", "us"))
 
         lines.append("")
         lines.append("speculation")
-        hit_series = snap["speculation_hit_rate"]["series"]
-        if hit_series:
-            lines.append(f"  hit-rate      {_bar(hit_series[0]['value'])}")
-        counters = {
-            s["labels"]["name"]: s["value"]
-            for s in snap["machine_counter"]["series"]
-        }
+        validator = getattr(self.runtime, "validator", None)
+        if validator is not None:
+            lines.append(f"  hit-rate      {_bar(validator.success_rate)}")
         lines.append(
-            f"  nops {int(counters.get('runtime.nops_sent', 0))}"
-            f"   on-demand {int(counters.get('runtime.ondemand_encryptions', 0))}"
-            f"   deferred {int(counters.get('runtime.deferred', 0))}"
-            f"   auth-recoveries {int(counters.get('runtime.auth_recoveries', 0))}"
+            f"  nops {_count(metrics, 'runtime.nops_sent')}"
+            f"   on-demand {_count(metrics, 'runtime.ondemand_encryptions')}"
+            f"   deferred {_count(metrics, 'runtime.deferred')}"
+            f"   auth-recoveries {_count(metrics, 'runtime.auth_recoveries')}"
         )
-        mode_series = snap["pipeline_mode"]["series"]
-        if mode_series:
-            mode = _MODE_NAMES.get(mode_series[0]["value"], "?")
-            lines.append(f"  pipeline mode {mode}")
+        controller = getattr(self.runtime, "fault_controller", None)
+        if controller is not None:
+            lines.append(f"  pipeline mode {controller.mode.value.upper()}")
 
-        serve = snap.get("serve_latency_seconds", {}).get("series", [])
-        if serve:
-            quantiles = {
-                (s["labels"]["metric"], s["labels"]["quantile"]): s["value"]
-                for s in serve
+        if self.gateway is not None:
+            served = self.gateway.metrics
+            serve = {
+                metric: _sampled(served, f"serve.{metric}_s")
+                for metric in ("ttft", "tpot")
             }
-            gateway_counters = {
-                s["labels"]["name"]: s["value"]
-                for s in snap.get("gateway_counter", {}).get("series", [])
-            }
-            lines.append("")
-            lines.append("serving (TTFT / TPOT)")
-            for metric in ("ttft", "tpot"):
-                if (metric, "p50") not in quantiles:
-                    continue
+            if any(stat is not None for stat in serve.values()):
+                lines.append("")
+                lines.append("serving (TTFT / TPOT)")
+                for metric, stat in serve.items():
+                    if stat is not None:
+                        lines.append(_percentiles(metric, stat, 1e3, "8.2f", "ms"))
                 lines.append(
-                    f"  {metric}  p50 {quantiles[(metric, 'p50')] * 1e3:8.2f} ms"
-                    f"   p95 {quantiles[(metric, 'p95')] * 1e3:8.2f} ms"
-                    f"   p99 {quantiles[(metric, 'p99')] * 1e3:8.2f} ms"
+                    f"  completed {_count(served, 'serve.completed')}"
+                    f"   slo-ok {_count(served, 'serve.slo_attained')}"
+                    f"   shed {_count(served, 'serve.shed')}"
                 )
-            lines.append(
-                f"  completed {int(gateway_counters.get('serve.completed', 0))}"
-                f"   slo-ok {int(gateway_counters.get('serve.slo_attained', 0))}"
-                f"   shed {int(gateway_counters.get('serve.shed', 0))}"
-            )
 
         tap_hub = self.machine.telemetry
         if tap_hub.enabled:
@@ -144,8 +154,7 @@ class Dashboard:
             lines.append(
                 f"  events {len(tap_hub.events)}"
                 f"   ring-dropped {tap_hub.dropped_events}"
-                f"   tap-dropped "
-                f"{int(counters.get('telemetry.tap.dropped_events', 0))}"
+                f"   tap-dropped {_count(metrics, 'telemetry.tap.dropped_events')}"
             )
             lines.append(f"  lanes: {lanes}")
 
@@ -212,7 +221,7 @@ def run_flexgen_dashboard(
             batch_size=max(1, n_requests), n_requests=n_requests, seed=seed,
         )
         engine = FlexGenEngine(machine, runtime, config)
-        dash = Dashboard(machine, runtime=runtime, label=system.name)
+        dash = Dashboard(machine, runtime=runtime)
 
         machine.sim.process(engine._main())
         frames: List[str] = []
@@ -265,7 +274,7 @@ def run_serve_dashboard(
     """Online-serving run with a live dashboard over the gateway.
 
     Frames render replica 0's machine plus the gateway's serving
-    plane: TTFT/TPOT p50/p95/p99 from the metrics registry and the
+    plane: TTFT/TPOT p50/p95/p99 from the gateway's metrics and the
     completed / SLO-attained / shed counters. Same contract as the
     FlexGen dashboard: rendering is read-only, so ``render=False``
     yields an identical summary.
@@ -289,8 +298,7 @@ def run_serve_dashboard(
         requests = generate_load(load)
         replica = cluster.replicas[0]
         dash = Dashboard(
-            replica.machine, runtime=replica.runtime,
-            label=f"serve-{system}", gateway=cluster.gateway,
+            replica.machine, runtime=replica.runtime, gateway=cluster.gateway,
         )
 
         frontend.start(requests)

@@ -37,7 +37,6 @@ class LinkSpeculator:
         clock: Callable[[], float],
         policy: Optional[FaultPolicy] = None,
         faults=None,
-        sabotage: Optional[str] = None,
         warmup: int = 8,
     ) -> None:
         self.clock = clock
@@ -49,7 +48,6 @@ class LinkSpeculator:
         #: Optional :class:`repro.faults.FaultInjector` for forced
         #: link mispredictions (the storm campaigns).
         self.faults = faults
-        self.sabotage = sabotage
         self.controller = DegradationController(policy or FaultPolicy(), clock)
         # One classifier + predictor per source GPU: each GPU's
         # outgoing hop sequence is its own deterministic schedule;
@@ -67,7 +65,7 @@ class LinkSpeculator:
         if src not in self._predictors:
             classifier = TransferClassifier(swap_threshold=1)
             self._classifiers[src] = classifier
-            self._predictors[src] = SwapPredictor(classifier, sabotage=self.sabotage)
+            self._predictors[src] = SwapPredictor(classifier)
         return self._predictors[src]
 
     def lookup(self, src: int, dst: int, nbytes: int) -> bool:

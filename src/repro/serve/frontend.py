@@ -172,7 +172,7 @@ class ServeFrontend:
 
         # The serve lane shares the gateway's always-on MetricSet and
         # the simulator's span tracer, so serve.* counters show up in
-        # bind_gateway scrapes and stream spans in Chrome exports.
+        # the dashboard's serving panel and stream spans in Chrome exports.
         self.telemetry = TelemetryHub(
             sim=self.sim, metrics=self.gateway.metrics,
             tracer=self.sim.tracer, label="serve",
