@@ -109,6 +109,21 @@ class SessionEndpoint:
         """Advance the TX counter because a ciphertext was put on the wire."""
         return self.tx_iv.consume()
 
+    def seal(self, plaintext: bytes, staged: bool, nbytes_logical: int = 0) -> EncryptedMessage:
+        """Encrypt the next message of a speculative stream, consuming one TX IV.
+
+        Unstaged is :meth:`encrypt_next`. Staged encrypts under the
+        predicted (current) IV and commits it as it ships; the committed
+        counter MUST equal the guess, or the streams would silently desync.
+        """
+        if not staged:
+            return self.encrypt_next(plaintext, nbytes_logical)
+        predicted = self.tx_iv.current
+        message = self.encrypt_with_iv(plaintext, predicted, nbytes_logical)
+        committed = self.commit_tx_iv()
+        assert committed == predicted, f"{self.name}: staged IV desynced"
+        return message
+
     # -- receiving ----------------------------------------------------------
 
     def decrypt_next(self, message: EncryptedMessage) -> bytes:

@@ -17,17 +17,16 @@ hypothesis racer learns after one observation.
   post-crash streams can never collide with pre-crash ones — which
   the cluster-wide :class:`~repro.cluster.tenant.ClusterIvAudit`
   attached to every endpoint proves.
-* **speculative staging** — :class:`MigrationSpeculator` (the
-  :class:`~repro.parallel.speculate.LinkSpeculator` pattern applied
-  per *source worker*) predicts each chunk's (destination, size); on
-  a hit the chunk ships pre-encrypted under the predicted IV and the
-  wire runs at the CC DMA rate with crypto off the critical path; on
-  a miss the staged ciphertext is discarded *before the wire* and the
-  chunk serializes behind inline AES-GCM, so TX/RX streams never
-  desynchronize.
-* **degradation** — a :class:`~repro.faults.policies.
-  DegradationController` parks speculation under a mispredict storm;
-  parked chunks take the serialized-but-safe path until the
+* **speculative staging** — :class:`MigrationSpeculator` (the GPU
+  fabric's :class:`~repro.core.speculate.StreamSpeculator` loop, per
+  *source worker*) predicts each chunk's (destination, size); a hit
+  ships pre-encrypted under the predicted IV (``SessionEndpoint.seal``)
+  at the CC DMA rate with crypto off the critical path; a miss
+  discards the staged ciphertext *before the wire* and serializes
+  behind inline AES-GCM, so TX/RX streams never desynchronize.
+* **degradation** — the speculator's degradation controller
+  (:mod:`repro.faults.policies`) parks speculation under a mispredict
+  storm; parked chunks take the serialized-but-safe path until the
   time-driven probe re-enables staging.
 
 Per-chunk timing (two CC channel legs: source GPU → source CVM →
@@ -52,13 +51,12 @@ reason real transports pick one MTU and stick to it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from ..core.classify import SwapClass, TransferClassifier
-from ..core.predictor import SwapPredictor
+from ..core.speculate import StreamSpeculator
 from ..crypto import derive_link_session
-from ..faults.policies import DegradationController, FaultPolicy
+from ..faults.policies import FaultPolicy
 from ..hw import MB, HardwareParams
 from ..sim import Simulator
 from ..tracing import active_collector
@@ -80,84 +78,23 @@ MIGRATION_CHUNK_BYTES = 1 * MB
 _PAYLOAD_BYTES = 16
 
 
-class MigrationSpeculator:
+class MigrationSpeculator(StreamSpeculator):
     """Per-source-worker schedule prediction for migration chunks.
 
-    Mirrors :class:`~repro.parallel.speculate.LinkSpeculator`: each
-    prefill worker's outgoing chunk sequence feeds its own
-    :class:`~repro.core.predictor.SwapPredictor` (a chunk to decode
-    worker *d* of *n* bytes is "swap-in of (d, n)"), with one shared
-    :class:`DegradationController` parking speculation fabric-wide
-    under a mispredict storm. Parked lookups ship nothing staged, so
-    IV streams stay monotone throughout.
+    The :class:`~repro.core.speculate.StreamSpeculator` loop keyed by
+    prefill incarnation (a chunk to decode worker *d* of *n* bytes is
+    "swap-in of (d, n)"), with one shared degradation controller
+    parking speculation fabric-wide under a mispredict storm.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        policy: Optional[FaultPolicy] = None,
-        faults=None,
-        warmup: int = 8,
-    ) -> None:
-        self.clock = clock
-        #: Per-source lookups excluded from the degradation EMA — a
-        #: cold detector's first misses say nothing about the fabric.
-        self.warmup = warmup
-        self.faults = faults
-        self.controller = DegradationController(policy or FaultPolicy(), clock)
-        self._classifiers: Dict[str, TransferClassifier] = {}
-        self._predictors: Dict[str, SwapPredictor] = {}
-        self._seen: Dict[str, int] = {}
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.parked = 0
-
-    def _predictor(self, src: str) -> SwapPredictor:
-        if src not in self._predictors:
-            # Every chunk is a "swap": threshold 1 keeps the weights
-            # detectors (repetitive/Markov) fed for all of them.
-            classifier = TransferClassifier(swap_threshold=1)
-            self._classifiers[src] = classifier
-            self._predictors[src] = SwapPredictor(classifier)
-        return self._predictors[src]
-
     def lookup(self, src: str, dst: int, nbytes: int) -> bool:
-        """One chunk is about to migrate: was its crypto pre-arranged?
-
-        Always feeds the observation (the predictor keeps learning
-        while parked); returns True only when the prediction matched
-        *and* the degradation controller currently allows speculation.
-        """
-        self.controller.poll()
-        predictor = self._predictor(src)
-        # Migration streams are strictly ordered, same-sized chunk
-        # trains — the weights-class hypotheses fit exactly.
-        self._classifiers[src].register_weight_size(nbytes)
-        predicted = predictor.predict(1, SwapClass.WEIGHTS)
-        hit = bool(predicted) and predicted[0].key == (dst, nbytes)
-        predictor.observe_swap_in(dst, nbytes)
+        """One chunk is about to migrate: was its crypto pre-arranged?"""
+        hit = self._predict(src, dst, nbytes)
         if hit and self.faults is not None and self.faults.migration_mispredict(
             f"{src}->d{dst}"
         ):
             hit = False
-        self.lookups += 1
-        self._seen[src] = self._seen.get(src, 0) + 1
-        if not self.controller.speculation_enabled:
-            self.parked += 1
-            self.misses += 1
-            return False
-        if self._seen[src] > self.warmup:
-            self.controller.observe(hit)
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
+        return self._settle(src, hit)
 
 
 @dataclass
@@ -289,11 +226,12 @@ class MigrationFabric:
         """
         chunks = max(1, -(-creq.kv_bytes // self.chunk_bytes))
         src_epoch, dst_epoch = src.epoch, dst.epoch
+        src_label = f"{src.label}.e{src_epoch}"
         link = self.link(src, dst)
         record = MigrationRecord(
-            rid=creq.rid, src=link.label.split("->")[0][len("migrate:"):],
-            dst=f"{dst.label}.e{dst.epoch}", kv_bytes=creq.kv_bytes,
-            chunks=chunks, start=self.sim.now, resumed=resumed,
+            rid=creq.rid, src=src_label, dst=f"{dst.label}.e{dst_epoch}",
+            kv_bytes=creq.kv_bytes, chunks=chunks, start=self.sim.now,
+            resumed=resumed,
         )
         self.records.append(record)
         collector = active_collector()
@@ -313,30 +251,15 @@ class MigrationFabric:
             staged = False
             if self.speculator is not None:
                 staged = self.speculator.lookup(
-                    f"{src.label}.e{src_epoch}", dst.replica_id, self.chunk_bytes
+                    src_label, dst.replica_id, self.chunk_bytes
                 )
             payload = chunk_payload(creq.rid, index)
-            if self.system == "native":
-                message = None
-            elif staged:
-                # The §5.1 staged fast path, verbatim from the
-                # interconnect: encrypt under the guessed counter,
-                # commit when the ciphertext actually ships, and the
-                # committed counter MUST equal the guess (a mismatch
-                # here would silently desync the streams).
-                predicted = link.tx.tx_iv.current
-                message = link.tx.encrypt_with_iv(
-                    payload, predicted, nbytes_logical=self.chunk_bytes
-                )
-                committed = link.tx.commit_tx_iv()
-                assert committed == predicted, "staged migration IV desynced"
-            else:
-                # Serialized: inline encryption consumes the next IV
-                # on the spot; any discarded staged ciphertext never
-                # touched the wire, so nothing desyncs.
-                message = link.tx.encrypt_next(
-                    payload, nbytes_logical=self.chunk_bytes
-                )
+            message = None
+            if self.system != "native":
+                # A hit ships pre-encrypted under the predicted IV; a
+                # miss encrypts inline under the true next IV, and any
+                # discarded staged ciphertext never touched the wire.
+                message = link.tx.seal(payload, staged, self.chunk_bytes)
             seconds = self.chunk_seconds(staged)
             if self.faults is not None and self.faults.migration_drop(link.label):
                 # Wire loss: retransmit the SAME ciphertext — the IV

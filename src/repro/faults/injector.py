@@ -46,7 +46,7 @@ class FaultInjector:
     ) -> None:
         self.plan = plan
         self.seed = default_seed(7) if seed is None else seed
-        #: Link-level replay policy (used by :class:`repro.hw.pcie.PcieLink`).
+        #: Link-level replay policy (:func:`repro.hw.pcie.replayed`).
         self.retry = retry or RetryPolicy()
         root = SeededRng(self.seed).fork(f"faults:{plan.name}")
         self._rng: Dict[str, SeededRng] = {
@@ -121,27 +121,37 @@ class FaultInjector:
             if hub.enabled:
                 hub.emit(RecoveryEvent(self._now, action, attempts, detail, request_id))
 
+    def _chance(self, domain: str, rate: float, action: str, detail: str = "") -> bool:
+        """One Bernoulli fault draw on ``domain``'s stream (live plan only)."""
+        if not self._live() or rate <= 0.0:
+            return False
+        if self._rng[domain].random() < rate:
+            self._fire(domain, action, detail)
+            return True
+        return False
+
+    def _jitter(self, domain: str, rate: float, max_s: float, action: str,
+                detail: str) -> float:
+        """Extra latency in (0, ``max_s``] with probability ``rate``; else 0."""
+        if not self._live() or rate <= 0.0:
+            return 0.0
+        rng = self._rng[domain]
+        if rng.random() < rate:
+            jitter = rng.uniform(0.0, max_s)
+            self._fire(domain, action, detail)
+            return jitter
+        return 0.0
+
     # -- PCIe link -------------------------------------------------------
 
     def pcie_drop(self, direction: str) -> bool:
         """Should this DMA transiently fail (link-level replay)?"""
-        if not self._live() or self.plan.pcie_drop_rate <= 0.0:
-            return False
-        if self._rng["pcie"].random() < self.plan.pcie_drop_rate:
-            self._fire("pcie", "pcie-drop", direction)
-            return True
-        return False
+        return self._chance("pcie", self.plan.pcie_drop_rate, "pcie-drop", direction)
 
     def pcie_jitter(self, direction: str) -> float:
         """Extra latency (seconds) to tack onto this DMA; 0 = clean."""
-        if not self._live() or self.plan.pcie_jitter_rate <= 0.0:
-            return 0.0
-        rng = self._rng["pcie"]
-        if rng.random() < self.plan.pcie_jitter_rate:
-            jitter = rng.uniform(0.0, self.plan.pcie_jitter_s)
-            self._fire("pcie", "pcie-jitter", direction)
-            return jitter
-        return 0.0
+        return self._jitter("pcie", self.plan.pcie_jitter_rate, self.plan.pcie_jitter_s,
+                            "pcie-jitter", direction)
 
     # -- crypto engine ---------------------------------------------------
 
@@ -160,83 +170,45 @@ class FaultInjector:
 
     def corrupt_tag(self) -> bool:
         """Should this CPU→GPU delivery be tampered in shared memory?"""
-        if not self._live() or self.plan.tag_corrupt_rate <= 0.0:
-            return False
-        if self._rng["crypto"].random() < self.plan.tag_corrupt_rate:
-            self._fire("crypto", "tag-corrupt")
-            return True
-        return False
+        return self._chance("crypto", self.plan.tag_corrupt_rate, "tag-corrupt")
 
     def desync_iv(self) -> bool:
         """Should a phantom TX-IV consumption desync the counters?"""
-        if not self._live() or self.plan.iv_desync_rate <= 0.0:
-            return False
-        if self._rng["crypto"].random() < self.plan.iv_desync_rate:
-            self._fire("crypto", "iv-desync")
-            return True
-        return False
+        return self._chance("crypto", self.plan.iv_desync_rate, "iv-desync")
 
     # -- validator -------------------------------------------------------
 
     def mispredict(self) -> bool:
         """Should this staged hit be forced into a miss?"""
-        if not self._live() or self.plan.mispredict_rate <= 0.0:
-            return False
-        if self._rng["validator"].random() < self.plan.mispredict_rate:
-            self._fire("validator", "mispredict")
-            return True
-        return False
+        return self._chance("validator", self.plan.mispredict_rate, "mispredict")
 
     # -- interconnect ----------------------------------------------------
 
     def link_drop(self, link: str) -> bool:
         """Should this inter-GPU hop leg transiently fail (replay)?"""
-        if not self._live() or self.plan.link_drop_rate <= 0.0:
-            return False
-        if self._rng["interconnect"].random() < self.plan.link_drop_rate:
-            self._fire("interconnect", "link-drop", link)
-            return True
-        return False
+        return self._chance("interconnect", self.plan.link_drop_rate, "link-drop", link)
 
     def link_jitter(self, link: str) -> float:
         """Extra latency (seconds) for this hop leg; 0 = clean."""
-        if not self._live() or self.plan.link_jitter_rate <= 0.0:
-            return 0.0
-        rng = self._rng["interconnect"]
-        if rng.random() < self.plan.link_jitter_rate:
-            jitter = rng.uniform(0.0, self.plan.link_jitter_s)
-            self._fire("interconnect", "link-jitter", link)
-            return jitter
-        return 0.0
+        return self._jitter("interconnect", self.plan.link_jitter_rate,
+                            self.plan.link_jitter_s, "link-jitter", link)
 
     def link_mispredict(self, link: str) -> bool:
         """Should this speculated link hop be forced into a miss?"""
-        if not self._live() or self.plan.link_mispredict_rate <= 0.0:
-            return False
-        if self._rng["interconnect"].random() < self.plan.link_mispredict_rate:
-            self._fire("interconnect", "link-mispredict", link)
-            return True
-        return False
+        return self._chance("interconnect", self.plan.link_mispredict_rate,
+                            "link-mispredict", link)
 
     # -- KV migration ----------------------------------------------------
 
     def migration_mispredict(self, link: str) -> bool:
         """Should this speculated migration chunk be forced into a miss?"""
-        if not self._live() or self.plan.migration_mispredict_rate <= 0.0:
-            return False
-        if self._rng["migration"].random() < self.plan.migration_mispredict_rate:
-            self._fire("migration", "migration-mispredict", link)
-            return True
-        return False
+        return self._chance("migration", self.plan.migration_mispredict_rate,
+                            "migration-mispredict", link)
 
     def migration_drop(self, link: str) -> bool:
         """Should this migration chunk be lost on the wire (resend)?"""
-        if not self._live() or self.plan.migration_drop_rate <= 0.0:
-            return False
-        if self._rng["migration"].random() < self.plan.migration_drop_rate:
-            self._fire("migration", "migration-drop", link)
-            return True
-        return False
+        return self._chance("migration", self.plan.migration_drop_rate,
+                            "migration-drop", link)
 
     # -- cluster ---------------------------------------------------------
 

@@ -51,6 +51,7 @@ from ..tracing import active_collector
 from .engine import CryptoEngine
 from .gpu import GpuEnclave
 from .params import HardwareParams
+from .pcie import replayed
 
 __all__ = ["Interconnect", "LinkRecord"]
 
@@ -123,8 +124,8 @@ class Interconnect:
         self.faults = faults
         #: Optional :class:`repro.telemetry.TelemetryHub` (the machine's).
         self.telemetry = telemetry
-        #: Optional link speculator (see ``repro.parallel.speculate``);
-        #: duck-typed: ``lookup(src, dst, nbytes) -> bool`` (staged hit).
+        #: Optional link speculator (``repro.parallel.speculate``), duck-typed:
+        #: ``lookup(src, dst, nbytes) -> bool`` (staged hit) and ``hit_rate``.
         self.speculator = None
         self._audit = None
         # Every GPU owns its own CPU<->GPU bounce path (each device has
@@ -147,12 +148,6 @@ class Interconnect:
         self.hops = 0
         self.p2p_bytes = 0
         self.bounce_bytes = 0
-        self.spec_hits = 0
-        self.spec_misses = 0
-        #: Link-level replays (transient-failure retries) and retries
-        #: whose budget ran out, mirroring :class:`repro.hw.pcie.PcieLink`.
-        self.replays = 0
-        self.retry_exhausted = 0
         #: Monotone hop counter for deterministic per-hop trace ids.
         self._trace_seq = 0
 
@@ -300,35 +295,20 @@ class Interconnect:
         staged = False
         if self.speculator is not None:
             staged = bool(self.speculator.lookup(src, dst, nbytes))
-            if staged:
-                self.spec_hits += 1
-            else:
-                self.spec_misses += 1
         strategy = ("staged" if staged else "miss") if self.speculator is not None \
             else "serialized"
 
         # Functional crypto runs up front, in hop-submission order, so
         # concurrent hops on one link keep their encrypt/decrypt pairs
         # matched and every IV lane monotone. (The *time* those
-        # operations take is charged below.)
+        # operations take is charged below.) A hit commits the
+        # speculator's predicted IV as the re-encrypted hop ships; a
+        # miss discards whatever was pre-arranged *before* the wire and
+        # re-encrypts under the true next IV, so streams never
+        # desynchronize (the §4.1 invariant, applied per link).
         message_up = link.gpu_up.encrypt_next(payload, nbytes_logical=nbytes)
         plain = link.host_up.decrypt_next(message_up)
-        if staged:
-            # The speculator's predicted IV: stage the ciphertext
-            # without consuming the stream, then commit when it is put
-            # on the wire — a hit means the guess equals the counter.
-            predicted = link.host_down.tx_iv.current
-            message_down = link.host_down.encrypt_with_iv(
-                plain, predicted, nbytes_logical=nbytes
-            )
-            committed = link.host_down.commit_tx_iv()
-            assert committed == predicted
-        else:
-            # Misses never ship a stale staged ciphertext: whatever was
-            # pre-arranged is discarded *before* the wire and the hop
-            # re-encrypts under the true next IV, so streams never
-            # desynchronize (the §4.1 invariant, applied per link).
-            message_down = link.host_down.encrypt_next(plain, nbytes_logical=nbytes)
+        message_down = link.host_down.seal(plain, staged, nbytes)
         delivered = link.gpu_down.decrypt_next(message_down)
 
         if record is not None:
@@ -396,35 +376,10 @@ class Interconnect:
         inj = self.faults
         if inj is None or not (inj.plan.link_drop_rate or inj.plan.link_jitter_rate):
             return pipe.transfer(nbytes)
-        done = self.sim.event()
-        self.sim.process(self._faulty_leg(pipe, nbytes, label, done))
-        return done
-
-    def _faulty_leg(self, pipe: BandwidthPipe, nbytes: int, label: str, done: Event):
-        """One hop leg under the fault plane: jitter, drops, bounded replay."""
-        inj = self.faults
-        policy = inj.retry
-        attempt = 0
-        while True:
-            attempt += 1
-            yield pipe.transfer(nbytes)
-            jitter = inj.link_jitter(label)
-            if jitter > 0.0:
-                yield self.sim.timeout(jitter)
-            if not inj.link_drop(label):
-                break
-            if attempt >= policy.max_attempts:
-                self.retry_exhausted += 1
-                inj.note_recovery("retry-exhausted", attempt, label)
-                break
-            self.replays += 1
-            inj.note_recovery("retry", attempt, label)
-            yield self.sim.timeout(policy.delay(attempt))
-        done.succeed()
+        return replayed(self.sim, pipe, nbytes, inj, inj.link_drop, inj.link_jitter, label)
 
     # -- introspection ---------------------------------------------------
 
     def hit_rate(self) -> float:
         """Staged fraction of speculated hops (0.0 with no speculator)."""
-        total = self.spec_hits + self.spec_misses
-        return self.spec_hits / total if total else 0.0
+        return self.speculator.hit_rate if self.speculator is not None else 0.0

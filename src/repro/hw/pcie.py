@@ -13,18 +13,20 @@ injector's bounded exponential-backoff :class:`RetryPolicy`, modeling
 PCIe's link-level replay — the transaction ultimately completes (the
 link guarantees delivery), but replays consume real bandwidth and
 time, and an exhausted retry budget is surfaced as its own recovery
-event.
+event. That loop, :func:`replayed`, is shared with the inter-GPU
+fabric's hop legs (:mod:`repro.hw.interconnect`); the injector's
+``recoveries`` count every replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
 from ..sim import BandwidthPipe, Event, Simulator
 from .params import HardwareParams
 
-__all__ = ["BusRecord", "PcieLink"]
+__all__ = ["BusRecord", "PcieLink", "replayed"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,6 @@ class PcieLink:
         self.params = params
         #: Optional :class:`repro.faults.FaultInjector` for this link.
         self.faults = faults
-        #: Link-level replays carried out (transient-failure retries).
-        self.replays = 0
-        #: DMAs whose retry budget ran out (still delivered, but slow).
-        self.retry_exhausted = 0
         self.h2d = BandwidthPipe(
             sim, params.pcie_bandwidth, latency=params.dma_overhead, name="pcie.h2d"
         )
@@ -88,35 +86,43 @@ class PcieLink:
         inj = self.faults
         if inj is None or not (inj.plan.pcie_drop_rate or inj.plan.pcie_jitter_rate):
             return pipe.transfer(nbytes)
-        done = self.sim.event()
-        self.sim.process(self._faulty_transfer(pipe, nbytes, direction, done))
-        return done
-
-    def _faulty_transfer(self, pipe: BandwidthPipe, nbytes: int, direction: str, done: Event):
-        """One DMA under the fault plane: jitter, drops, bounded replay."""
-        inj = self.faults
-        policy = inj.retry
-        attempt = 0
-        while True:
-            attempt += 1
-            yield pipe.transfer(nbytes)
-            jitter = inj.pcie_jitter(direction)
-            if jitter > 0.0:
-                yield self.sim.timeout(jitter)
-            if not inj.pcie_drop(direction):
-                break
-            if attempt >= policy.max_attempts:
-                # Retry budget exhausted: fall back to the link's own
-                # replay machinery, which delivers without backoff.
-                self.retry_exhausted += 1
-                inj.note_recovery("retry-exhausted", attempt, direction)
-                break
-            self.replays += 1
-            inj.note_recovery("retry", attempt, direction)
-            yield self.sim.timeout(policy.delay(attempt))
-        done.succeed()
+        return replayed(self.sim, pipe, nbytes, inj, inj.pcie_drop, inj.pcie_jitter,
+                        direction)
 
     def observed_nops(self, nop_bytes: int = 1) -> int:
         """How many NOP-sized transfers a snooper counted (§8.1)."""
         return sum(1 for record in self.bus_log if record.nbytes == nop_bytes)
 
+
+def replayed(sim: Simulator, pipe: BandwidthPipe, nbytes: int, faults,
+             drop: Callable[[str], bool], jitter: Callable[[str], float],
+             label: str) -> Event:
+    """One transfer on ``pipe`` under the fault plane; returns its completion.
+
+    Each attempt occupies the pipe plus ``jitter(label)`` seconds; a
+    ``drop(label)`` is replayed after ``faults.retry`` backoff (a
+    ``"retry"`` recovery) until the budget runs out, when the link's own
+    replay delivers without backoff (``"retry-exhausted"``).
+    """
+    policy = faults.retry
+    done = sim.event()
+
+    def attempts():
+        attempt = 0
+        while True:
+            attempt += 1
+            yield pipe.transfer(nbytes)
+            delay = jitter(label)
+            if delay > 0.0:
+                yield sim.timeout(delay)
+            if not drop(label):
+                break
+            if attempt >= policy.max_attempts:
+                faults.note_recovery("retry-exhausted", attempt, label)
+                break
+            faults.note_recovery("retry", attempt, label)
+            yield sim.timeout(policy.delay(attempt))
+        done.succeed()
+
+    sim.process(attempts())
+    return done

@@ -7,8 +7,9 @@ forbidden and every inter-GPU hop bounces through CPU AES-GCM
 
 * :class:`Communicator` — send / ring all-reduce / ring all-gather
   with deterministic schedules;
-* :class:`LinkSpeculator` — the §5 predictor applied to link traffic,
-  with a degradation controller that parks speculation under storms;
+* :class:`LinkSpeculator` — the speculative-link loop shared with KV
+  migration (:class:`repro.core.speculate.StreamSpeculator`), per
+  source GPU, parking speculation under storms;
 * :class:`TensorParallelEngine` — Megatron-style sharded decode, two
   all-reduces per layer (the link-bound regime);
 * :class:`PipelineParallelEngine` — GPipe/1F1B microbatching (the

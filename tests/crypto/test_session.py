@@ -106,6 +106,30 @@ class TestSpeculativeEncryption:
         cpu.commit_tx_iv()
         assert gpu.decrypt_next(staged) == b"staged"
 
+    def test_staged_and_unstaged_seal_agree(self):
+        """A staged seal is the unstaged one, committed as it ships."""
+
+        class Audit:
+            def __init__(self):
+                self.seen = []
+
+            def observe(self, key, stream, iv):
+                self.seen.append((stream, iv))
+
+        sealed = {}
+        for staged in (False, True):
+            cpu, gpu = SecureSession(key=bytes(range(16))).endpoints()
+            audit = Audit()
+            cpu.attach_audit(audit)
+            first = cpu.tx_iv.current
+            message = cpu.seal(b"kv-chunk", staged, nbytes_logical=1 << 20)
+            assert cpu.tx_iv.current == first + 1
+            assert audit.seen == [("cpu.tx", first)]
+            assert gpu.decrypt_next(message) == b"kv-chunk"
+            assert message.nbytes_logical == 1 << 20
+            sealed[staged] = (message.ciphertext, message.tag, message.sender_iv)
+        assert sealed[True] == sealed[False]
+
 
 class TestSessionFactory:
     def test_custom_start_ivs(self):

@@ -1,14 +1,29 @@
 """FaultInjector: determinism, domain stream isolation, window gating."""
 
+import hashlib
 from dataclasses import replace
 
 from repro.faults import FaultInjector, FaultPlan
 
 STORM = FaultPlan.storm(0.5)
 
+#: Every per-event rate > 0, so each query draws from its domain.
+EVERY_RATE = FaultPlan(
+    name="every-rate",
+    pcie_jitter_rate=0.3, pcie_drop_rate=0.2, tag_corrupt_rate=0.15,
+    iv_desync_rate=0.1, mispredict_rate=0.4, link_jitter_rate=0.35,
+    link_drop_rate=0.25, link_mispredict_rate=0.45,
+    migration_mispredict_rate=0.3, migration_drop_rate=0.2,
+)
+
+#: sha256 of 500 rounds of :func:`decisions` at seed 123 plus the fired
+#: counts. Any change to which stream a query draws from, or in what
+#: order, changes it.
+GOLDEN_DECISIONS = "23eedfeefd2ec84dd477098ded4d7952fdc4664b0a9b76cb256bc43b4129d3d8"
+
 
 def decisions(injector, n=200):
-    """A fixed probe sequence over every per-transfer decision kind."""
+    """A fixed probe sequence over every per-event decision kind."""
     out = []
     for _ in range(n):
         out.append((
@@ -17,6 +32,11 @@ def decisions(injector, n=200):
             injector.desync_iv(),
             injector.pcie_drop("h2d"),
             round(injector.pcie_jitter("h2d"), 12),
+            injector.link_drop("0->1"),
+            round(injector.link_jitter("0->1"), 12),
+            injector.link_mispredict("0->1"),
+            injector.migration_mispredict("p0.e1->d0"),
+            injector.migration_drop("migrate:p0.e1->d0.e1"),
         ))
     return out
 
@@ -51,6 +71,16 @@ class TestDeterminism:
         root2 = FaultInjector(STORM, seed=7)
         assert decisions(root1.child("r0")) == decisions(root2.child("r0"))
         assert decisions(root1.child("r0")) != decisions(root2.child("r1"))
+
+
+class TestGolden:
+    def test_decisions_are_pinned(self):
+        # The draw order of every query is part of the replay contract:
+        # any reordering of RNG draws changes this digest.
+        injector = FaultInjector(EVERY_RATE, seed=123)
+        probe = decisions(injector, 500)
+        blob = repr((probe, sorted(injector.counts.items()))).encode()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_DECISIONS
 
 
 class TestWindowGating:

@@ -65,8 +65,7 @@ class TestLinkStorm:
 
     def test_drops_exercise_the_replay_path(self):
         machine, speculator, audit, injector, result = storm_run(0.8)
-        fabric = machine.interconnect
-        assert fabric.replays > 0
+        assert injector.recoveries.get("retry", 0) > 0
         assert result.tokens == 16 * 3
 
     def test_storm_slower_than_clean_but_correct(self):
