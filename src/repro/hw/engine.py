@@ -18,8 +18,6 @@ happen in the channel layer. Both layers share the same notion of
 
 from __future__ import annotations
 
-from typing import List
-
 from ..sim import Event, Simulator, WorkerPool
 from .params import HardwareParams
 
@@ -93,18 +91,8 @@ class CryptoEngine:
         queue aggregate throughput is the same, exactly as with real
         threads.
         """
-        ways = ways or self.enc_threads
-        ways = max(1, min(ways, self.enc_threads))
         self.bytes_encrypted += nbytes
-        slice_bytes = nbytes / ways
-        slices: List[Event] = [
-            self._enc_pool.submit(
-                self._service(self.params.enc_time(int(slice_bytes), threads=1), "enc"),
-                urgent=urgent, front=front,
-            )
-            for _ in range(ways)
-        ]
-        return self.sim.all_of(slices)
+        return self._parallel(self._enc_pool, self.params.enc_time, nbytes, ways, urgent, front)
 
     # -- decryption ---------------------------------------------------------
 
@@ -118,18 +106,18 @@ class CryptoEngine:
     def submit_decrypt_parallel(
         self, nbytes: int, ways: int = 0, urgent: bool = False, front: bool = False
     ) -> Event:
-        ways = ways or self.dec_threads
-        ways = max(1, min(ways, self.dec_threads))
         self.bytes_decrypted += nbytes
-        slice_bytes = nbytes / ways
-        slices: List[Event] = [
-            self._dec_pool.submit(
-                self._service(self.params.dec_time(int(slice_bytes), threads=1), "dec"),
-                urgent=urgent, front=front,
-            )
-            for _ in range(ways)
-        ]
-        return self.sim.all_of(slices)
+        return self._parallel(self._dec_pool, self.params.dec_time, nbytes, ways, urgent, front)
+
+    def _parallel(
+        self, pool: WorkerPool, cost, nbytes: int, ways: int, urgent: bool, front: bool
+    ) -> Event:
+        """Hand ``ways`` equal slices of one chunk to ``pool`` at once."""
+        ways = max(1, min(ways or pool.workers, pool.workers))
+        service = cost(int(nbytes / ways), threads=1)
+        return pool.submit_all(
+            [self._service(service, pool.name) for _ in range(ways)], urgent=urgent, front=front
+        )
 
     # -- introspection ----------------------------------------------------------
 

@@ -107,7 +107,7 @@ class Event:
         """
         if self.callbacks is None:
             # Already dispatched: schedule a zero-delay firing.
-            self.sim._schedule_callback(lambda: callback(self))
+            self.sim._schedule_callback(callback, self)
         else:
             self.callbacks.append(callback)
 
@@ -120,7 +120,11 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        # Event.__init__ inlined: this is the kernel's hottest constructor.
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = None
         self.delay = delay
         sim._schedule(sim.now + delay, self._fire, value)
 
@@ -144,7 +148,7 @@ class Process(Event):
             raise TypeError("process() requires a generator")
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        sim._schedule_callback(lambda: self._resume(None, None))
+        sim._schedule_callback(self._resume, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -163,13 +167,13 @@ class Process(Event):
         if self._waiting_on is not event:
             return  # Stale wake-up (e.g. interrupted while waiting).
         self._waiting_on = None
-        if event.ok:
-            self._resume(event.value, None)
+        if event._ok:
+            self._resume(event._value, None)
         else:
-            self._resume(None, event.value)
+            self._resume(None, event._value)
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
+        if self._ok is not None:
             return
         self._waiting_on = None
         try:
@@ -203,37 +207,41 @@ class Interrupt(Exception):
 class Condition(Event):
     """Base for :func:`Simulator.all_of` / :func:`Simulator.any_of`."""
 
-    __slots__ = ("_events", "_need_all", "_pending")
+    __slots__ = ("_events", "_need_all", "_scan")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event], need_all: bool) -> None:
         super().__init__(sim)
         self._events = list(events)
         self._need_all = need_all
-        self._pending = 0
+        #: Index of the first child not known to have triggered; a
+        #: child never un-triggers, so ``all_of`` only scans forward.
+        self._scan = 0
         for event in self._events:
-            if event.triggered:
-                continue
-            self._pending += 1
-            event.add_callback(self._on_child)
+            if event._ok is None:
+                event.add_callback(self._on_child)
         if self._satisfied():
             # Trigger through the queue so waiters always see a
             # consistent "register first, fire later" order.
             sim._schedule_callback(self._maybe_fire)
 
     def _satisfied(self) -> bool:
-        done = sum(1 for e in self._events if e.triggered)
+        events = self._events
         if self._need_all:
-            return done == len(self._events)
-        return done >= 1 or not self._events
+            scan, count = self._scan, len(events)
+            while scan < count and events[scan]._ok is not None:
+                scan += 1
+            self._scan = scan
+            return scan == count
+        return not events or any(e._ok is not None for e in events)
 
     def _maybe_fire(self) -> None:
-        if self.triggered or not self._satisfied():
+        if self._ok is not None or not self._satisfied():
             return
-        failures = [e.value for e in self._events if e.triggered and not e.ok]
-        if failures:
-            self.fail(failures[0])
-        else:
-            self.succeed([e.value for e in self._events if e.triggered])
+        for e in self._events:
+            if e._ok is False:
+                self.fail(e._value)
+                return
+        self.succeed([e._value for e in self._events if e._ok is not None])
 
     def _on_child(self, _event: Event) -> None:
         self._maybe_fire()
@@ -276,8 +284,8 @@ class Simulator:
             self._seq += 1
             heapq.heappush(self._queue, (when, self._seq, func, args))
 
-    def _schedule_callback(self, func: Callable) -> None:
-        self._fifo.append((func, ()))
+    def _schedule_callback(self, func: Callable, *args: Any) -> None:
+        self._fifo.append((func, args))
 
     def _dispatch(self, event: Event) -> None:
         callbacks, event.callbacks = event.callbacks, None
@@ -323,26 +331,29 @@ class Simulator:
         queue = self._queue
         fifo = self._fifo
         pop = heapq.heappop
-        while True:
-            if until is not None and self.now > until:
-                break
+        popleft = fifo.popleft
+        if until is None:
+            while True:
+                if queue and queue[0][0] <= self.now:
+                    _when, _tie, func, args = pop(queue)
+                elif fifo:
+                    func, args = popleft()
+                elif queue:
+                    self.now, _tie, func, args = pop(queue)
+                else:
+                    return
+                func(*args)
+        while self.now <= until:
             if queue and queue[0][0] <= self.now:
                 _when, _tie, func, args = pop(queue)
-                func(*args)
-                continue
-            if fifo:
-                func, args = fifo.popleft()
-                func(*args)
-                continue
-            if not queue:
+            elif fifo:
+                func, args = popleft()
+            elif queue and queue[0][0] <= until:
+                self.now, _tie, func, args = pop(queue)
+            else:
                 break
-            when = queue[0][0]
-            if until is not None and when > until:
-                break
-            _when, _tie, func, args = pop(queue)
-            self.now = when
             func(*args)
-        if until is not None and self.now < until:
+        if self.now < until:
             self.now = until
 
     def peek(self) -> Optional[float]:

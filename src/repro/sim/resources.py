@@ -14,7 +14,7 @@ Three primitives cover everything the hardware and serving models need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Tuple
+from typing import Any, Deque, List, Tuple
 
 from .core import Event, Simulator
 
@@ -117,12 +117,18 @@ class BandwidthPipe:
         self.latency = float(latency)
         self.name = name
         self._busy_until = 0.0
+        self._busy = 0.0
         self.bytes_moved = 0
         self.jobs_done = 0
 
     def busy_time(self) -> float:
-        """Seconds of occupancy accumulated so far (including future)."""
-        return self._busy_until
+        """Seconds the pipe was busy in ``[0, now]``.
+
+        Jobs queued past ``now`` form one contiguous backlog ending at
+        the ``busy_until`` horizon, so removing it from the total
+        service time leaves exactly the occupancy so far.
+        """
+        return self._busy - max(0.0, self._busy_until - self.sim.now)
 
     def duration_of(self, nbytes: int) -> float:
         """Service time for a job of ``nbytes`` (excluding queueing)."""
@@ -137,8 +143,10 @@ class BandwidthPipe:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         start = max(self.sim.now, self._busy_until)
-        finish = start + self.duration_of(nbytes)
+        duration = self.duration_of(nbytes)
+        finish = start + duration
         self._busy_until = finish
+        self._busy += duration
         self.bytes_moved += nbytes
         self.jobs_done += 1
         if self.sim.tracer.enabled:
@@ -154,6 +162,10 @@ class WorkerPool:
     sweeps thread counts (Fig. 9). Urgent jobs (critical-path
     on-demand crypto) overtake queued speculative work, but never
     preempt a job already in service — matching real threads.
+
+    Workers are callbacks, not processes: each wake-up, timer and
+    finish runs at the queue position where a generator worker would
+    resume (``tests/sim/`` holds it to one). Idle workers are indices.
     """
 
     def __init__(self, sim: Simulator, workers: int, name: str = "pool") -> None:
@@ -164,11 +176,11 @@ class WorkerPool:
         self.workers = workers
         self._high: Deque[Tuple[float, Event, Any]] = deque()
         self._low: Deque[Tuple[float, Event, Any]] = deque()
-        self._idle: Deque[Event] = deque()
+        self._idle: Deque[int] = deque()
         self.jobs_done = 0
         self.busy_seconds = 0.0
         for index in range(workers):
-            sim.process(self._worker_loop(index))
+            sim._schedule_callback(self._next, index)
 
     def submit(
         self,
@@ -188,7 +200,7 @@ class WorkerPool:
         done = self.sim.event()
         job = (service_time, done, payload)
         if self._idle:
-            self._idle.popleft().succeed(job)
+            self.sim._schedule_callback(self._start, (self._idle.popleft(),), job)
         else:
             queue = self._high if urgent else self._low
             if front:
@@ -197,25 +209,63 @@ class WorkerPool:
                 queue.append(job)
         return done
 
-    def _next_job(self):
-        if self._high:
-            return self._high.popleft()
-        if self._low:
-            return self._low.popleft()
-        return None
+    def submit_all(
+        self, service_times: List[float], urgent: bool = False, front: bool = False
+    ) -> Event:
+        """One :meth:`submit` per service time, joined by ``all_of``.
 
-    def _worker_loop(self, _index: int) -> Generator[Event, None, None]:
-        while True:
-            job = self._next_job()
-            if job is None:
-                gate = self.sim.event()
-                self._idle.append(gate)
-                job = yield gate
-            service_time, done, payload = job
-            started = self.sim.now
-            yield self.sim.timeout(service_time)
+        Equal slices that all land on idle workers run as one *gang*:
+        one wake-up, timer and finish, then one completion hop. This is
+        exact (DESIGN §4h): the per-slice wake-ups, timers and finishes
+        would each be k consecutive queue entries, and the ``all_of``
+        would fire at the first finish's ``_on_child``, queued before
+        that worker takes new work. Each dropped callback is one of k
+        identical back-to-back hops or a no-op ``_on_child``.
+        """
+        ways = len(service_times)
+        service_time = service_times[0]
+        if ways > 1 and len(self._idle) >= ways and service_times.count(service_time) == ways:
+            if service_time < 0:
+                raise ValueError("service_time must be non-negative")
+            done = self.sim.event()
+            workers = tuple(self._idle.popleft() for _ in range(ways))
+            self.sim._schedule_callback(self._start, workers, (service_time, done, None))
+            return done
+        return self.sim.all_of(
+            [self.submit(s, urgent=urgent, front=front) for s in service_times]
+        )
+
+    def _next(self, index: int) -> None:
+        """Worker ``index`` is free: take the next queued job or park."""
+        queue = self._high or self._low
+        if queue:
+            self._start((index,), queue.popleft())
+        else:
+            self._idle.append(index)
+
+    def _start(self, workers: Tuple[int, ...], job: Tuple[float, Event, Any]) -> None:
+        sim = self.sim
+        sim._schedule(sim.now + job[0], self._timer, workers, job, sim.now)
+
+    def _timer(self, *args: Any) -> None:
+        # Where a worker's timeout fired and queued its resumption.
+        self.sim._schedule_callback(self._finish, *args)
+
+    def _finish(
+        self, workers: Tuple[int, ...], job: Tuple[float, Event, Any], started: float
+    ) -> None:
+        service_time, done, payload = job
+        sim = self.sim
+        # Completion precedes any next job's zero-delay timer; a gang's
+        # takes one hop more, to where the all_of's first _on_child ran.
+        if len(workers) == 1:
+            done.succeed(payload)
+        else:
+            sim._schedule_callback(done.succeed, [payload] * len(workers))
+        tracer = sim.tracer
+        for index in workers:
             self.busy_seconds += service_time
             self.jobs_done += 1
-            if self.sim.tracer.enabled:
-                self.sim.tracer.record(f"{self.name}[{_index}]", "job", started, self.sim.now)
-            done.succeed(payload)
+            if tracer.enabled:
+                tracer.record(f"{self.name}[{index}]", "job", started, sim.now)
+            self._next(index)

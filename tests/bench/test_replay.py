@@ -13,9 +13,10 @@ import pytest
 
 from repro.cli import main
 from repro.crypto import backend
+from repro.hw import engine
 from repro.sim import Simulator, set_default_seed
 
-from ..sim.test_queue_equivalence import HeapSimulator
+from ..sim.test_queue_equivalence import GeneratorWorkerPool, HeapSimulator
 
 
 def run_cli(*argv):
@@ -107,10 +108,13 @@ class TestReplay:
 
 
 class TestOracleReplay:
-    """The kernel and cipher ≡ their oracles, end to end through the CLI.
+    """The kernel, crypto pools and cipher ≡ their oracles, end to end
+    through the CLI.
 
     The oracle run patches the single-heap event loop onto
-    :class:`Simulator` and forces the pure-Python AES-GCM backend; every
+    :class:`Simulator`, builds the crypto engine's pools from the
+    generator worker pool (per-slice jobs joined by ``all_of``, never a
+    gang) and forces the pure-Python AES-GCM backend; every
     simulated quantity any subcommand prints must nevertheless be
     byte-identical to the default run at the same seed.
     """
@@ -122,6 +126,7 @@ class TestOracleReplay:
     def patch_in_oracles(self):
         for name in ("_schedule", "_schedule_callback", "_dispatch", "run"):
             self.monkeypatch.setattr(Simulator, name, getattr(HeapSimulator, name))
+        self.monkeypatch.setattr(engine, "WorkerPool", GeneratorWorkerPool)
         # A fresh GCM cache, so no instance built by the default run
         # (under an accelerated backend) is handed out again.
         self.monkeypatch.setattr(backend, "_gcm_cache", type(backend._gcm_cache)())

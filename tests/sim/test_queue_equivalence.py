@@ -1,21 +1,28 @@
-"""Differential harness: the FIFO+heap event queue ≡ a single heap.
+"""Differential harness: the FIFO+heap event queue ≡ a single heap,
+and the callback worker pool ≡ a generator worker pool.
 
 :class:`repro.sim.core.Simulator` routes current-timestamp callbacks
 through a FIFO lane and keeps a heap only for future ones.
 :class:`HeapSimulator` below is the original single-binary-heap loop,
-kept here as the oracle. These tests execute identical adversarial
-schedules — duplicate timestamps, zero-delay cascades, interrupts,
-event triggering, combinators, staggered ``run(until)`` horizons — on
-both and demand the observed execution order be identical, which pins
-the kernel to the exact ``(when, seq)`` total order of the heap.
+kept here as the oracle. :class:`repro.sim.WorkerPool` runs its
+workers as callbacks and gang-schedules equal slices;
+:class:`GeneratorWorkerPool` below is the original pool of one
+generator process per worker, whose ``submit_all`` is one ``submit``
+per slice joined by ``all_of``. These tests execute identical
+adversarial schedules — duplicate timestamps, zero-delay cascades,
+interrupts, event triggering, combinators, pool submits of every kind,
+staggered ``run(until)`` horizons — on each pairing and demand the
+observed execution order be identical, which pins the kernel to the
+exact ``(when, seq)`` total order of the heap.
 """
 
 import heapq
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt, Simulator, WorkerPool
 from repro.sim.core import Event
 
 
@@ -27,9 +34,9 @@ class HeapSimulator(Simulator):
         self._seq += 1
         heapq.heappush(self._queue, (when, self._seq, func, args))
 
-    def _schedule_callback(self, func: Callable) -> None:
+    def _schedule_callback(self, func: Callable, *args: Any) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (self.now, self._seq, func, ()))
+        heapq.heappush(self._queue, (self.now, self._seq, func, args))
 
     def _dispatch(self, event: Event) -> None:
         callbacks, event.callbacks = event.callbacks, None
@@ -49,7 +56,73 @@ class HeapSimulator(Simulator):
             self.now = until
 
 
+class GeneratorWorkerPool:
+    """The original worker pool: one generator process per worker,
+    parked on a gate event while idle. The oracle
+    :class:`repro.sim.WorkerPool` is held to."""
+
+    def __init__(self, sim: Simulator, workers: int, name: str = "pool") -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.sim = sim
+        self.name = name
+        self.workers = workers
+        self._high: Deque[Tuple[float, Event, Any]] = deque()
+        self._low: Deque[Tuple[float, Event, Any]] = deque()
+        self._idle: Deque[Event] = deque()
+        self.jobs_done = 0
+        self.busy_seconds = 0.0
+        for index in range(workers):
+            sim.process(self._worker_loop(index))
+
+    def submit(self, service_time: float, payload: Any = None,
+               urgent: bool = False, front: bool = False) -> Event:
+        if service_time < 0:
+            raise ValueError("service_time must be non-negative")
+        done = self.sim.event()
+        job = (service_time, done, payload)
+        if self._idle:
+            self._idle.popleft().succeed(job)
+        else:
+            queue = self._high if urgent else self._low
+            if front:
+                queue.appendleft(job)
+            else:
+                queue.append(job)
+        return done
+
+    def submit_all(self, service_times: List[float], urgent: bool = False,
+                   front: bool = False) -> Event:
+        return self.sim.all_of(
+            [self.submit(s, urgent=urgent, front=front) for s in service_times]
+        )
+
+    def _next_job(self):
+        if self._high:
+            return self._high.popleft()
+        if self._low:
+            return self._low.popleft()
+        return None
+
+    def _worker_loop(self, _index: int) -> Generator[Event, None, None]:
+        while True:
+            job = self._next_job()
+            if job is None:
+                gate = self.sim.event()
+                self._idle.append(gate)
+                job = yield gate
+            service_time, done, payload = job
+            started = self.sim.now
+            yield self.sim.timeout(service_time)
+            self.busy_seconds += service_time
+            self.jobs_done += 1
+            if self.sim.tracer.enabled:
+                self.sim.tracer.record(f"{self.name}[{_index}]", "job", started, self.sim.now)
+            done.succeed(payload)
+
+
 N_EVENTS = 4
+POOL_WORKERS = 3
 
 #: Delays with heavy collision mass: zero-delay cascades and repeated
 #: timestamps are the orders a tuned queue is most likely to break.
@@ -58,7 +131,8 @@ delays = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
 steps = st.lists(
     st.tuples(
         st.sampled_from(
-            ["wait", "trigger", "wait_event", "interrupt", "join", "all", "any"]
+            ["wait", "trigger", "wait_event", "interrupt", "join", "all", "any",
+             "submit", "gang", "uneven", "jobs"]
         ),
         delays,
         st.integers(0, 7),
@@ -70,17 +144,52 @@ steps = st.lists(
 plans = st.lists(steps, min_size=1, max_size=5)
 
 
-def execute(simulator_cls, plan, horizons):
-    """Run ``plan`` on one kernel class; return the event log."""
+def execute(simulator_cls, plan, horizons, pool_cls=GeneratorWorkerPool, pool_at=0):
+    """Run ``plan`` on one kernel and pool class; return the event log.
+
+    The pool is built after the first ``pool_at`` workers start, so
+    some submits may reach it before its workers do. Every log entry
+    carries the pool's ``jobs_done`` and ``busy_seconds``; the log ends
+    with the tracer's spans.
+    """
     sim = simulator_cls()
+    sim.tracer.enabled = True
     log = []
     events = [sim.event() for _ in range(N_EVENTS)]
     procs = []
+    jobs = []
+    pool = None
+
+    def note(entry):
+        log.append(entry + (pool.jobs_done, pool.busy_seconds) if pool else entry)
+
+    def submitted(wid, index, done):
+        jobs.append(done)
+        done.add_callback(lambda e: note((sim.now, wid, index, "done", e.value)))
+        return done
 
     def worker(wid, worker_steps):
         for index, (op, delay, ref) in enumerate(worker_steps):
-            log.append((sim.now, wid, index, op))
-            if op == "wait":
+            note((sim.now, wid, index, op))
+            if op == "submit":
+                # Single jobs: urgent overtakes, front makes LIFO.
+                submitted(wid, index, pool.submit(
+                    delay, payload=(wid, index), urgent=bool(ref & 1), front=bool(ref & 2)))
+            elif op in ("gang", "uneven"):
+                # Sliced jobs: equal slices may gang, unequal never do.
+                ways = 1 + ref % (POOL_WORKERS + 1)
+                times = [delay + (0.5 * k if op == "uneven" else 0.0) for k in range(ways)]
+                done = submitted(wid, index, pool.submit_all(
+                    times, urgent=bool(ref & 4), front=bool(ref & 1)))
+                if ref & 2:
+                    value = yield done
+                    note((sim.now, wid, index, value))
+            elif op == "jobs":
+                if jobs:
+                    combine = sim.all_of if ref & 1 else sim.any_of
+                    value = yield combine(jobs[-1 - ref % 3:])
+                    note((sim.now, wid, index, value))
+            elif op == "wait":
                 yield sim.timeout(delay)
             elif op == "trigger":
                 event = events[ref % N_EVENTS]
@@ -109,10 +218,14 @@ def execute(simulator_cls, plan, horizons):
                 yield sim.all_of([sim.timeout(delay), sim.timeout(0.0)])
             elif op == "any":
                 yield sim.any_of([sim.timeout(delay), sim.timeout(1.0)])
-        log.append((sim.now, wid, "done"))
+        note((sim.now, wid, "done"))
 
     for wid, worker_steps in enumerate(plan):
+        if wid == pool_at:
+            pool = pool_cls(sim, POOL_WORKERS, name="pool")
         procs.append(sim.process(worker(wid, worker_steps)))
+    if pool is None:
+        pool = pool_cls(sim, POOL_WORKERS, name="pool")
 
     # Interrupt the first worker from outside once the clock starts,
     # through a zero-delay process (exercises stale-wakeup handling).
@@ -128,7 +241,8 @@ def execute(simulator_cls, plan, horizons):
         sim.run(until=horizon)
         log.append(("horizon", horizon, sim.now, sim.peek()))
     sim.run()
-    log.append(("final", sim.now, sim.peek()))
+    log.append(("final", sim.now, sim.peek(), pool.jobs_done, pool.busy_seconds))
+    log.extend(sim.tracer.spans)
     return log
 
 
@@ -146,6 +260,48 @@ class TestScheduleEquivalence:
         # timestamps (the FIFO must be provably drained at each break).
         assert (execute(HeapSimulator, plan, horizons)
                 == execute(Simulator, plan, horizons))
+
+
+class TestPoolEquivalence:
+    """The callback pool ≡ the generator pool under both kernels."""
+
+    @given(plan=plans, horizons=st.lists(delays, max_size=3).map(sorted),
+           pool_at=st.integers(0, 5))
+    # A zero-service gang beside a zero-delay all_of: the smallest
+    # schedule that tells a gang finished inside its timer apart.
+    @example(plan=[[("all", 0.0, 0)], [("gang", 0.0, 1)]], horizons=[], pool_at=0)
+    @settings(max_examples=150, deadline=None)
+    def test_callback_pool_matches_generator_pool(self, plan, horizons, pool_at):
+        for kernel in (Simulator, HeapSimulator):
+            assert (execute(kernel, plan, horizons, WorkerPool, pool_at)
+                    == execute(kernel, plan, horizons, GeneratorWorkerPool, pool_at))
+
+    def test_gang_completion_precedes_zero_delay_successor(self):
+        # A gang finishing while a zero-service job waits in the queue:
+        # the gang's completion must run before that job's timer.
+        # (Worker 0 is the saboteur's target.)
+        plan = [
+            [("wait", 0.0, 0)],
+            [("gang", 1.0, 2), ("wait", 0.0, 0)],
+            [("wait", 0.5, 0), ("submit", 0.0, 0), ("submit", 0.0, 1)],
+            [("wait", 0.5, 0), ("jobs", 0.0, 1)],
+        ]
+        for kernel in (Simulator, HeapSimulator):
+            assert (execute(kernel, plan, [], WorkerPool)
+                    == execute(kernel, plan, [], GeneratorWorkerPool))
+
+    def test_gang_finish_waits_for_its_queue_turn(self):
+        # A process whose timer shares the gang's timestamp but was
+        # scheduled first must see the gang still in service.
+        # (Worker 0 is the saboteur's target.)
+        plan = [
+            [("wait", 0.0, 0)],
+            [("wait", 1.0, 0), ("wait", 0.0, 0)],
+            [("gang", 1.0, 2)],
+        ]
+        for kernel in (Simulator, HeapSimulator):
+            assert (execute(kernel, plan, [0.5, 1.0], WorkerPool, 2)
+                    == execute(kernel, plan, [0.5, 1.0], GeneratorWorkerPool, 2))
 
 
 class TestQueueSelection:

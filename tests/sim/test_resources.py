@@ -138,6 +138,30 @@ class TestBandwidthPipe:
         assert pipe.bytes_moved == 100
         assert pipe.jobs_done == 2
 
+    def test_busy_time_is_occupancy_not_horizon(self, sim):
+        # 0.1 s of data moved at t = 9.9-10 s: the pipe was busy 1 % of
+        # the run, not up to its 10 s horizon.
+        pipe = BandwidthPipe(sim, bandwidth=10.0)
+
+        def late():
+            yield sim.timeout(9.9)
+            yield pipe.transfer(1)
+
+        sim.process(late())
+        sim.run()
+        assert sim.now == pytest.approx(10.0)
+        assert pipe.busy_time() == pytest.approx(0.1)
+
+    def test_busy_time_excludes_queued_backlog(self, sim):
+        pipe = BandwidthPipe(sim, bandwidth=10.0)
+        pipe.transfer(10)
+        pipe.transfer(10)  # queued behind the first: busy until t = 2
+        readings = []
+        for horizon in (0.0, 0.5, 1.5, 3.0):
+            sim.run(until=horizon)
+            readings.append(pipe.busy_time())
+        assert readings == pytest.approx([0.0, 0.5, 1.5, 2.0])
+
     def test_negative_bytes_rejected(self, sim):
         pipe = BandwidthPipe(sim, bandwidth=10.0)
         with pytest.raises(ValueError):
