@@ -180,22 +180,27 @@ def _micro_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     return out
 
 
+def _project(run, where: str, keys: Tuple[str, ...], **renamed: str) -> Dict[str, Any]:
+    """Check ``run``'s ledger closes, then pick ``keys`` from its
+    ``as_dict()``; ``renamed`` maps an artifact key to the summary key
+    it reads."""
+    run.check(where)
+    summary = run.as_dict()
+    return {key: summary[renamed.get(key, key)] for key in keys}
+
+
 def _cluster_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     config = ClusterConfig(replicas=2, system="pipellm", seed=seed)
     result = run_cluster(
         config, rate=suite.cluster_rate, duration=suite.cluster_duration,
         tenants=suite.cluster_tenants,
     )
-    return {
-        "offered": result.offered,
-        "completed": result.completed,
-        "shed": result.shed,
-        "throughput_req_s": result.throughput,
-        "p50_latency_s": result.p50_latency,
-        "p99_latency_s": result.p99_latency,
-        "iv_observed": result.iv_observed,
-        "auth_failures": result.auth_failures,
-    }
+    return _project(
+        result, "cluster",
+        ("offered", "completed", "shed", "throughput_req_s", "p50_latency_s",
+         "p99_latency_s", "iv_observed", "auth_failures"),
+        throughput_req_s="throughput_rps",
+    )
 
 
 def _faults_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
@@ -273,17 +278,11 @@ def _serve_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
             duration=suite.serve_duration,
         )
         run = run_serve(config, load, slo=SloSpec(), admission="slo")
-        out[system] = {
-            "offered": run.offered,
-            "completed": run.completed,
-            "shed": run.shed,
-            "attainment": run.attainment,
-            "goodput_rps": run.goodput,
-            "p99_ttft_s": run.p99_ttft,
-            "mean_tpot_s": run.mean_tpot,
-            "swap_outs": run.swap_outs,
-            "auth_failures": run.auth_failures,
-        }
+        out[system] = _project(
+            run, f"serve {system}",
+            ("offered", "completed", "shed", "attainment", "goodput_rps",
+             "p99_ttft_s", "mean_tpot_s", "swap_outs", "auth_failures"),
+        )
     return out
 
 
@@ -306,18 +305,12 @@ def _disagg_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
         run = run_disagg(
             config, rate=suite.disagg_rate, duration=suite.disagg_duration
         )
-        out[label] = {
-            "offered": run.offered,
-            "completed": run.completed,
-            "shed": run.shed,
-            "goodput_rps": run.goodput,
-            "p50_ttft_s": run.p50_ttft,
-            "p99_ttft_s": run.p99_ttft,
-            "migration_chunks": run.migration_chunks,
-            "migration_hit_rate": run.migration_hit_rate,
-            "migration_s_per_chunk": run.migration_s_per_chunk,
-            "iv_observed": run.iv_observed,
-        }
+        out[label] = _project(
+            run, f"disagg {label}",
+            ("offered", "completed", "shed", "goodput_rps", "p50_ttft_s",
+             "p99_ttft_s", "migration_chunks", "migration_hit_rate",
+             "migration_s_per_chunk", "iv_observed"),
+        )
     return out
 
 

@@ -83,14 +83,6 @@ def _require(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _check_drained(run, where: str) -> None:
-    _require(run.unfinished == 0, f"{where}: {run.unfinished} requests unfinished")
-    _require(
-        run.completed + run.shed == run.offered,
-        f"{where}: {run.completed}+{run.shed} resolved of {run.offered} offered",
-    )
-
-
 def disagg_frontier(scale: str = "quick") -> ExperimentResult:
     """Disaggregated vs monolithic serving over encrypted KV migration."""
     quick = scale == "quick"
@@ -123,7 +115,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
             ("1p+3d", disagg_config("pipellm")),
         ):
             run = run_disagg(config, rate=rate, duration=duration)
-            _check_drained(run, f"frontier {topology} rate={rate}")
+            run.check(f"frontier {topology} rate={rate}")
             runs[(topology, rate)] = run
             result.add_row(**_row(run, "frontier", topology, rate))
 
@@ -143,7 +135,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
     # -- migration: per-chunk wire cost and the recovery fraction -------
     for system in ("native", "cc"):
         run = run_disagg(disagg_config(system), rate=top, duration=duration)
-        _check_drained(run, f"migration {system}")
+        run.check(f"migration {system}")
         runs[(system, top)] = run
         result.add_row(**_row(run, "migration", "1p+3d", top))
     result.add_row(**_row(pipellm, "migration", "1p+3d", top))
@@ -185,7 +177,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
                 hw_pack=pack,
             )
             run = run_disagg(config, rate=1.0, duration=4.0, tenants=2)
-            _check_drained(run, f"pack {pack} {system}")
+            run.check(f"pack {pack} {system}")
             pack_chunk[(pack, system)] = run.migration_s_per_chunk
             result.add_row(**_row(run, f"pack:{pack}", "1p+2d", 1.0))
             _require(
@@ -214,7 +206,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
             run = cluster.run(cluster.workload(
                 18.0, stress_duration, tenants=1, trace=STRESS_TRACE
             ))
-        _check_drained(run, f"stress {system}")
+        run.check(f"stress {system}")
         attribution = fleet_attribution(extract_traces(collector))
         _require(
             not attribution.closure_problems,
@@ -259,7 +251,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
         crash_run = cluster.run(cluster.workload(
             18.0, stress_duration, tenants=1, trace=STRESS_TRACE
         ))
-    _check_drained(crash_run, "failover crash")
+    crash_run.check("failover crash")
     _require(crash_run.shed == 0, "crash run must shed nothing")
     _require(crash_run.crashes >= 1, "crash run must actually crash")
     _require(
@@ -294,7 +286,7 @@ def disagg_frontier(scale: str = "quick") -> ExperimentResult:
     storm_run = storm_cluster.run(storm_cluster.workload(
         18.0, stress_duration, tenants=1, trace=STRESS_TRACE
     ))
-    _check_drained(storm_run, "migration storm")
+    storm_run.check("migration storm")
     clean_run = stress_runs["pipellm"][1]
     speculator = storm_cluster.fabric.speculator
     _require(

@@ -91,9 +91,7 @@ def serve_frontier(scale: str = "quick") -> ExperimentResult:
                     _config(system), load, slo=slo, admission=admission
                 )
                 runs[(system, admission, rate)] = run
-                # Accounting: the front end already raises if any
-                # request vanished; re-assert the ledger closes.
-                assert run.completed + run.shed == run.offered
+                run.check(f"serve {system} {admission} rate={rate}")
                 result.add_row(
                     system=label,
                     admission=admission,

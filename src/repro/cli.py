@@ -440,8 +440,8 @@ def _run_postmortem(args, out) -> int:
         event_rules=default_event_rules(window=max(0.5, args.duration / 4)),
     )
     with recording() as session, collecting(collector):
-        engine.attach_session(session)
-        recorder.attach_session(session)
+        session.watch(engine.watch)
+        session.watch(recorder.watch)
         result = run_serve(config, load, alerts=engine, seed=seed)
         hubs = list(session.hubs)
     end_time = max(

@@ -14,7 +14,7 @@ The machine lifecycle (:class:`Incarnation`) and the fleet driver
 """
 
 from .cluster import CLUSTER_TRACE, Cluster, ClusterResult, run_cluster
-from .fleet import Fleet
+from .fleet import Fleet, FleetResult
 from .gateway import Gateway
 from .incarnation import Incarnation, IncarnationDead
 from .replica import ClusterRequest, Replica
@@ -36,6 +36,7 @@ __all__ = [
     "ClusterRequest",
     "ClusterResult",
     "Fleet",
+    "FleetResult",
     "Gateway",
     "Incarnation",
     "IncarnationDead",

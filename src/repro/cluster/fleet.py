@@ -19,22 +19,24 @@ Subclasses (:class:`~repro.cluster.cluster.Cluster`,
 list of :class:`~repro.cluster.incarnation.Incarnation`) and the
 ``front`` door requests enter through, and supply the request wrapper
 (``_wrap``), the scripted crash's target (``_scripted_target``) and
-the result fold (``_result``).
+the result fold (``_result``). The fold starts from :meth:`Fleet._ledger`,
+the shared fields of :class:`FleetResult`, and adds the topology's own.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FaultInjector
-from ..sim import SeededRng, Simulator, default_seed
+from ..sim import SeededRng, Simulator, default_seed, mean, percentile
 from ..workloads import Request, TraceSpec, poisson_trace
 from .incarnation import Incarnation
 from .tenant import ClusterIvAudit
 
-__all__ = ["CLUSTER_TRACE", "Fleet", "FleetRequest"]
+__all__ = ["CLUSTER_TRACE", "Fleet", "FleetRequest", "FleetResult"]
 
 #: Short-conversation trace used by the fleet experiments: enough
 #: decode steps to exercise batching and swapping, small enough that
@@ -57,6 +59,9 @@ class FleetRequest:
     submit_time: float
     state: str = "queued"
     finish_time: float = math.nan
+    #: First streamed token (nan until then; the cluster gateway does
+    #: not record it, so cluster runs report no TTFTs).
+    first_token_time: float = math.nan
     #: Dispatch (or prefill) attempts; 1 means no failover.
     attempts: int = 0
     #: Causal-trace linkage (set only when a collector is active): the
@@ -69,6 +74,104 @@ class FleetRequest:
         """End-to-end latency (nan until done)."""
         return self.finish_time - self.submit_time
 
+    @property
+    def ttft(self) -> float:
+        """Submit-to-first-token latency (nan until the first token)."""
+        return self.first_token_time - self.submit_time
+
+
+#: An ``as_dict`` key's unit suffix, dropped to name the attribute it reads.
+_UNIT = re.compile(r"_(s|rps)$")
+
+
+@dataclass
+class FleetResult:
+    """The ledger one fleet run folds into.
+
+    :class:`~repro.cluster.cluster.ClusterResult`,
+    :class:`~repro.disagg.cluster.DisaggResult` and
+    :class:`~repro.serve.frontend.ServeResult` subclass it with their
+    own counters and their ``KEYS``. Disagg and serve both report a
+    ``goodput_rps``, but not the same goodput: disagg's counts
+    completions per second (it is :attr:`throughput`), serve's counts
+    SLO-attained completions per second of the offered-load window.
+    """
+
+    system: str
+    #: Seconds the rates normalize over: the run to its last resolution
+    #: (serve: the offered-load window).
+    duration: float
+    offered: int
+    completed: int
+    shed: int
+    #: Requests neither completed nor shed when the run stopped.
+    unfinished: int
+    failovers: int
+    crashes: int
+    #: GCM tag-validation failures across every machine incarnation
+    #: (must be 0 — the acceptance invariant).
+    auth_failures: int
+    #: Distinct (key, stream) IV lanes the fleet audit tracked / total IVs.
+    iv_lanes: int
+    iv_observed: int
+    #: End-to-end latencies of completed requests (seconds).
+    latencies: List[float]
+    #: Time to first token of completed requests (seconds).
+    ttfts: List[float]
+    #: machine -> GPU-busy fraction of the run.
+    utilization: Dict[Any, float]
+
+    #: ``as_dict`` keys in order; each names the attribute it reads,
+    #: less its unit suffix (``duration_s`` reads ``duration``).
+    KEYS: ClassVar[Tuple[str, ...]] = ()
+
+    @property
+    def throughput(self) -> float:
+        """Completed requests per simulated second."""
+        return self.completed / self.duration if self.duration > 0 else 0.0
+
+    @property
+    def p50_latency(self) -> float:
+        return percentile(self.latencies, 50)
+
+    @property
+    def p99_latency(self) -> float:
+        return percentile(self.latencies, 99)
+
+    @property
+    def mean_latency(self) -> float:
+        return mean(self.latencies)
+
+    @property
+    def p50_ttft(self) -> float:
+        return percentile(self.ttfts, 50)
+
+    @property
+    def p99_ttft(self) -> float:
+        return percentile(self.ttfts, 99)
+
+    @property
+    def mean_ttft(self) -> float:
+        return mean(self.ttfts)
+
+    def as_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {}
+        for key in self.KEYS:
+            value = getattr(self, _UNIT.sub("", key))
+            out[key] = dict(value) if isinstance(value, dict) else value
+        return out
+
+    def check(self, where: str) -> None:
+        """Raise unless the ledger closes: every offered request
+        completed or shed, none left unfinished."""
+        if self.unfinished:
+            raise AssertionError(f"{where}: {self.unfinished} requests unfinished")
+        if self.completed + self.shed != self.offered:
+            raise AssertionError(
+                f"{where}: {self.completed}+{self.shed} resolved of "
+                f"{self.offered} offered"
+            )
+
 
 class Fleet:
     """Shared simulator, audit, faults and run driver of one fleet."""
@@ -76,7 +179,8 @@ class Fleet:
     #: Every machine, in crash-index order (set by the subclass).
     machines: List[Incarnation]
     #: The front door: ``submit(creq)``, ``fail(machine)``,
-    #: ``recover(machine)`` and the ``completed``/``shed`` lists.
+    #: ``recover(machine)``, the ``completed``/``shed`` lists and the
+    #: ``failovers`` count.
     front: Any
 
     def __init__(self, config) -> None:
@@ -204,21 +308,48 @@ class Fleet:
         yield self.sim.timeout(delay)
         self.front.recover(machine)
 
-    def _settled(self, requests: List[FleetRequest]) -> Tuple[float, int]:
-        """The run's duration and its count of unfinished requests.
+    def _ledger(self, requests: List[FleetRequest]) -> Dict[str, Any]:
+        """The shared :class:`FleetResult` fields of one run.
 
         The duration runs to the last request resolution, not to the
         last timer: lingering watchdogs would otherwise pad the run and
         depress throughput and utilization.
         """
+        front = self.front
+        completed = front.completed
         unfinished = sum(c.state not in ("done", "shed") for c in requests)
         resolved = [
             c.finish_time
-            for c in self.front.completed + self.front.shed
+            for c in completed + front.shed
             if not math.isnan(c.finish_time)
         ]
         duration = max(resolved) if resolved and not unfinished else self.sim.now
-        return duration, unfinished
+        return dict(
+            system=self.config.system,
+            duration=duration,
+            offered=len(requests),
+            completed=len(completed),
+            shed=len(front.shed),
+            unfinished=unfinished,
+            failovers=front.failovers,
+            crashes=sum(m.crashes for m in self.machines),
+            auth_failures=sum(m.auth_failures for m in self.machines),
+            iv_lanes=self.audit.keys_seen(),
+            iv_observed=self.audit.observed,
+            latencies=[c.latency for c in completed if not math.isnan(c.latency)],
+            ttfts=[c.ttft for c in completed if not math.isnan(c.ttft)],
+            utilization={
+                self._machine_key(m): (
+                    m.busy_seconds / duration if duration > 0 else 0.0
+                )
+                for m in self.machines
+            },
+        )
+
+    @staticmethod
+    def _machine_key(machine: Incarnation) -> Any:
+        """How ``utilization`` names a machine."""
+        return machine.label
 
     # -- subclass surface -------------------------------------------------
 
@@ -229,5 +360,5 @@ class Fleet:
         """The machine the config's ``fail_at`` crash hits."""
         raise NotImplementedError
 
-    def _result(self, requests: List[FleetRequest]):
+    def _result(self, requests: List[FleetRequest]) -> FleetResult:
         raise NotImplementedError

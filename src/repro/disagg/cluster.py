@@ -20,16 +20,15 @@ measured against.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
-from ..cluster import CLUSTER_TRACE, Fleet
+from ..cluster import CLUSTER_TRACE, Fleet, FleetResult
 from ..core import DisaggConfig
 from ..crypto import hkdf
 from ..hw import HardwareParams, get_params
 from ..models import KvGeometry, OPT_13B, ModelSpec
-from ..sim import default_seed, mean, percentile
+from ..sim import default_seed
 from ..workloads import Request, TraceSpec
 from .migration import MigrationFabric
 from .scheduler import DisaggScheduler
@@ -39,21 +38,14 @@ __all__ = ["DisaggCluster", "DisaggResult", "run_disagg"]
 
 
 @dataclass
-class DisaggResult:
-    """Everything one disaggregated run measured."""
+class DisaggResult(FleetResult):
+    """Everything one disaggregated run measured (``utilization`` is
+    keyed by worker label)."""
 
     prefill_workers: int
     decode_workers: int
-    system: str
-    duration: float
-    offered: int
-    completed: int
-    shed: int
-    unfinished: int
-    failovers: int
     replays: int
     resumes: int
-    crashes: int
     #: Migration plane: attempts / completions / chunks delivered /
     #: wire retransmissions / speculation hit rate / encrypted links.
     migrations: int
@@ -65,72 +57,21 @@ class DisaggResult:
     #: Mean wire seconds per delivered migration chunk (the number the
     #: speculation-recovery acceptance math runs on).
     migration_s_per_chunk: float
-    #: Distinct (key, stream) IV lanes audited / total IVs observed.
-    iv_lanes: int
-    iv_observed: int
-    #: Time-to-first-token per completed request (seconds).
-    ttfts: List[float] = field(default_factory=list)
-    #: End-to-end latencies of completed requests (seconds).
-    latencies: List[float] = field(default_factory=list)
-    #: worker label -> GPU-busy fraction of the run.
-    utilization: Dict[str, float] = field(default_factory=dict)
+
+    KEYS = (
+        "prefill_workers", "decode_workers", "system", "duration_s",
+        "offered", "completed", "shed", "unfinished", "failovers", "replays",
+        "resumes", "crashes", "migrations", "migrations_completed",
+        "migration_chunks", "migration_resends", "migration_hit_rate",
+        "migration_links", "migration_s_per_chunk", "iv_lanes", "iv_observed",
+        "goodput_rps", "mean_ttft_s", "p50_ttft_s", "p99_ttft_s",
+        "mean_latency_s", "p99_latency_s", "utilization",
+    )
 
     @property
     def goodput(self) -> float:
-        """Completed requests per simulated second."""
-        return self.completed / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def p50_ttft(self) -> float:
-        return percentile(self.ttfts, 50)
-
-    @property
-    def p99_ttft(self) -> float:
-        return percentile(self.ttfts, 99)
-
-    @property
-    def mean_ttft(self) -> float:
-        return mean(self.ttfts)
-
-    @property
-    def mean_latency(self) -> float:
-        return mean(self.latencies)
-
-    @property
-    def p99_latency(self) -> float:
-        return percentile(self.latencies, 99)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "prefill_workers": self.prefill_workers,
-            "decode_workers": self.decode_workers,
-            "system": self.system,
-            "duration_s": self.duration,
-            "offered": self.offered,
-            "completed": self.completed,
-            "shed": self.shed,
-            "unfinished": self.unfinished,
-            "failovers": self.failovers,
-            "replays": self.replays,
-            "resumes": self.resumes,
-            "crashes": self.crashes,
-            "migrations": self.migrations,
-            "migrations_completed": self.migrations_completed,
-            "migration_chunks": self.migration_chunks,
-            "migration_resends": self.migration_resends,
-            "migration_hit_rate": self.migration_hit_rate,
-            "migration_links": self.migration_links,
-            "migration_s_per_chunk": self.migration_s_per_chunk,
-            "iv_lanes": self.iv_lanes,
-            "iv_observed": self.iv_observed,
-            "goodput_rps": self.goodput,
-            "mean_ttft_s": self.mean_ttft,
-            "p50_ttft_s": self.p50_ttft,
-            "p99_ttft_s": self.p99_ttft,
-            "mean_latency_s": self.mean_latency,
-            "p99_latency_s": self.p99_latency,
-            "utilization": dict(self.utilization),
-        }
+        """Completed requests per simulated second (the throughput)."""
+        return self.throughput
 
 
 class DisaggCluster(Fleet):
@@ -186,41 +127,23 @@ class DisaggCluster(Fleet):
 
     def _result(self, requests: List[DisaggRequest]) -> DisaggResult:
         scheduler = self.scheduler
-        completed = scheduler.completed
-        duration, unfinished = self._settled(requests)
         stats = self.fabric.stats()
-        chunks = stats["chunks"]
         shipped = stats["chunks_shipped"]
         return DisaggResult(
+            **self._ledger(requests),
             prefill_workers=self.config.prefill_workers,
             decode_workers=self.config.decode_workers,
-            system=self.config.system,
-            duration=duration,
-            offered=len(requests),
-            completed=len(completed),
-            shed=len(scheduler.shed),
-            unfinished=unfinished,
-            failovers=scheduler.failovers,
             replays=scheduler.replays,
             resumes=scheduler.resumes,
-            crashes=sum(w.crashes for w in self.workers),
             migrations=stats["migrations"],
             migrations_completed=stats["completed"],
-            migration_chunks=chunks,
+            migration_chunks=stats["chunks"],
             migration_resends=stats["resends"],
             migration_hit_rate=stats["hit_rate"],
             migration_links=stats["links"],
             migration_s_per_chunk=(
                 stats["wire_seconds"] / shipped if shipped else 0.0
             ),
-            iv_lanes=self.audit.keys_seen(),
-            iv_observed=self.audit.observed,
-            ttfts=[c.ttft for c in completed if not math.isnan(c.ttft)],
-            latencies=[c.latency for c in completed if not math.isnan(c.latency)],
-            utilization={
-                w.label: (w.busy_seconds / duration if duration > 0 else 0.0)
-                for w in self.workers
-            },
         )
 
 

@@ -42,16 +42,10 @@ class DisaggRequest(FleetRequest):
     prefill_done_time: float = math.nan
     #: When the KV cache became resident on the decode worker.
     kv_ready_time: float = math.nan
-    first_token_time: float = math.nan
     #: Migrations resumed from a retained prefill copy (no recompute).
     resumes: int = 0
     #: Worker labels this request touched, in order.
     history: List[str] = field(default_factory=list)
-
-    @property
-    def ttft(self) -> float:
-        """Submit-to-first-token latency (nan until the first token)."""
-        return self.first_token_time - self.submit_time
 
 
 class PrefillWorker(Incarnation):

@@ -315,9 +315,9 @@ def run_serve_dashboard(
                     time.sleep(refresh_wall_s)
             if cluster.sim.now == before:
                 break  # drained without resolving everything — bug guard
-        result = frontend.result(duration)
-        result.trace = load.trace.name
-        result.rate = load.rate
+        result = frontend.result(
+            duration, trace=load.trace.name, rate=load.rate
+        )
 
     summary = result.as_dict()
     summary["final_sim_time_s"] = cluster.sim.now

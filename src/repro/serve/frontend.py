@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..cluster import Cluster
+from ..cluster import Cluster, FleetResult
 from ..cluster.replica import ClusterRequest
-from ..sim import mean, percentile
+from ..sim import mean
 from ..telemetry import ServeEvent, TelemetryHub, active_session
 from ..tracing import active_collector
 from ..workloads import Request
@@ -76,26 +76,26 @@ class _ServeRecord:
 
 
 @dataclass
-class ServeResult:
-    """Everything one serving run measured."""
+class ServeResult(FleetResult):
+    """Everything one serving run measured. ``duration`` is the
+    offered-load window, not the drain time; per-replica
+    ``utilization`` is not measured (empty)."""
 
     admission: str
-    system: str
     trace: str
     rate: float
-    duration: float
-    offered: int
-    completed: int
-    shed: int
     attained: int
     shed_by_reason: Dict[str, int] = field(default_factory=dict)
-    ttfts: List[float] = field(default_factory=list)
     tpots: List[float] = field(default_factory=list)
-    failovers: int = 0
-    crashes: int = 0
     swap_outs: int = 0
-    auth_failures: int = 0
     responses: List[CompletionResponse] = field(default_factory=list)
+
+    KEYS = (
+        "admission", "system", "trace", "rate_rps", "duration_s", "offered",
+        "completed", "shed", "shed_by_reason", "attained", "attainment",
+        "goodput_rps", "p50_ttft_s", "p99_ttft_s", "mean_tpot_s",
+        "failovers", "crashes", "swap_outs", "auth_failures",
+    )
 
     @property
     def attainment(self) -> float:
@@ -108,39 +108,8 @@ class ServeResult:
         return self.attained / self.duration if self.duration > 0 else 0.0
 
     @property
-    def p50_ttft(self) -> float:
-        return percentile(self.ttfts, 50)
-
-    @property
-    def p99_ttft(self) -> float:
-        return percentile(self.ttfts, 99)
-
-    @property
     def mean_tpot(self) -> float:
         return mean(self.tpots)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "admission": self.admission,
-            "system": self.system,
-            "trace": self.trace,
-            "rate_rps": self.rate,
-            "duration_s": self.duration,
-            "offered": self.offered,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_by_reason": dict(self.shed_by_reason),
-            "attained": self.attained,
-            "attainment": self.attainment,
-            "goodput_rps": self.goodput,
-            "p50_ttft_s": self.p50_ttft,
-            "p99_ttft_s": self.p99_ttft,
-            "mean_tpot_s": self.mean_tpot,
-            "failovers": self.failovers,
-            "crashes": self.crashes,
-            "swap_outs": self.swap_outs,
-            "auth_failures": self.auth_failures,
-        }
 
 
 class ServeFrontend:
@@ -433,15 +402,18 @@ class ServeFrontend:
         requests: List[CompletionRequest],
         duration: float,
         until: Optional[float] = None,
+        trace: str = "",
+        rate: float = 0.0,
     ) -> ServeResult:
         """Drive ``requests`` through the front end and summarize.
 
         ``duration`` is the offered-load window goodput normalizes
-        over (the load spec's arrival window, not the drain time).
+        over (the load spec's arrival window, not the drain time);
+        ``trace`` and ``rate`` name the load in the summary.
         """
         self.start(requests)
         self.sim.run(until=until)
-        return self.result(duration)
+        return self.result(duration, trace=trace, rate=rate)
 
     def start(self, requests: List[CompletionRequest]) -> None:
         """Schedule ``requests``' arrivals (without overwriting their
@@ -452,15 +424,12 @@ class ServeFrontend:
             lambda r: r.arrival_time, self.submit,
         )
 
-    def result(self, duration: float) -> ServeResult:
-        """Summarize the run; every offered request must be resolved."""
+    def result(self, duration: float, trace: str = "", rate: float = 0.0) -> ServeResult:
+        """Summarize the run of the load ``trace`` offered at ``rate``
+        over the window ``duration``; every offered request must be
+        resolved."""
         ok = [r for r in self.responses if r.ok]
         shed = [r for r in self.responses if not r.ok]
-        if len(self.responses) != self.offered:
-            raise AssertionError(
-                f"{self.offered} offered but {len(self.responses)} resolved "
-                "— requests lost untracked"
-            )
         shed_by_reason: Dict[str, int] = {}
         for response in shed:
             reason = response.finish_reason.split(":", 1)[1]
@@ -468,25 +437,33 @@ class ServeFrontend:
         attained = int(
             self.gateway.metrics.counter("serve.slo_attained").value
         )
-        return ServeResult(
-            admission=self.admission.name,
+        replicas = self.cluster.replicas
+        result = ServeResult(
             system=self.config.system,
-            trace="",
-            rate=0.0,
             duration=duration,
             offered=self.offered,
             completed=len(ok),
             shed=len(shed),
+            unfinished=self.offered - len(self.responses),
+            failovers=self.gateway.failovers,
+            crashes=sum(r.crashes for r in replicas),
+            auth_failures=sum(r.auth_failures for r in replicas),
+            iv_lanes=self.cluster.audit.keys_seen(),
+            iv_observed=self.cluster.audit.observed,
+            latencies=[r.latency for r in ok if not math.isnan(r.latency)],
+            ttfts=[r.ttft for r in ok if not math.isnan(r.ttft)],
+            utilization={},
+            admission=self.admission.name,
+            trace=trace,
+            rate=rate,
             attained=attained,
             shed_by_reason=shed_by_reason,
-            ttfts=[r.ttft for r in ok if not math.isnan(r.ttft)],
             tpots=[r.tpot for r in ok if not math.isnan(r.tpot)],
-            failovers=self.gateway.failovers,
-            crashes=sum(r.crashes for r in self.cluster.replicas),
-            swap_outs=sum(r.swap_out_count for r in self.cluster.replicas),
-            auth_failures=sum(r.auth_failures for r in self.cluster.replicas),
+            swap_outs=sum(r.swap_out_count for r in replicas),
             responses=list(self.responses),
         )
+        result.check("serve")
+        return result
 
 
 def run_serve(
@@ -508,7 +485,7 @@ def run_serve(
     frontend = ServeFrontend(cluster, slo=slo, admission=admission,
                              alerts=alerts)
     requests = generate_load(load, seed=seed)
-    result = frontend.run(requests, duration=load.duration, until=until)
-    result.trace = load.trace.name
-    result.rate = load.rate
-    return result
+    return frontend.run(
+        requests, duration=load.duration, until=until,
+        trace=load.trace.name, rate=load.rate,
+    )

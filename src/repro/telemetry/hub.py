@@ -332,10 +332,16 @@ class TraceSession:
     def __init__(self, max_events_per_hub: Optional[int] = None) -> None:
         self.hubs: List[TelemetryHub] = []
         self.max_events_per_hub = max_events_per_hub
-        #: Optional callback invoked with each newly registered hub —
-        #: how the flight recorder starts watching machines that boot
-        #: mid-run (replica re-attestation after a crash).
-        self.on_register: Optional[Callable[[TelemetryHub], None]] = None
+        self._watchers: List[Callable[[TelemetryHub], None]] = []
+
+    def watch(self, fn: Callable[[TelemetryHub], None]) -> None:
+        """Call ``fn(hub)`` for every hub registered so far and every
+        future one — how watchers follow machines that boot mid-run
+        (replica re-attestation after a crash). Watchers run in the
+        order they were added."""
+        for hub in self.hubs:
+            fn(hub)
+        self._watchers.append(fn)
 
     def register(self, hub: TelemetryHub) -> None:
         hub.max_events = self.max_events_per_hub
@@ -343,8 +349,8 @@ class TraceSession:
         if not hub.label:
             hub.label = f"machine-{len(self.hubs)}"
         self.hubs.append(hub)
-        if self.on_register is not None:
-            self.on_register(hub)
+        for fn in self._watchers:
+            fn(hub)
 
 
 _SESSIONS: List[TraceSession] = []

@@ -156,23 +156,6 @@ class AlertEngine:
         """Subscribe to one hub's event stream (anomaly rules)."""
         hub.subscribe(self.observe_event)
 
-    def attach_session(self, session) -> None:
-        """Watch every hub of a recording session, present and future.
-
-        Chains any previously installed ``on_register`` hook so the
-        engine composes with a flight recorder on one session.
-        """
-        for hub in session.hubs:
-            self.watch(hub)
-        previous = session.on_register
-
-        def _register(hub) -> None:
-            if previous is not None:
-                previous(hub)
-            self.watch(hub)
-
-        session.on_register = _register
-
     # -- signal intake ---------------------------------------------------
 
     def observe_slo(self, time: float, ok: bool, signal: str = "slo") -> None:

@@ -70,24 +70,6 @@ class FlightRecorder:
 
         hub.subscribe(_observe)
 
-    def attach_session(self, session) -> None:
-        """Watch every hub of a recording session, present and future.
-
-        Chains any ``on_register`` hook already installed (e.g. an
-        :class:`~repro.tracing.alerts.AlertEngine`), so several
-        watchers can share one session.
-        """
-        for hub in session.hubs:
-            self.watch(hub)
-        previous = session.on_register
-
-        def _register(hub) -> None:
-            if previous is not None:
-                previous(hub)
-            self.watch(hub)
-
-        session.on_register = _register
-
     # -- triggers --------------------------------------------------------
 
     @staticmethod

@@ -116,22 +116,30 @@ def test_firing_emits_alert_event_and_counters_on_hub():
     assert hub.metrics.counter("alerts.iv-anomaly").value == 1
 
 
-def test_attach_session_chains_on_register():
-    """Recorder + engine must compose on one session: attach_session
-    chains rather than clobbers the previous on_register hook."""
+def test_session_watchers_compose():
+    """Recorder + engine must compose on one session: each watcher
+    sees every hub, present and future, in the order it was added."""
     from repro.telemetry import recording
     from repro.tracing import FlightRecorder
 
     rule = EventRule("iv-anomaly", ("resync",), window=1.0, threshold=1)
     eng = AlertEngine(event_rules=(rule,))
     recorder = FlightRecorder(ring_size=8)
+    seen = []
     with recording() as session:
-        recorder.attach_session(session)
-        eng.attach_session(session)
         sim = Simulator()
+        early = TelemetryHub(sim, label="early")
+        session.register(early)  # registered before any watcher
+        session.watch(lambda hub: seen.append(("first", hub.label)))
+        session.watch(eng.watch)
+        session.watch(recorder.watch)
+        session.watch(lambda hub: seen.append(("last", hub.label)))
         hub = TelemetryHub(sim, label="late")
-        hub.enabled = True
-        session.register(hub)  # registered after both attached
+        session.register(hub)  # registered after every watcher
         hub.emit(RecoveryEvent(time=0.5, action="resync", request_id=1))
+    assert seen == [
+        ("first", "early"), ("last", "early"), ("first", "late"), ("last", "late"),
+    ]
     assert len(eng.alerts) == 1
     assert "late" in recorder.rings and len(recorder.rings["late"]) == 1
+    assert "early" in recorder.rings and not recorder.rings["early"]
