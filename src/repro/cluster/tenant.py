@@ -56,6 +56,7 @@ class ClusterIvAudit:
     def __init__(self) -> None:
         #: (key_fingerprint, stream) -> last IV consumed.
         self._last: Dict[Tuple[str, str], int] = {}
+        self._fingerprints: Dict[bytes, str] = {}
         self.observed = 0
 
     @staticmethod
@@ -63,7 +64,10 @@ class ClusterIvAudit:
         return hashlib.sha256(key).hexdigest()[:16]
 
     def observe(self, key: bytes, stream: str, iv: int) -> None:
-        lane = (self.fingerprint(key), stream)
+        fingerprint = self._fingerprints.get(key)
+        if fingerprint is None:
+            fingerprint = self._fingerprints[key] = self.fingerprint(key)
+        lane = (fingerprint, stream)
         last = self._last.get(lane)
         if last is not None and iv <= last:
             raise IvReuseError(

@@ -185,11 +185,13 @@ class CryptographyGcm:
     """AES-GCM via the ``cryptography`` package (OpenSSL AES-NI)."""
 
     def __init__(self, key: bytes) -> None:
+        from cryptography.exceptions import InvalidTag
         from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
         if len(key) not in (16, 24, 32):
             raise ValueError(f"invalid AES key length: {len(key)}")
         self._aead = AESGCM(bytes(key))
+        self._invalid_tag = InvalidTag
 
     @staticmethod
     def _check_nonce(nonce: bytes) -> None:
@@ -205,11 +207,9 @@ class CryptographyGcm:
         self._check_nonce(nonce)
         if len(tag) != 16:
             raise AuthenticationError("GCM tag mismatch")
-        from cryptography.exceptions import InvalidTag
-
         try:
             return self._aead.decrypt(nonce, bytes(ciphertext) + bytes(tag), bytes(aad))
-        except InvalidTag:
+        except self._invalid_tag:
             raise AuthenticationError("GCM tag mismatch") from None
 
     def try_decrypt(self, nonce: bytes, ciphertext: bytes, tag: bytes, aad: bytes = b"") -> Optional[bytes]:

@@ -52,14 +52,20 @@ class DmaStaging:
         (the DMA pipeline consumes it downstream — the copy itself is
         what must not sit on the critical path).
         """
+        sim, slots = self.sim, self._slots
         remaining = nbytes
         while remaining > 0:
             piece = min(remaining, self.buffer_bytes)
-            yield self._slots.acquire()
-            self.max_outstanding = max(self.max_outstanding, self._slots.in_use)
+            # Each hop below is skipped only when it would be the very
+            # next callback anyway (``Simulator._advance_inline``).
+            if not (sim._advance_inline(sim.now) and slots.try_acquire()):
+                yield slots.acquire()
+            self.max_outstanding = max(self.max_outstanding, slots.in_use)
             try:
-                yield self._memcpy.transfer(piece)
+                delay = self._memcpy.reserve(piece)
+                if not sim._advance_inline(sim.now + delay):
+                    yield sim.timeout(delay)
             finally:
-                self._slots.release()
+                slots.release()
             self.stage_count += 1
             remaining -= piece

@@ -385,6 +385,8 @@ class ServeFrontend:
         self, action: str, rec: _ServeRecord, token_index: int = -1,
         detail: str = "",
     ) -> None:
+        if not self.telemetry.enabled:
+            return
         self.telemetry.emit(ServeEvent(
             time=self.sim.now,
             action=action,

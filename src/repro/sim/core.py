@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
@@ -269,6 +270,10 @@ class Simulator:
         self._queue: List = []
         self._fifo: deque = deque()
         self._seq = 0
+        #: ``run``'s ``until`` while it runs; -inf outside it.
+        self._horizon = -inf
+        #: Callbacks run so far (heap pops plus FIFO pops).
+        self.dispatched = 0
         # Optional span tracer (see repro.sim.tracing); disabled by
         # default so instrumented components stay overhead-free.
         from .tracing import SpanTracer
@@ -293,6 +298,19 @@ class Simulator:
             fifo = self._fifo
             for callback in callbacks:
                 fifo.append((callback, (event,)))
+
+    def _advance_inline(self, when: float) -> bool:
+        """Move the clock to ``when`` if nothing else can run before it.
+
+        True only when the FIFO is empty, no heap entry is due by
+        ``when`` and ``when`` is inside ``run``'s horizon: a timer due
+        then would be the next pop, so its caller may go on inline.
+        """
+        queue = self._queue
+        if self._fifo or (queue and queue[0][0] <= when) or when > self._horizon:
+            return False
+        self.now = when
+        return True
 
     # -- public API ----------------------------------------------------
 
@@ -332,29 +350,37 @@ class Simulator:
         fifo = self._fifo
         pop = heapq.heappop
         popleft = fifo.popleft
-        if until is None:
-            while True:
+        dispatched = 0
+        self._horizon = inf if until is None else until
+        try:
+            if until is None:
+                while True:
+                    if queue and queue[0][0] <= self.now:
+                        _when, _tie, func, args = pop(queue)
+                    elif fifo:
+                        func, args = popleft()
+                    elif queue:
+                        self.now, _tie, func, args = pop(queue)
+                    else:
+                        return
+                    dispatched += 1
+                    func(*args)
+            while self.now <= until:
                 if queue and queue[0][0] <= self.now:
                     _when, _tie, func, args = pop(queue)
                 elif fifo:
                     func, args = popleft()
-                elif queue:
+                elif queue and queue[0][0] <= until:
                     self.now, _tie, func, args = pop(queue)
                 else:
-                    return
+                    break
+                dispatched += 1
                 func(*args)
-        while self.now <= until:
-            if queue and queue[0][0] <= self.now:
-                _when, _tie, func, args = pop(queue)
-            elif fifo:
-                func, args = popleft()
-            elif queue and queue[0][0] <= until:
-                self.now, _tie, func, args = pop(queue)
-            else:
-                break
-            func(*args)
-        if self.now < until:
-            self.now = until
+            if self.now < until:
+                self.now = until
+        finally:
+            self.dispatched += dispatched
+            self._horizon = -inf
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next scheduled callback, or None if idle."""

@@ -55,6 +55,13 @@ class Resource:
             self._waiters.append(event)
         return event
 
+    def try_acquire(self) -> bool:
+        """Take a free slot at once, without an event; False if none is."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         """Return a slot, waking the oldest waiter if any."""
         if self._in_use <= 0:
@@ -135,7 +142,11 @@ class BandwidthPipe:
         return self.latency + nbytes / self.bandwidth
 
     def transfer(self, nbytes: int) -> Event:
-        """Submit a job; the returned event fires when the job finishes.
+        """Submit a job; the returned event fires when the job finishes."""
+        return self.sim.timeout(self.reserve(nbytes), value=nbytes)
+
+    def reserve(self, nbytes: int) -> float:
+        """Book a job without an event; return the delay to its finish.
 
         Queueing is modelled by tracking the pipe's ``busy_until``
         horizon: a new job starts at ``max(now, busy_until)``.
@@ -151,7 +162,7 @@ class BandwidthPipe:
         self.jobs_done += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.record(self.name, "xfer", start, finish)
-        return self.sim.timeout(finish - self.sim.now, value=nbytes)
+        return finish - self.sim.now
 
 
 class WorkerPool:

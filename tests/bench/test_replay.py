@@ -112,7 +112,9 @@ class TestOracleReplay:
     through the CLI.
 
     The oracle run patches the single-heap event loop onto
-    :class:`Simulator`, builds the crypto engine's pools from the
+    :class:`Simulator` (which never fast-forwards the DMA staging
+    ring, so every staged piece takes its slot hop and memcpy timer),
+    builds the crypto engine's pools from the
     generator worker pool (per-slice jobs joined by ``all_of``, never a
     gang) and forces the pure-Python AES-GCM backend; every
     simulated quantity any subcommand prints must nevertheless be
@@ -124,7 +126,7 @@ class TestOracleReplay:
         self.monkeypatch = monkeypatch
 
     def patch_in_oracles(self):
-        for name in ("_schedule", "_schedule_callback", "_dispatch", "run"):
+        for name in ("_schedule", "_schedule_callback", "_dispatch", "_advance_inline", "run"):
             self.monkeypatch.setattr(Simulator, name, getattr(HeapSimulator, name))
         self.monkeypatch.setattr(engine, "WorkerPool", GeneratorWorkerPool)
         # A fresh GCM cache, so no instance built by the default run

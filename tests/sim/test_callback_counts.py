@@ -1,46 +1,24 @@
-"""Deterministic work counts for the crypto pools' kernel callbacks.
+"""Deterministic work counts for kernel callbacks.
 
-:class:`CountingSimulator` counts every callback the event loop
-dispatches (heap pops plus FIFO pops), so a change in how much kernel
-work one parallel crypto submission costs shows up as an exact count
-on any machine, with no wall time involved. The counts below are for
-one 4-slice encryption on a 4-worker pool after the workers have
-booted, plus the one callback the test registers on the completion.
+``Simulator.dispatched`` counts every callback the event loop runs
+(heap pops plus FIFO pops), so a change in how much kernel work one
+operation costs shows up as an exact count on any machine, with no
+wall time involved. The pool counts below are for one 4-slice
+encryption on a 4-worker pool after the workers have booted, plus the
+one callback the test registers on the completion; the staging counts
+are for one 64 MB copy into the shared DMA ring.
 """
-
-import heapq
-from typing import Optional
 
 import pytest
 
+from repro.hw.dma import DmaStaging
 from repro.hw.engine import CryptoEngine
 from repro.hw.params import HardwareParams
 from repro.sim import Simulator
 
 WAYS = 4
 CHUNK = 4 << 20
-
-
-class CountingSimulator(Simulator):
-    """The kernel's run loop, counting each dispatched callback."""
-
-    dispatched = 0
-
-    def run(self, until: Optional[float] = None) -> None:
-        queue, fifo = self._queue, self._fifo
-        while until is None or self.now <= until:
-            if queue and queue[0][0] <= self.now:
-                _when, _tie, func, args = heapq.heappop(queue)
-            elif fifo:
-                func, args = fifo.popleft()
-            elif queue and (until is None or queue[0][0] <= until):
-                self.now, _tie, func, args = heapq.heappop(queue)
-            else:
-                break
-            self.dispatched += 1
-            func(*args)
-        if until is not None and self.now < until:
-            self.now = until
+STAGED = 64 << 20  # four 16 MB pieces of the default ring
 
 
 class Skew:
@@ -56,7 +34,7 @@ class Skew:
 
 def parallel_encrypt_cost(busy_worker: bool = False, faults=None):
     """Callbacks to finish one parallel encryption; and its finish time."""
-    sim = CountingSimulator()
+    sim = Simulator()
     engine = CryptoEngine(sim, HardwareParams(), enc_threads=WAYS, faults=faults)
     sim.run()  # the workers boot and park
     if busy_worker:
@@ -93,3 +71,48 @@ class TestParallelSubmitCallbacks:
         assert count == 17
         slice_time = HardwareParams().enc_time(CHUNK // WAYS, threads=1)
         assert finish == pytest.approx(WAYS * slice_time)
+
+
+def staging_cost(foreign_at_piece=None):
+    """Callbacks to stage ``STAGED`` bytes from an idle simulator.
+
+    With ``foreign_at_piece=k`` an unrelated timer is due exactly when
+    the k-th piece's memcpy finishes. Returns the count and, per
+    finished transfer, its time and whether the foreign timer had run.
+    """
+    sim = Simulator()
+    staging = DmaStaging(sim)
+    piece_time = staging._memcpy.duration_of(staging.buffer_bytes)
+    boundaries = [piece_time]
+    while len(boundaries) < 4:
+        boundaries.append(boundaries[-1] + piece_time)
+    foreign = None
+    if foreign_at_piece is not None:
+        foreign = sim.timeout(boundaries[foreign_at_piece - 1])
+    finished = []
+
+    def copy():
+        yield from staging.stage(STAGED)
+        finished.append((sim.now, foreign is not None and foreign.triggered))
+
+    sim.process(copy())
+    sim.run()
+    assert staging.stage_count == 4
+    assert [when for when, _ran in finished] == [boundaries[-1]]
+    return sim.dispatched, [ran for _when, ran in finished]
+
+
+class TestStagingCallbacks:
+    def test_an_uncontended_copy_runs_inline(self):
+        # Only the process start-up. The per-piece path costs 1 + 4 x 3
+        # (slot hop, memcpy timer, wake-up) = 13.
+        count, _ = staging_cost()
+        assert count == 1
+
+    def test_a_foreign_timer_on_a_piece_boundary_keeps_its_place(self):
+        # The second piece's memcpy ties the foreign timer, so it takes
+        # the queue: the foreign timer, then its own timer and wake-up.
+        # Pieces three and four run inline again. Per piece: 14.
+        count, foreign_ran = staging_cost(foreign_at_piece=2)
+        assert count == 4
+        assert foreign_ran == [True]

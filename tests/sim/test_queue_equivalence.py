@@ -44,6 +44,11 @@ class HeapSimulator(Simulator):
             for callback in callbacks:
                 self._schedule(self.now, callback, event)
 
+    def _advance_inline(self, when: float) -> bool:
+        # Never fast-forward: every staged piece takes the per-piece
+        # acquire and memcpy hops the kernel's shortcut elides.
+        return False
+
     def run(self, until: Optional[float] = None) -> None:
         while self._queue:
             when, _tie, func, args = self._queue[0]
