@@ -44,7 +44,7 @@ DESIGN.md; seeds are fixed, so this file is exactly reproducible.
 **How to read this file.** Absolute values are not expected to match
 the paper — the substrate is a calibrated simulator, not the authors'
 H100 testbed, and the run lengths are shorter. What must match, and
-is asserted by ``pytest benchmarks/``, is every figure's *shape*: who
+is asserted by ``python -m repro claims``, is every figure's *shape*: who
 wins, by roughly what factor, and where behaviour changes.
 
 Calibration sources: the hardware constants are fitted to the paper's
@@ -84,7 +84,7 @@ SECTIONS = [
 to 55.31 GB/s; CC-enabled latency 14.93 µs → 5252 µs with throughput
 capped at 3.32–5.83 GB/s (single-thread CPU AES).
 Measured: matches within the tolerances asserted in
-`benchmarks/test_fig2_microbenchmark.py` (the model is calibrated to
+the `micro-calibration` claim (the model is calibrated to
 this table; the residual error is the piecewise-linear fit).""",
     ),
     (
@@ -116,7 +116,7 @@ same ordering and mechanism.""",
 PipeLLM cuts the CC overhead from up to 88.2 % to below 19.6 %; the
 residual cost is the reduced CC-mode copy bandwidth.
 Measured: PipeLLM overhead 0.1–17 % across all eight configurations
-(asserted < 19.6 % in `benchmarks/test_fig7_model_offloading.py`),
+(asserted < 19.6 % by the `pipellm-offload-bound` claim),
 with near-perfect repetitive-pattern prediction after the cold pass.""",
     ),
     (

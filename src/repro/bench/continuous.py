@@ -332,6 +332,50 @@ CAMPAIGNS: Dict[str, Callable[[SuiteScale, int], Dict[str, Any]]] = {
 }
 
 
+#: The gated key metrics: (name, campaign, key path, higher_is_better).
+#: Each is one simulated campaign value, deterministic under (suite,
+#: seed); ``pipellm_speedup_over_cc`` is the one derived entry.
+KEY_METRICS: Tuple[Tuple[str, str, str, bool], ...] = (
+    ("micro_cc_32mb_gbps", "micro-fig2", "CC@32MB.throughput_gbps", True),
+    ("micro_nocc_32mb_gbps", "micro-fig2", "w/oCC@32MB.throughput_gbps", True),
+    ("offload_cc_throughput_tok_s", "offload-cc", "throughput_tok_s", True),
+    ("offload_pipellm_throughput_tok_s", "offload-pipellm", "throughput_tok_s", True),
+    ("pipellm_hit_rate", "offload-pipellm", "speculation.hit_rate", True),
+    ("pipellm_p99_wire_s", "offload-pipellm", "p99_wire_s", False),
+    ("pipellm_encrypt_share", "offload-pipellm", "attribution_share.encrypt", False),
+    ("cluster_throughput_req_s", "cluster", "throughput_req_s", True),
+    ("cluster_p99_latency_s", "cluster", "p99_latency_s", False),
+    ("faults_storm_throughput_tok_s", "faults", "storm_throughput_tok_s", True),
+    ("parallel_nocc_tok_s", "parallel", "nocc_throughput_tok_s", True),
+    ("parallel_cc_tok_s", "parallel", "cc_throughput_tok_s", True),
+    ("parallel_pipellm_tok_s", "parallel", "pipellm_throughput_tok_s", True),
+    ("parallel_recovery", "parallel", "recovery", True),
+    ("parallel_hit_rate", "parallel", "hit_rate", True),
+    ("serve_pipellm_goodput_rps", "serve", "pipellm.goodput_rps", True),
+    ("serve_pipellm_attainment", "serve", "pipellm.attainment", True),
+    ("serve_pipellm_p99_ttft_s", "serve", "pipellm.p99_ttft_s", False),
+    ("serve_cc_goodput_rps", "serve", "cc.goodput_rps", True),
+    ("disagg_goodput_rps", "disagg", "disagg.goodput_rps", True),
+    ("disagg_p50_ttft_s", "disagg", "disagg.p50_ttft_s", False),
+    ("disagg_hit_rate", "disagg", "disagg.migration_hit_rate", True),
+    ("disagg_s_per_chunk", "disagg", "disagg.migration_s_per_chunk", False),
+)
+
+
+def _lookup(campaign: Dict[str, Any], path: str) -> float:
+    """Follow a dotted key path into one campaign's summary.
+
+    The profiler's share map lists only the stages it observed, so an
+    absent stage there reads as a zero share.
+    """
+    *parents, leaf = path.split(".")
+    for key in parents:
+        campaign = campaign[key]
+    if parents == ["attribution_share"]:
+        return campaign.get(leaf, 0.0)
+    return campaign[leaf]
+
+
 def run_suite(
     suite: str = "standard",
     seed: int = 1,
@@ -357,66 +401,15 @@ def run_suite(
 
     cc = campaigns["offload-cc"]
     pl = campaigns["offload-pipellm"]
-    cl = campaigns["cluster"]
-    fl = campaigns["faults"]
     key_metrics = {
-        "micro_cc_32mb_gbps": _key(
-            campaigns["micro-fig2"]["CC@32MB"]["throughput_gbps"], True
-        ),
-        "micro_nocc_32mb_gbps": _key(
-            campaigns["micro-fig2"]["w/oCC@32MB"]["throughput_gbps"], True
-        ),
-        "offload_cc_throughput_tok_s": _key(cc["throughput_tok_s"], True),
-        "offload_pipellm_throughput_tok_s": _key(pl["throughput_tok_s"], True),
-        "pipellm_speedup_over_cc": _key(
-            pl["throughput_tok_s"] / cc["throughput_tok_s"]
-            if cc["throughput_tok_s"] else 0.0,
-            True,
-        ),
-        "pipellm_hit_rate": _key(pl["speculation"]["hit_rate"], True),
-        "pipellm_p99_wire_s": _key(pl["p99_wire_s"], False),
-        "pipellm_encrypt_share": _key(
-            pl["attribution_share"].get("encrypt", 0.0), False
-        ),
-        "cluster_throughput_req_s": _key(cl["throughput_req_s"], True),
-        "cluster_p99_latency_s": _key(cl["p99_latency_s"], False),
-        "faults_storm_throughput_tok_s": _key(fl["storm_throughput_tok_s"], True),
-        "parallel_nocc_tok_s": _key(
-            campaigns["parallel"]["nocc_throughput_tok_s"], True
-        ),
-        "parallel_cc_tok_s": _key(
-            campaigns["parallel"]["cc_throughput_tok_s"], True
-        ),
-        "parallel_pipellm_tok_s": _key(
-            campaigns["parallel"]["pipellm_throughput_tok_s"], True
-        ),
-        "parallel_recovery": _key(campaigns["parallel"]["recovery"], True),
-        "parallel_hit_rate": _key(campaigns["parallel"]["hit_rate"], True),
-        "serve_pipellm_goodput_rps": _key(
-            campaigns["serve"]["pipellm"]["goodput_rps"], True
-        ),
-        "serve_pipellm_attainment": _key(
-            campaigns["serve"]["pipellm"]["attainment"], True
-        ),
-        "serve_pipellm_p99_ttft_s": _key(
-            campaigns["serve"]["pipellm"]["p99_ttft_s"], False
-        ),
-        "serve_cc_goodput_rps": _key(
-            campaigns["serve"]["cc"]["goodput_rps"], True
-        ),
-        "disagg_goodput_rps": _key(
-            campaigns["disagg"]["disagg"]["goodput_rps"], True
-        ),
-        "disagg_p50_ttft_s": _key(
-            campaigns["disagg"]["disagg"]["p50_ttft_s"], False
-        ),
-        "disagg_hit_rate": _key(
-            campaigns["disagg"]["disagg"]["migration_hit_rate"], True
-        ),
-        "disagg_s_per_chunk": _key(
-            campaigns["disagg"]["disagg"]["migration_s_per_chunk"], False
-        ),
+        name: _key(_lookup(campaigns[campaign], path), higher_is_better)
+        for name, campaign, path, higher_is_better in KEY_METRICS
     }
+    key_metrics["pipellm_speedup_over_cc"] = _key(
+        pl["throughput_tok_s"] / cc["throughput_tok_s"]
+        if cc["throughput_tok_s"] else 0.0,
+        True,
+    )
 
     wall_clock_s = (clock() - t0) if clock is not None else 0.0
     if clock is not None:

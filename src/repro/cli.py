@@ -790,16 +790,7 @@ def _dispatch(args, out) -> int:
 
         outcomes = verify_claims(args.scale)
         if args.json:
-            print(json.dumps([
-                {
-                    "claim_id": o.claim.claim_id,
-                    "statement": o.claim.statement,
-                    "paper_value": o.claim.paper_value,
-                    "measured": o.measured,
-                    "passed": o.passed,
-                }
-                for o in outcomes
-            ], indent=2), file=out)
+            print(json.dumps([o.as_dict() for o in outcomes], indent=2), file=out)
         else:
             print(render_outcomes(outcomes), file=out)
         return 0 if all(o.passed for o in outcomes) else 1
