@@ -124,11 +124,11 @@ class ZeroOffloadEngine:
         start = sim.now
         spec = config.spec
 
+        # One prefetch window per step: the optimizer rewrites every
+        # weight buffer between steps, so no load may be issued across
+        # that write (it would ship the previous step's weights).
         inflight: Dict[int, TransferHandle] = {}
-        schedule: List[int] = []
-        per_step = self.offloaded + list(reversed(self.offloaded))
-        for _ in config.batches:
-            schedule.extend(per_step)
+        schedule = self.offloaded + list(reversed(self.offloaded))
         cursor = 0
 
         def issue_prefetch():
@@ -146,6 +146,7 @@ class ZeroOffloadEngine:
                 cursor += 1
 
         for step_index, batch in enumerate(config.batches):
+            cursor = 0
             tokens = batch.total_tokens
             # Forward, then backward with per-layer gradient swap-outs.
             for phase, factor in (("forward", 1.0), ("backward", _BACKWARD_FACTOR)):

@@ -13,13 +13,22 @@ RESIDENT = 30
 STEPS = 3
 
 
-def run(system, enc=8, dec=8):
+def run(system, enc=8, dec=8, uploads=None):
+    """Run the engine; ``uploads`` collects every H2D chunk in issue order."""
     if system == "w/o CC":
         machine = build_machine(CcMode.DISABLED)
         runtime = CudaContext(machine)
     else:
         machine = build_machine(CcMode.ENABLED, enc_threads=enc, dec_threads=dec)
         runtime = CudaContext(machine) if system == "CC" else PipeLLMRuntime(machine)
+    if uploads is not None:
+        memcpy_h2d = runtime.memcpy_h2d
+
+        def recording_h2d(chunk):
+            uploads.append(chunk)
+            return memcpy_h2d(chunk)
+
+        runtime.memcpy_h2d = recording_h2d
     batches = ultrachat_batches(STEPS, 16, SeededRng(7))
     config = ZeroOffloadConfig(OPT_13B, batches, resident_layers=RESIDENT)
     engine = ZeroOffloadEngine(machine, runtime, config)
@@ -53,6 +62,22 @@ class TestOptimizerWrites:
             # the previous step's update.
             assert machine.gpu.read_plaintext(f"opt-13b.zero.w.{layer}") == (
                 engine._weight_payload(layer, STEPS - 2)
+            )
+
+    @pytest.mark.parametrize("system", ["w/o CC", "CC", "PipeLLM"])
+    def test_every_upload_carries_previous_step_weights(self, system):
+        """No weight load may be issued before the optimizer step that
+        precedes its use: step s computes on step s-1's update."""
+        uploads = []
+        _, _, _, engine = run(system, uploads=uploads)
+        weights = [c for c in uploads if ".zero.w." in c.tag]
+        per_step = 2 * len(engine.offloaded)
+        assert len(weights) == per_step * STEPS
+        for index, chunk in enumerate(weights):
+            step = index // per_step
+            layer = int(chunk.tag.rsplit(".", 1)[1])
+            assert chunk.payload == engine._weight_payload(layer, step - 1), (
+                f"step {step} loaded layer {layer} as {chunk.payload!r}"
             )
 
     def test_writes_invalidate_staged_ciphertext(self):
