@@ -1,10 +1,10 @@
-"""LLM system substrates: FlexGen-, vLLM- and PEFT-like engines."""
+"""LLM system substrates: FlexGen-, vLLM-, PEFT- and ZeRO-like engines."""
 
 from .flexgen import FlexGenConfig, FlexGenEngine, FlexGenResult
 from .layerwise import LayerwiseConfig, LayerwiseKvEngine, LayerwiseResult
 from .peft import PeftConfig, PeftEngine, PeftResult
 from .vllm import VllmConfig, VllmEngine, VllmResult
-from .zero import ZeroOffloadConfig, ZeroOffloadEngine, ZeroOffloadResult
+from .zero import ZeroOffloadConfig, ZeroOffloadEngine
 
 __all__ = [
     "FlexGenConfig",
@@ -21,5 +21,4 @@ __all__ = [
     "VllmResult",
     "ZeroOffloadConfig",
     "ZeroOffloadEngine",
-    "ZeroOffloadResult",
 ]

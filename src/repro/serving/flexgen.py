@@ -4,11 +4,10 @@ Reproduces the substrate of the paper's case study 1 (§3) and the
 Fig. 3a / Fig. 7 experiments: a model larger than GPU memory is served
 by keeping a prefix of layers resident and streaming the rest from
 host memory every pass, in a fixed layer order — the *repetitive*
-swap pattern of Figure 5a. The engine overlaps the next layer's load
-with the current layer's compute (double buffering), exactly the
-structure that makes CC's inline encryption catastrophic: the
-``cudaMemcpyAsync`` call itself blocks on the CPU AES, destroying the
-overlap.
+swap pattern of Figure 5a. A :class:`~repro.serving.stream.LayerStream`
+overlaps the next layer's load with the current layer's compute,
+exactly the structure that makes CC's inline encryption catastrophic:
+the ``cudaMemcpyAsync`` call itself blocks on the CPU AES.
 
 The engine is written purely against :class:`DeviceRuntime`, so the
 same code runs on "w/o CC", "CC" and PipeLLM machines.
@@ -16,20 +15,18 @@ same code runs on "w/o CC", "CC" and PipeLLM machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..cc.api import DeviceRuntime, TransferHandle
+from ..cc.api import DeviceRuntime
 from ..cc.machine import Machine
 from ..hw.memory import Region
-from ..models import ModelSpec, TransformerCostModel
+from ..models import ModelSpec
 from ..sim import SeededRng
 from ..workloads import SyntheticShape
+from .stream import _PREFETCH_DEPTH, Engine, LayerStream
 
 __all__ = ["FlexGenConfig", "FlexGenEngine", "FlexGenResult"]
-
-#: In-flight prefetched layer loads (FlexGen double buffering).
-_PREFETCH_DEPTH = 2
 
 #: Functional payload bytes per streamed layer (timing uses the
 #: logical layer size; the payload only feeds the crypto layer).
@@ -82,15 +79,11 @@ class FlexGenResult:
         return self.generated_tokens / self.elapsed if self.elapsed > 0 else 0.0
 
 
-class FlexGenEngine:
+class FlexGenEngine(Engine[FlexGenResult]):
     """Layer-streaming batched generation over a DeviceRuntime."""
 
     def __init__(self, machine: Machine, runtime: DeviceRuntime, config: FlexGenConfig) -> None:
-        self.machine = machine
-        self.runtime = runtime
-        self.config = config
-        self.cost = TransformerCostModel(config.spec)
-        self._rng = SeededRng(config.seed)
+        super().__init__(machine, runtime, config)
         spec = config.spec
 
         self.n_resident = config.resident_layers(machine.params.gpu_memory_bytes)
@@ -98,31 +91,20 @@ class FlexGenEngine:
         runtime.hint_weight_chunk_size(spec.layer_bytes)
 
         # Host copies of the offloaded layers (read-only weights).
-        self._regions: Dict[int, Region] = {}
-        for layer in self.offloaded:
-            payload = self._rng.bytes(_PAYLOAD_BYTES)
-            self._regions[layer] = machine.host_memory.allocate(
-                spec.layer_bytes, tag=f"{spec.name}.layer.{layer}", payload=payload
+        rng = SeededRng(config.seed)
+        self._regions: Dict[int, Region] = {
+            layer: machine.host_memory.allocate(
+                spec.layer_bytes, tag=f"{spec.name}.layer.{layer}",
+                payload=rng.bytes(_PAYLOAD_BYTES),
             )
+            for layer in self.offloaded
+        }
 
         # Device-memory accounting for the resident part.
         machine.gpu.alloc("weights.resident", self.n_resident * spec.layer_bytes)
         machine.gpu.alloc("embeddings", spec.embedding_bytes)
         machine.gpu.alloc("kv+workspace", config.reserve_bytes or config.kv_bytes())
         machine.gpu.alloc("stream-buffers", _PREFETCH_DEPTH * spec.layer_bytes)
-
-        self.swap_in_count = 0
-        self.result: Optional[FlexGenResult] = None
-
-    # -- public API -----------------------------------------------------------
-
-    def run(self) -> FlexGenResult:
-        """Execute the whole workload; returns the throughput summary."""
-        self.machine.sim.process(self._main())
-        self.machine.run()
-        if self.result is None:
-            raise RuntimeError("FlexGen run did not complete")
-        return self.result
 
     # -- generation loop ----------------------------------------------------------
 
@@ -135,31 +117,12 @@ class FlexGenEngine:
         n_batches = -(-config.n_requests // config.batch_size)
         start = self.machine.sim.now
 
-        # Flattened schedule of every offloaded-layer load in the run,
-        # so prefetch can run ahead across pass and batch boundaries.
-        schedule: List[int] = []
-        passes_per_batch = len(self._passes())
-        for _ in range(n_batches * passes_per_batch):
-            schedule.extend(self.offloaded)
-
-        inflight: Dict[int, TransferHandle] = {}
-        cursor = 0
-
-        def issue_prefetch():
-            nonlocal cursor
-            while cursor < len(schedule) and len(inflight) < _PREFETCH_DEPTH:
-                layer = schedule[cursor]
-                if layer in inflight:
-                    break  # Same layer already in flight; wait for it.
-                region = self._regions[layer]
-                yield self.runtime.cpu_access(region.addr)
-                chunk = self.machine.host_memory.chunk_at(region.addr)
-                handle = self.runtime.memcpy_h2d(chunk)
-                # The issuing thread blocks here under CC (inline AES);
-                # this is precisely the overlap-killer of §3.
-                yield handle.api_done
-                inflight[layer] = handle
-                cursor += 1
+        # One stream over every offloaded-layer load of the run, so
+        # prefetch runs ahead across pass and batch boundaries.
+        stream = LayerStream(
+            self.machine, self.runtime, self._regions,
+            self.offloaded * (n_batches * len(self._passes())),
+        )
 
         for batch_index in range(n_batches):
             batch = min(config.batch_size, config.n_requests - batch_index * config.batch_size)
@@ -167,27 +130,15 @@ class FlexGenEngine:
                 context = config.shape.prompt_len + pass_index
                 pass_start = self.machine.sim.now
                 for layer in range(config.spec.n_layers):
-                    if layer in self.offloaded:
-                        yield from issue_prefetch()
-                        handle = inflight.pop(layer, None)
-                        if handle is None:
-                            # Prefetch fell behind (can happen right at
-                            # startup); issue the load synchronously.
-                            region = self._regions[layer]
-                            chunk = self.machine.host_memory.chunk_at(region.addr)
-                            handle = self.runtime.memcpy_h2d(chunk)
-                            yield handle.api_done
-                        # FlexGen waits on the stream event of this
-                        # specific load (not a device-wide barrier), so
-                        # its own prefetch pipeline keeps running.
-                        yield handle.complete
+                    if layer in self._regions:
+                        yield from stream.fetch(layer)
                         self.swap_in_count += 1
                     work = self._layer_work(pass_kind, batch, context)
                     compute_done = self.machine.gpu.compute(
                         work.flops, work.bytes_touched, layers=1
                     )
                     # Keep the pipeline fed while the GPU computes.
-                    yield from issue_prefetch()
+                    yield from stream.top_up()
                     yield compute_done
                 # One model pass on the "serving" telemetry lane.
                 self.machine.sim.tracer.record(

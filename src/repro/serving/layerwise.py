@@ -20,13 +20,14 @@ through the page-protection path rather than ship old KV.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..cc.api import DeviceRuntime
 from ..cc.machine import Machine
 from ..hw.memory import MemoryChunk, Region
-from ..models import ModelSpec, TransformerCostModel
+from ..models import ModelSpec
 from ..workloads import SyntheticShape
+from .stream import Engine
 
 __all__ = ["LayerwiseConfig", "LayerwiseKvEngine", "LayerwiseResult"]
 
@@ -76,14 +77,11 @@ class LayerwiseResult:
         return self.generated_tokens / self.elapsed if self.elapsed > 0 else 0.0
 
 
-class LayerwiseKvEngine:
+class LayerwiseKvEngine(Engine[LayerwiseResult]):
     """Decode loop streaming per-layer KV in FIFO order."""
 
     def __init__(self, machine: Machine, runtime: DeviceRuntime, config: LayerwiseConfig) -> None:
-        self.machine = machine
-        self.runtime = runtime
-        self.config = config
-        self.cost = TransformerCostModel(config.spec)
+        super().__init__(machine, runtime, config)
         spec = config.spec
 
         resident = (
@@ -101,28 +99,17 @@ class LayerwiseKvEngine:
         max_context = config.shape.prompt_len + config.shape.output_len
         self.kv_bytes = config.kv_layer_bytes(max_context)
         runtime.hint_kv_block_size(self.kv_bytes)
-        self._regions: Dict[int, Region] = {}
-        for layer in self.streamed:
-            self._regions[layer] = machine.host_memory.allocate(
+        self._regions: Dict[int, Region] = {
+            layer: machine.host_memory.allocate(
                 self.kv_bytes, tag=f"kv.layer.{layer}",
                 payload=self._payload(layer, step=-1),
             )
-
-        self.swap_in_count = 0
-        self.result: Optional[LayerwiseResult] = None
+            for layer in self.streamed
+        }
 
     @staticmethod
     def _payload(layer: int, step: int) -> bytes:
         return f"kv-L{layer}-s{step}".encode()[:_PAYLOAD_BYTES]
-
-    # -- public API ---------------------------------------------------------
-
-    def run(self) -> LayerwiseResult:
-        self.machine.sim.process(self._main())
-        self.machine.run()
-        if self.result is None:
-            raise RuntimeError("layer-wise run did not complete")
-        return self.result
 
     # -- decode loop ------------------------------------------------------------
 
@@ -134,9 +121,8 @@ class LayerwiseKvEngine:
         for step in range(config.shape.output_len):
             context = config.shape.prompt_len + step
             for layer in range(config.spec.n_layers):
-                streamed = layer in self._regions
-                if streamed:
-                    region = self._regions[layer]
+                region = self._regions.get(layer)
+                if region is not None:
                     yield self.runtime.cpu_access(region.addr)
                     chunk = self.machine.host_memory.chunk_at(region.addr)
                     handle = self.runtime.memcpy_h2d(chunk)
@@ -145,13 +131,12 @@ class LayerwiseKvEngine:
                     self.swap_in_count += 1
                 work = self.cost.decode_layer(config.batch_size, context)
                 yield self.machine.gpu.compute(work.flops, work.bytes_touched, layers=1)
-                if streamed:
+                if region is not None:
                     # Write the grown KV back out — FIFO: layer order.
-                    region = self._regions[layer]
-                    self.machine.gpu._contents[region.tag] = self._payload(layer, step)
+                    payload = self._payload(layer, step)
+                    self.machine.gpu.store_plaintext(region.tag, payload)
                     out = self.runtime.memcpy_d2h(
-                        MemoryChunk(region.addr, self.kv_bytes,
-                                    self._payload(layer, step), region.tag)
+                        MemoryChunk(region.addr, self.kv_bytes, payload, region.tag)
                     )
                     yield out.api_done
             yield self.runtime.synchronize()

@@ -18,18 +18,18 @@ contrast, are read-only and always safely pre-encryptable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..cc.api import DeviceRuntime, TransferHandle
+from ..cc.api import DeviceRuntime
 from ..cc.machine import Machine
 from ..hw.memory import MemoryChunk, Region
-from ..models import ModelSpec, TransformerCostModel
+from ..models import ModelSpec
 from ..sim import SeededRng
 from ..workloads import FineTuneBatch
+from .stream import Engine, LayerStream
 
 __all__ = ["PeftConfig", "PeftEngine", "PeftResult"]
 
-_PREFETCH_DEPTH = 2
 _PAYLOAD_BYTES = 24
 
 #: Backward pass costs roughly 2× the forward GEMMs.
@@ -66,135 +66,115 @@ class PeftResult:
         return self.total_tokens / self.elapsed if self.elapsed > 0 else 0.0
 
 
-class PeftEngine:
-    """Layer-streaming forward/backward fine-tuning loop."""
+class PeftEngine(Engine[PeftResult]):
+    """Layer-streaming forward/backward fine-tuning loop.
+
+    ZeRO-Offload reuses the step loop; it replaces ``_allocate``,
+    ``_streams``, ``_after_backward`` and ``_optimize``.
+    """
+
+    #: Telemetry lane of the forward/backward phase spans.
+    _LANE = "serving.peft"
 
     def __init__(self, machine: Machine, runtime: DeviceRuntime, config: PeftConfig) -> None:
         if not config.batches:
             raise ValueError("config.batches must not be empty")
-        self.machine = machine
-        self.runtime = runtime
-        self.config = config
-        self.cost = TransformerCostModel(config.spec)
-        self._rng = SeededRng(config.seed)
+        super().__init__(machine, runtime, config)
         spec = config.spec
 
         self.n_resident = max(0, min(spec.n_layers, config.resident_layers))
         self.offloaded = list(range(self.n_resident, spec.n_layers))
         runtime.hint_weight_chunk_size(spec.layer_bytes)
+        #: Offloaded-layer loads of one step: forward then backward.
+        self._step_order = self.offloaded + self.offloaded[::-1]
+        self._regions: Dict[int, Region] = self._allocate()
 
-        self._regions: Dict[int, Region] = {}
-        for layer in self.offloaded:
-            self._regions[layer] = machine.host_memory.allocate(
+    def _allocate(self) -> Dict[int, Region]:
+        """Read-only base weights, plus the LoRA adapter state."""
+        spec = self.config.spec
+        rng = SeededRng(self.config.seed)
+        regions = {
+            layer: self.machine.host_memory.allocate(
                 spec.layer_bytes,
                 tag=f"{spec.name}.ft.layer.{layer}",
-                payload=self._rng.bytes(_PAYLOAD_BYTES),
+                payload=rng.bytes(_PAYLOAD_BYTES),
             )
+            for layer in self.offloaded
+        }
         # Host-side LoRA adapter state, rewritten by the optimizer each
         # step (exercises the write-fault invalidation path).
-        self.adapter_bytes = int(8 * config.lora_rank * spec.hidden * spec.n_layers * 2)
-        self._adapters = machine.host_memory.allocate(
+        self.adapter_bytes = int(8 * self.config.lora_rank * spec.hidden * spec.n_layers * 2)
+        self._adapters = self.machine.host_memory.allocate(
             max(self.adapter_bytes, 4096), tag="lora.adapters", payload=b"adapters-v0"
         )
-
-        self.swap_in_count = 0
-        self.result: Optional[PeftResult] = None
-
-    # -- public API ------------------------------------------------------------
-
-    def run(self) -> PeftResult:
-        self.machine.sim.process(self._main())
-        self.machine.run()
-        if self.result is None:
-            raise RuntimeError("PEFT run did not complete")
-        return self.result
+        return regions
 
     # -- training loop ----------------------------------------------------------
 
-    def _step_layer_sequence(self) -> List[int]:
-        """Offloaded-layer loads of one step: forward then backward."""
-        forward = [l for l in range(self.config.spec.n_layers) if l in self._regions]
-        return forward + list(reversed(forward))
+    def _streams(self) -> List[LayerStream]:
+        """One stream per step. The base weights are read-only, so one
+        stream runs ahead across every step boundary."""
+        steps = len(self.config.batches)
+        order = self._step_order * steps
+        return [LayerStream(self.machine, self.runtime, self._regions, order)] * steps
 
     def _main(self):
         config = self.config
-        start = self.machine.sim.now
-        per_step = self._step_layer_sequence()
-        schedule: List[int] = []
-        for _ in config.batches:
-            schedule.extend(per_step)
-
-        inflight: Dict[int, TransferHandle] = {}
-        cursor = 0
-
-        def issue_prefetch():
-            nonlocal cursor
-            while cursor < len(schedule) and len(inflight) < _PREFETCH_DEPTH:
-                layer = schedule[cursor]
-                if layer in inflight:
-                    break
-                region = self._regions[layer]
-                chunk = self.machine.host_memory.chunk_at(region.addr)
-                handle = self.runtime.memcpy_h2d(chunk)
-                yield handle.api_done  # Blocks under CC: inline AES.
-                inflight[layer] = handle
-                cursor += 1
-
-        for batch in config.batches:
+        sim = self.machine.sim
+        start = sim.now
+        n_layers = config.spec.n_layers
+        phases = (
+            ("forward", 1.0, range(n_layers)),
+            ("backward", _BACKWARD_FACTOR, range(n_layers - 1, -1, -1)),
+        )
+        for step, (batch, stream) in enumerate(zip(config.batches, self._streams())):
             tokens = batch.total_tokens
-            for phase, factor in (("forward", 1.0), ("backward", _BACKWARD_FACTOR)):
-                layer_order = (
-                    range(config.spec.n_layers)
-                    if phase == "forward"
-                    else range(config.spec.n_layers - 1, -1, -1)
-                )
-                phase_start = self.machine.sim.now
+            for phase, factor, layer_order in phases:
+                phase_start = sim.now
                 for layer in layer_order:
                     if layer in self._regions:
-                        yield from issue_prefetch()
-                        handle = inflight.pop(layer, None)
-                        if handle is None:
-                            region = self._regions[layer]
-                            chunk = self.machine.host_memory.chunk_at(region.addr)
-                            handle = self.runtime.memcpy_h2d(chunk)
-                            yield handle.api_done
-                        yield handle.complete
+                        yield from stream.fetch(layer)
                         self.swap_in_count += 1
                     work = self.cost.prefill_layer(tokens)
                     compute_done = self.machine.gpu.compute(
                         factor * work.flops, work.bytes_touched, layers=1
                     )
-                    yield from issue_prefetch()
+                    yield from stream.top_up()
                     yield compute_done
+                    if phase == "backward" and layer in self._regions:
+                        yield from self._after_backward(layer, step)
                 # One forward/backward phase on the "serving" lane.
-                self.machine.sim.tracer.record(
-                    "serving.peft", phase, phase_start, self.machine.sim.now
-                )
+                sim.tracer.record(self._LANE, phase, phase_start, sim.now)
+            yield from self._optimize(step, batch)
 
-            # Optimizer step: adapter gradients come down, updated
-            # adapters are written on the CPU (invalidating any staged
-            # ciphertext covering them), then go back up.
-            grad_chunk = MemoryChunk(
-                self._adapters.addr, max(self.adapter_bytes, 4096),
-                b"grads", "lora.grads",
-            )
-            handle = self.runtime.memcpy_d2h(grad_chunk)
-            yield handle.api_done
-            yield self.runtime.synchronize()
-            yield self.runtime.cpu_access(self._adapters.addr)
-            self.machine.host_memory.write(
-                self._adapters.addr, f"adapters-b{batch.batch_id}".encode()
-            )
-            up = self.machine.host_memory.chunk_at(self._adapters.addr)
-            handle = self.runtime.memcpy_h2d(up)
-            yield handle.complete
-
-        elapsed = self.machine.sim.now - start
-        total_tokens = sum(b.total_tokens for b in config.batches)
         self.result = PeftResult(
-            config_label=f"{config.spec.name} lora-r{config.lora_rank}",
-            total_tokens=total_tokens,
+            config_label=self._label(),
+            total_tokens=sum(b.total_tokens for b in config.batches),
             steps=len(config.batches),
-            elapsed=elapsed,
+            elapsed=sim.now - start,
             offloaded_layers=len(self.offloaded),
         )
+
+    def _label(self) -> str:
+        return f"{self.config.spec.name} lora-r{self.config.lora_rank}"
+
+    def _after_backward(self, layer: int, step: int):
+        """After a streamed layer's backward: LoRA's gradients stay on
+        the GPU until the optimizer step."""
+        return ()
+
+    def _optimize(self, step: int, batch: FineTuneBatch):
+        """Adapter gradients come down, updated adapters are written on
+        the CPU (invalidating any staged ciphertext covering them), then
+        go back up."""
+        grads = MemoryChunk(
+            self._adapters.addr, max(self.adapter_bytes, 4096), b"grads", "lora.grads"
+        )
+        yield self.runtime.memcpy_d2h(grads).api_done
+        yield self.runtime.synchronize()
+        yield self.runtime.cpu_access(self._adapters.addr)
+        self.machine.host_memory.write(
+            self._adapters.addr, f"adapters-b{batch.batch_id}".encode()
+        )
+        up = self.machine.host_memory.chunk_at(self._adapters.addr)
+        yield self.runtime.memcpy_h2d(up).complete

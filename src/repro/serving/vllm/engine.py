@@ -16,14 +16,15 @@ the paper's serving plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ...cc.api import DeviceRuntime, TransferHandle
 from ...cc.machine import Machine
 from ...hw.memory import MemoryChunk
-from ...models import KvGeometry, ModelSpec, TransformerCostModel
+from ...models import KvGeometry, LayerWork, ModelSpec
 from ...sim import SeededRng, mean, percentile
 from ...workloads import Request
+from ..stream import Engine
 from .block_manager import BlockManager
 from .scheduler import GroupState, SchedulerState, SequenceGroup
 
@@ -72,16 +73,13 @@ class VllmResult:
         return percentile(self.normalized_latencies, q)
 
 
-class VllmEngine:
+class VllmEngine(Engine[VllmResult]):
     """Continuous batching + request-wise KV swapping."""
 
     def __init__(self, machine: Machine, runtime: DeviceRuntime, config: VllmConfig) -> None:
         if not config.requests:
             raise ValueError("config.requests must not be empty")
-        self.machine = machine
-        self.runtime = runtime
-        self.config = config
-        self.cost = TransformerCostModel(config.spec)
+        super().__init__(machine, runtime, config)
         self.geometry = KvGeometry(config.spec, block_size=config.block_size)
         self._rng = SeededRng(config.seed)
 
@@ -104,18 +102,6 @@ class VllmEngine:
         self._token_out = machine.host_memory.allocate(4096, "tokens.out", b"\x02" * 8)
 
         self.swap_out_count = 0
-        self.swap_in_count = 0
-        self.iterations = 0
-        self.result: Optional[VllmResult] = None
-
-    # -- public API -------------------------------------------------------------
-
-    def run(self) -> VllmResult:
-        self.machine.sim.process(self._main())
-        self.machine.run()
-        if self.result is None:
-            raise RuntimeError("vLLM run did not complete")
-        return self.result
 
     # -- engine loop ---------------------------------------------------------------
 
@@ -147,7 +133,6 @@ class VllmEngine:
         prefill_groups = self._schedule_admissions()
         if not state.running:
             return False
-        self.iterations += 1
 
         # Block growth for this decode step; preempt until it fits.
         yield from self._make_room()
@@ -250,10 +235,8 @@ class VllmEngine:
                 break
             yield from self._swap_out(victim)
         # Grant the growth now; the compute step will fill the blocks.
-        growth = sum(g.step_block_growth(self.geometry) for g in state.running)
         for group in state.running:
             self.blocks.allocate(group.owner, group.step_block_growth(self.geometry))
-        return growth
 
     # -- swapping -----------------------------------------------------------------------
 
@@ -268,7 +251,7 @@ class VllmEngine:
         group.swap_region = region
         # Seed the GPU-side functional contents so the D2H carries
         # deterministic bytes that the later swap-in must reproduce.
-        self.machine.gpu._contents[tag] = payload
+        self.machine.gpu.store_plaintext(tag, payload)
         handle = self.runtime.memcpy_d2h(MemoryChunk(region.addr, nbytes, payload, tag))
         yield handle.api_done
         self.blocks.free_owner(group.owner)
@@ -288,8 +271,6 @@ class VllmEngine:
     # -- compute & progress ------------------------------------------------------------------
 
     def _step_work(self, prefill_groups: List[SequenceGroup]):
-        from ...models import LayerWork
-
         prefill_tokens = sum(g.request.prompt_len for g in prefill_groups)
         decode_groups = [g for g in self.state.running if g not in prefill_groups]
         decode_seqs = sum(g.request.parallel_n for g in decode_groups)

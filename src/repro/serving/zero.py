@@ -18,28 +18,26 @@ adversarial case for weight speculation:
 * the gradient stream doubles the D2H volume, loading the
   asynchronous decryptor and the decryption thread pool.
 
-The engine mirrors :class:`~repro.serving.peft.PeftEngine`'s structure
-(forward layer order, backward reversed, prefetch window) plus the
-per-layer gradient swap-outs and the CPU optimizer phase.
+The engine is :class:`~repro.serving.peft.PeftEngine`'s step loop
+plus what is its own: the weight and gradient regions, the per-layer
+gradient swap-out in backward, and the CPU optimizer phase. Its
+prefetch window never crosses the optimizer step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..cc.api import DeviceRuntime, TransferHandle
-from ..cc.machine import Machine
 from ..hw.memory import MemoryChunk, Region
-from ..models import ModelSpec, TransformerCostModel
-from ..sim import SeededRng
+from ..models import ModelSpec
 from ..workloads import FineTuneBatch
+from .peft import PeftEngine
+from .stream import LayerStream
 
-__all__ = ["ZeroOffloadConfig", "ZeroOffloadEngine", "ZeroOffloadResult"]
+__all__ = ["ZeroOffloadConfig", "ZeroOffloadEngine"]
 
-_PREFETCH_DEPTH = 2
 _PAYLOAD_BYTES = 20
-_BACKWARD_FACTOR = 2.0
 
 #: CPU Adam step throughput over the fp32 master weights (B/s): reads
 #: master+grad+two moments, writes master+moments — DDR-bound.
@@ -54,154 +52,65 @@ class ZeroOffloadConfig:
     batches: List[FineTuneBatch]
     #: Layers resident on the GPU; the rest stream per pass.
     resident_layers: int = 0
-    seed: int = 1
 
 
-@dataclass
-class ZeroOffloadResult:
-    config_label: str
-    total_tokens: int
-    steps: int
-    elapsed: float
-    offloaded_layers: int
-
-    @property
-    def throughput(self) -> float:
-        return self.total_tokens / self.elapsed if self.elapsed > 0 else 0.0
-
-
-class ZeroOffloadEngine:
+class ZeroOffloadEngine(PeftEngine):
     """Full fine-tuning with weight + gradient streaming."""
 
-    def __init__(self, machine: Machine, runtime: DeviceRuntime, config: ZeroOffloadConfig) -> None:
-        if not config.batches:
-            raise ValueError("config.batches must not be empty")
-        self.machine = machine
-        self.runtime = runtime
-        self.config = config
-        self.cost = TransformerCostModel(config.spec)
-        self._rng = SeededRng(config.seed)
-        spec = config.spec
+    _LANE = "serving.zero"
+    config: ZeroOffloadConfig
 
-        self.n_resident = max(0, min(spec.n_layers, config.resident_layers))
-        self.offloaded = list(range(self.n_resident, spec.n_layers))
-        runtime.hint_weight_chunk_size(spec.layer_bytes)
-
-        #: Host fp16 weights per offloaded layer — REWRITTEN each step.
-        self._weights: Dict[int, Region] = {}
-        #: Host gradient buffers per offloaded layer (D2H destinations).
+    def _allocate(self) -> Dict[int, Region]:
+        """Per offloaded layer: fp16 weights (REWRITTEN each step), gradients."""
+        spec = self.config.spec
+        weights: Dict[int, Region] = {}
         self._grads: Dict[int, Region] = {}
         for layer in self.offloaded:
-            self._weights[layer] = machine.host_memory.allocate(
+            weights[layer] = self.machine.host_memory.allocate(
                 spec.layer_bytes, tag=f"{spec.name}.zero.w.{layer}",
                 payload=self._weight_payload(layer, step=-1),
             )
-            self._grads[layer] = machine.host_memory.allocate(
+            self._grads[layer] = self.machine.host_memory.allocate(
                 spec.layer_bytes, tag=f"{spec.name}.zero.g.{layer}"
             )
-
-        self.swap_in_count = 0
-        self.result: Optional[ZeroOffloadResult] = None
+        return weights
 
     @staticmethod
     def _weight_payload(layer: int, step: int) -> bytes:
         return f"w-L{layer}-s{step}".encode()[:_PAYLOAD_BYTES]
 
-    # -- public API ---------------------------------------------------------
+    def _label(self) -> str:
+        return f"{self.config.spec.name} zero-offload"
 
-    def run(self) -> ZeroOffloadResult:
-        self.machine.sim.process(self._main())
-        self.machine.run()
-        if self.result is None:
-            raise RuntimeError("ZeRO-Offload run did not complete")
-        return self.result
+    def _streams(self) -> List[LayerStream]:
+        """One stream per step: the optimizer rewrites every weight
+        buffer between steps, so no load may be issued across it."""
+        order = self._step_order
+        return [LayerStream(self.machine, self.runtime, self._regions, order)
+                for _ in self.config.batches]
 
-    # -- training loop ----------------------------------------------------------
-
-    def _main(self):
-        config = self.config
-        sim = self.machine.sim
-        start = sim.now
-        spec = config.spec
-
-        # One prefetch window per step: the optimizer rewrites every
-        # weight buffer between steps, so no load may be issued across
-        # that write (it would ship the previous step's weights).
-        inflight: Dict[int, TransferHandle] = {}
-        schedule = self.offloaded + list(reversed(self.offloaded))
-        cursor = 0
-
-        def issue_prefetch():
-            nonlocal cursor
-            while cursor < len(schedule) and len(inflight) < _PREFETCH_DEPTH:
-                layer = schedule[cursor]
-                if layer in inflight:
-                    break
-                region = self._weights[layer]
-                yield self.runtime.cpu_access(region.addr)
-                chunk = self.machine.host_memory.chunk_at(region.addr)
-                handle = self.runtime.memcpy_h2d(chunk)
-                yield handle.api_done
-                inflight[layer] = handle
-                cursor += 1
-
-        for step_index, batch in enumerate(config.batches):
-            cursor = 0
-            tokens = batch.total_tokens
-            # Forward, then backward with per-layer gradient swap-outs.
-            for phase, factor in (("forward", 1.0), ("backward", _BACKWARD_FACTOR)):
-                order = (
-                    range(spec.n_layers)
-                    if phase == "forward"
-                    else range(spec.n_layers - 1, -1, -1)
-                )
-                for layer in order:
-                    if layer in self._weights:
-                        yield from issue_prefetch()
-                        handle = inflight.pop(layer, None)
-                        if handle is None:
-                            region = self._weights[layer]
-                            yield self.runtime.cpu_access(region.addr)
-                            chunk = self.machine.host_memory.chunk_at(region.addr)
-                            handle = self.runtime.memcpy_h2d(chunk)
-                            yield handle.api_done
-                        yield handle.complete
-                        self.swap_in_count += 1
-                    work = self.cost.prefill_layer(tokens)
-                    compute = self.machine.gpu.compute(
-                        factor * work.flops, work.bytes_touched, layers=1
-                    )
-                    yield from issue_prefetch()
-                    yield compute
-                    if phase == "backward" and layer in self._grads:
-                        grad = self._grads[layer]
-                        tag = grad.tag
-                        self.machine.gpu._contents[tag] = f"g-L{layer}-s{step_index}".encode()
-                        out = self.runtime.memcpy_d2h(
-                            MemoryChunk(grad.addr, spec.layer_bytes,
-                                        self.machine.gpu._contents[tag], tag)
-                        )
-                        yield out.api_done
-
-            # CPU optimizer phase: wait for gradients, run Adam over the
-            # master weights, rewrite the fp16 weight buffers in place.
-            yield self.runtime.synchronize()
-            optimizer_bytes = 0
-            for layer in self.offloaded:
-                yield self.runtime.cpu_access(self._grads[layer].addr)
-                optimizer_bytes += 6 * spec.layer_bytes  # fp32 master+moments r/w
-            yield sim.timeout(optimizer_bytes / _OPTIMIZER_BANDWIDTH)
-            for layer in self.offloaded:
-                # The in-place update: staged weight ciphertext for this
-                # layer dies here through the write fault.
-                self.machine.host_memory.write(
-                    self._weights[layer].addr, self._weight_payload(layer, step_index)
-                )
-
-        self.result = ZeroOffloadResult(
-            config_label=f"{spec.name} zero-offload",
-            total_tokens=sum(b.total_tokens for b in config.batches),
-            steps=len(config.batches),
-            elapsed=sim.now - start,
-            offloaded_layers=len(self.offloaded),
+    def _after_backward(self, layer: int, step: int):
+        """Swap this layer's gradient out to its host buffer."""
+        grad = self._grads[layer]
+        payload = f"g-L{layer}-s{step}".encode()
+        self.machine.gpu.store_plaintext(grad.tag, payload)
+        out = self.runtime.memcpy_d2h(
+            MemoryChunk(grad.addr, self.config.spec.layer_bytes, payload, grad.tag)
         )
+        yield out.api_done
+
+    def _optimize(self, step: int, batch: FineTuneBatch):
+        """Wait for the gradients, run Adam over the master weights,
+        rewrite the fp16 weight buffers in place."""
+        yield self.runtime.synchronize()
+        optimizer_bytes = 0
+        for layer in self.offloaded:
+            yield self.runtime.cpu_access(self._grads[layer].addr)
+            optimizer_bytes += 6 * self.config.spec.layer_bytes  # fp32 master+moments r/w
+        yield self.machine.sim.timeout(optimizer_bytes / _OPTIMIZER_BANDWIDTH)
+        for layer in self.offloaded:
+            # The in-place update: staged weight ciphertext for this
+            # layer dies here through the write fault.
+            self.machine.host_memory.write(
+                self._regions[layer].addr, self._weight_payload(layer, step)
+            )
