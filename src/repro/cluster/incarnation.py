@@ -24,12 +24,12 @@ loop (``_loop``) and the ``outstanding`` load signal.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..cc import CcMode, Machine, build_attested_machine
 from ..hw import HardwareParams, default_params
 from ..models import KvGeometry, LayerWork, ModelSpec, TransformerCostModel
-from ..sim import Simulator, mean
+from ..sim import Simulator
 from ..tracing import active_collector
 
 __all__ = ["Incarnation", "IncarnationDead"]
@@ -180,24 +180,6 @@ class Incarnation:
             for ctx in traces():
                 if ctx is not None:
                     collector.add(ctx, step, "compute", self.incarnation, start, sim.now)
-
-    def _step_work(self, prefill_tokens: int, decode: Sequence) -> LayerWork:
-        """One GPU step: ``prefill_tokens`` prompt tokens plus one decode
-        token per sequence of each resident in ``decode`` (residents
-        expose ``request`` and ``context_len()``)."""
-        flops = 0.0
-        bytes_touched = 0.0
-        if prefill_tokens:
-            work = self.cost.prefill(prefill_tokens)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        decode_seqs = sum(r.request.parallel_n for r in decode)
-        if decode_seqs:
-            ctx = mean([float(r.context_len()) for r in decode])
-            work = self.cost.decode_step(decode_seqs, ctx)
-            flops += work.flops
-            bytes_touched += work.bytes_touched
-        return LayerWork(flops, bytes_touched, layers=self.spec.n_layers)
 
     # -- subclass surface -------------------------------------------------
 

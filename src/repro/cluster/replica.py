@@ -2,10 +2,11 @@
 
 A :class:`Replica` owns one :class:`repro.cc.Machine` (embedded in the
 cluster's shared simulator), the `DeviceRuntime` that machine serves
-traffic through (PipeLLM, inline CC, or native), and a vLLM-style
-continuous-batching loop that accepts *dynamically routed* requests
-from the gateway — unlike the single-machine engines, the request set
-is not known up front.
+traffic through (PipeLLM, inline CC, or native), and a loop over the
+continuous-batching core it shares with the vLLM engine
+(:mod:`repro.serving.vllm.batching`) that accepts *dynamically routed*
+requests from the gateway — unlike the single-machine engines, the
+request set is not known up front.
 
 The loop reproduces the serving behaviour the cluster experiments
 depend on:
@@ -28,28 +29,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..cc import CudaContext
 from ..core import PipeLLMRuntime
-from ..hw.memory import MemoryChunk
 from ..models import LayerWork
-from ..serving.vllm.block_manager import BlockManager
-from ..serving.vllm.scheduler import GroupState, SequenceGroup
-from ..workloads import Request
+from ..serving.vllm.batching import PAYLOAD_BYTES, ContinuousBatcher
+from ..serving.vllm.scheduler import SchedulerState, SequenceGroup
 from .fleet import FleetRequest
-from .incarnation import Incarnation
+from .incarnation import Incarnation, IncarnationDead
 
 __all__ = ["ClusterRequest", "Replica"]
 
-#: Functional payload bytes for control and KV transfers.
-_PAYLOAD_BYTES = 16
-
 #: Tenants whose prompt prefixes one replica keeps warm.
 _PREFIX_CACHE_TENANTS = 16
-
-#: Resume hysteresis, mirroring vLLM's watermark.
-_RESUME_WATERMARK = 0.02
 
 
 @dataclass
@@ -68,23 +61,13 @@ class ClusterRequest(FleetRequest):
 
 
 @dataclass
-class _Served:
-    """A request resident on one replica, with its scheduling state."""
+class _Resident(SequenceGroup):
+    """A routed request's sequence group on one replica."""
 
-    creq: ClusterRequest
-    group: SequenceGroup
-    #: Prompt tokens that must actually be prefilled (0 = prefix hit).
-    prefill_tokens: int = 0
-
-    @property
-    def request(self) -> Request:
-        return self.group.request
-
-    def context_len(self) -> int:
-        return self.group.context_len()
+    creq: Optional[ClusterRequest] = None
 
 
-class Replica(Incarnation):
+class Replica(ContinuousBatcher, Incarnation):
     """One CVM+GPU serving machine behind the gateway."""
 
     kind = "replica"
@@ -93,8 +76,6 @@ class Replica(Incarnation):
         #: Set by the gateway when the replica joins the fleet.
         self.gateway = None
         self.prefix_hits = 0
-        self.swap_out_count = 0
-        self.swap_in_count = 0
         super().__init__(*args, **kwargs)
 
     def _boot_state(self) -> None:
@@ -102,35 +83,15 @@ class Replica(Incarnation):
             self.runtime = PipeLLMRuntime(self.machine)
         else:
             self.runtime = CudaContext(self.machine)
-        total_blocks = self.geometry.gpu_block_budget(
-            self.params.gpu_memory_bytes, reserved_bytes=self.reserve_bytes
-        )
-        if total_blocks <= 0:
-            raise ValueError("model leaves no GPU room for KV cache")
-        self.blocks = BlockManager(total_blocks)
-        self.machine.gpu.alloc("weights", self.spec.total_bytes)
-        self.machine.gpu.alloc("kv-pool", total_blocks * self.geometry.block_bytes)
+        self._start_batching(self.reserve_bytes, f"r{self.replica_id}.")
         self.runtime.hint_kv_block_size(self.geometry.block_bytes)
-
-        self._token_in = self.machine.host_memory.allocate(
-            4096, f"r{self.replica_id}.tokens.in", b"\x01" * 8
-        )
-        self._token_out = self.machine.host_memory.allocate(
-            4096, f"r{self.replica_id}.tokens.out", b"\x02" * 8
-        )
-
-        self._queue: List[ClusterRequest] = []
-        self.running: List[_Served] = []
-        #: LIFO stack of preempted groups.
-        self.swapped: List[_Served] = []
         #: tenant -> longest prompt prefix still warm on this replica.
         self.prefix_cache: Dict[str, int] = {}
 
     def _orphans(self) -> List[ClusterRequest]:
-        orphans = [s.creq for s in self.running + self.swapped] + list(self._queue)
-        self._queue = []
-        self.running = []
-        self.swapped = []
+        state = self.state
+        orphans = [g.creq for g in state.running + state.swapped + state.waiting]
+        self.state = SchedulerState()
         self.prefix_cache = {}
         return orphans
 
@@ -139,102 +100,26 @@ class Replica(Incarnation):
     @property
     def outstanding(self) -> int:
         """Requests resident on this replica (the routing load signal)."""
-        return len(self._queue) + len(self.running) + len(self.swapped)
+        state = self.state
+        return len(state.waiting) + len(state.running) + len(state.swapped)
 
     def submit(self, creq: ClusterRequest) -> None:
         """Accept one routed request into the local admission queue."""
-        self._enqueue(creq, "dispatched")
+        if not self.alive:
+            raise IncarnationDead(f"{self.incarnation} is down")
+        creq.state = "dispatched"
+        self.state.waiting.append(_Resident(creq.request, creq=creq))
+        self._kick()
         creq.replica_history.append(self.replica_id)
 
     # -- serving loop ----------------------------------------------------
 
     def _loop(self, epoch: int):
         while self.alive and self.epoch == epoch:
-            resumed = self._resume_swapped()
-            admitted = self._admit()
-            if not self.running:
+            if not (yield from self.step()):
                 self._reject_unservable()
-                if not (self._queue or self.swapped):
+                if not (self.state.waiting or self.state.swapped):
                     yield self._idle()
-                continue
-
-            # Preempt (swap out) until this step's block growth fits,
-            # then grant the growth.
-            yield from self._make_room()
-
-            # Prompt tokens for fresh prefills cross the bus; prefix
-            # hits still cost one small control transfer.
-            for served in admitted:
-                size = max(4 * served.prefill_tokens, _PAYLOAD_BYTES)
-                with self.machine.telemetry.bound_trace(served.creq.trace_attempt):
-                    self.runtime.memcpy_h2d(MemoryChunk(
-                        self._token_in.addr, size, b"\x01" * _PAYLOAD_BYTES,
-                        f"r{self.replica_id}.tokens.in",
-                    ))
-            yield self.runtime.synchronize()
-            for served, region in resumed:
-                self.machine.host_memory.free(region)
-                if served.group.swap_region is region:
-                    served.group.swap_region = None
-
-            yield from self._compute(
-                self._step_work(admitted), f"cluster.replica-{self.replica_id}",
-                "step", lambda: [s.creq.trace_attempt for s in self.running],
-            )
-
-            # Sampled tokens return as a small transfer (not waited on).
-            seqs = sum(s.group.request.parallel_n for s in self.running)
-            self.runtime.memcpy_d2h(MemoryChunk(
-                self._token_out.addr, max(4 * seqs, _PAYLOAD_BYTES),
-                b"\x02" * _PAYLOAD_BYTES, f"r{self.replica_id}.tokens.out",
-            ))
-            self._advance()
-
-    # -- scheduling phases -----------------------------------------------
-
-    def _resume_swapped(self) -> List[Tuple[_Served, object]]:
-        resumed = []
-        watermark = int(self.blocks.total_blocks * _RESUME_WATERMARK)
-        while self.swapped:
-            served = self.swapped[-1]
-            needed = served.group.blocks_held(self.geometry)
-            if not self.blocks.can_allocate(needed + watermark):
-                break
-            self.swapped.pop()
-            self.blocks.allocate(served.group.owner, needed)
-            region = served.group.swap_region
-            if region is None:
-                raise RuntimeError(f"{served.group.owner} swapped without a region")
-            with self.machine.telemetry.bound_trace(served.creq.trace_attempt):
-                self.runtime.memcpy_h2d(self.machine.host_memory.chunk_at(region.addr))
-            self.swap_in_count += 1
-            served.group.state = GroupState.RUNNING
-            served.creq.state = "running"
-            self.running.append(served)
-            resumed.append((served, region))
-        return resumed
-
-    def _admit(self) -> List[_Served]:
-        admitted: List[_Served] = []
-        while self._queue and not self.swapped:
-            creq = self._queue[0]
-            group = SequenceGroup(request=creq.request)
-            if not self.blocks.can_allocate(group.blocks_held(self.geometry)):
-                break
-            self._queue.pop(0)
-            self.blocks.allocate(group.owner, group.blocks_held(self.geometry))
-            group.state = GroupState.RUNNING
-            group.first_schedule_time = self.sim.now
-            cached = self.prefix_cache.get(creq.tenant, 0)
-            prefill = 0 if cached >= creq.request.prompt_len else creq.request.prompt_len
-            creq.prefix_hit = prefill == 0
-            if creq.prefix_hit:
-                self.prefix_hits += 1
-            creq.state = "running"
-            served = _Served(creq, group, prefill_tokens=prefill)
-            self.running.append(served)
-            admitted.append(served)
-        return admitted
 
     def _reject_unservable(self) -> None:
         """Bounce work that can never fit this replica's KV budget.
@@ -244,80 +129,59 @@ class Replica(Incarnation):
         *total* budget — waiting cannot help. The gateway re-routes or
         sheds it.
         """
+        state = self.state
+
         def too_big(group: SequenceGroup) -> bool:
             return group.blocks_held(self.geometry) > self.blocks.free_blocks
 
-        if self.swapped and too_big(self.swapped[-1].group):
-            served = self.swapped.pop()
-            self.blocks.free_owner(served.group.owner)
-            if served.group.swap_region is not None:
-                self.machine.host_memory.free(served.group.swap_region)
-                served.group.swap_region = None
-            self.gateway.on_reject(served.creq, self, "kv-budget")
-        elif self._queue and too_big(SequenceGroup(request=self._queue[0].request)):
-            creq = self._queue.pop(0)
-            self.gateway.on_reject(creq, self, "kv-budget")
+        if state.swapped and too_big(state.swapped[-1]):
+            group = state.swapped.pop()
+            self.blocks.free_owner(group.owner)
+            if group.swap_region is not None:
+                self.machine.host_memory.free(group.swap_region)
+                group.swap_region = None
+            self.gateway.on_reject(group.creq, self, "kv-budget")
+        elif state.waiting and too_big(state.waiting[0]):
+            self.gateway.on_reject(state.waiting.pop(0).creq, self, "kv-budget")
 
-    def _make_room(self):
-        while True:
-            growth = sum(s.group.step_block_growth(self.geometry) for s in self.running)
-            if self.blocks.can_allocate(growth) or len(self.running) <= 1:
-                break
-            victim = max(
-                self.running,
-                key=lambda s: (s.group.request.arrival_time, s.creq.rid),
-            )
-            yield from self._swap_out(victim)
-        for served in self.running:
-            self.blocks.allocate(
-                served.group.owner, served.group.step_block_growth(self.geometry)
-            )
+    # -- what the replica declares to the batching core ------------------
 
-    def _swap_out(self, served: _Served):
-        self.running.remove(served)
-        group = served.group
-        nbytes = group.kv_bytes(self.geometry)
-        group.swap_epoch += 1
-        tag = f"r{self.replica_id}.kv.{group.owner}.e{group.swap_epoch}"
-        payload = b"\x03" * _PAYLOAD_BYTES
-        region = self.machine.host_memory.allocate(nbytes, tag=tag)
-        group.swap_region = region
-        self.machine.gpu._contents[tag] = payload
-        with self.machine.telemetry.bound_trace(served.creq.trace_attempt):
-            handle = self.runtime.memcpy_d2h(MemoryChunk(region.addr, nbytes, payload, tag))
-        yield handle.api_done
-        self.blocks.free_owner(group.owner)
-        group.state = GroupState.SWAPPED
-        served.creq.state = "swapped"
-        self.swapped.append(served)
-        self.swap_out_count += 1
-
-    # -- compute & progress ----------------------------------------------
-
-    def _step_work(self, admitted: List[_Served]) -> LayerWork:
-        # Prefill tokens count once per request, not per parallel sample.
-        return super()._step_work(
-            sum(s.prefill_tokens for s in admitted),
-            [s for s in self.running if s not in admitted or s.prefill_tokens == 0],
+    def _pick_victim(self) -> _Resident:
+        # The newest arrival, whether or not it has decoded yet.
+        return max(
+            self.state.running,
+            key=lambda g: (g.request.arrival_time, g.request.request_id),
         )
 
-    def _advance(self) -> None:
-        now = self.sim.now
-        still: List[_Served] = []
-        for served in self.running:
-            group = served.group
-            group.generated += 1
-            self.gateway.on_token(served.creq, self, group.generated)
-            if group.done:
-                group.state = GroupState.FINISHED
-                group.finish_time = now
-                self.blocks.free_owner(group.owner)
-                self._remember_prefix(served.creq)
-                self.completed += 1
-                self.gateway.on_complete(served.creq, self)
-            else:
-                still.append(served)
-        self.running = still
+    def _swap_payload(self, tag: str) -> bytes:
+        return b"\x03" * PAYLOAD_BYTES
+
+    def _prefill_tokens(self, group: _Resident) -> int:
+        # A tenant whose prompt prefix is still warm skips prefill.
+        creq = group.creq
+        creq.prefix_hit = self.prefix_cache.get(creq.tenant, 0) >= creq.request.prompt_len
+        self.prefix_hits += creq.prefix_hit
+        return 0 if creq.prefix_hit else creq.request.prompt_len
+
+    def _mark(self, group: _Resident, where: str) -> None:
+        group.creq.state = where
+
+    def _trace(self, group: _Resident) -> Any:
+        return group.creq.trace_attempt
+
+    def _compute_step(self, work: LayerWork):
+        return self._compute(
+            work, f"cluster.replica-{self.replica_id}", "step",
+            lambda: [g.creq.trace_attempt for g in self.state.running],
+        )
+
+    def _on_token(self, group: _Resident) -> None:
+        creq = group.creq
+        self.gateway.on_token(creq, self, group.generated)
+        if group.done:
+            self._remember_prefix(creq)
+            self.completed += 1
+            self.gateway.on_complete(creq, self)
 
     def _remember_prefix(self, creq: ClusterRequest) -> None:
         prompt = creq.request.prompt_len

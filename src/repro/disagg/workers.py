@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from ..cluster.fleet import FleetRequest
 from ..cluster.incarnation import Incarnation
-from ..models import LayerWork
 from ..tracing import active_collector
 from ..workloads import Request
 
@@ -109,7 +108,7 @@ class PrefillWorker(Incarnation):
             creq = self._queue.pop(0)
             self._active = creq
             yield from self._compute(
-                self._step_work(creq.request.prompt_len * creq.request.parallel_n, ()),
+                self.cost.step_work(creq.request.prompt_len * creq.request.parallel_n, ()),
                 f"disagg.{self.label}", "prefill", lambda: [creq.trace],
             )
             self._retained[creq.rid] = creq.kv_bytes
@@ -172,7 +171,6 @@ class DecodeWorker(Incarnation):
             raise ValueError("model leaves no GPU room for KV cache")
         self.budget_bytes = total_blocks * self.geometry.block_bytes
         self.resident_bytes = 0
-        self.steps = 0
 
     def _orphans(self) -> List[DisaggRequest]:
         orphans = [d.creq for d in self.running] + list(self._queue)
@@ -211,11 +209,16 @@ class DecodeWorker(Incarnation):
             if not self.running:
                 yield self._idle()
                 continue
+            # Monolithic inline prefills ride inside the batch step —
+            # every resident request's next token waits on them.
+            work = self.cost.step_work(
+                sum(d.prefill_tokens * d.creq.request.parallel_n for d in admitted),
+                [d for d in self.running if d.prefill_tokens == 0 or d not in admitted],
+            )
             yield from self._compute(
-                self._step_work(admitted), f"disagg.{self.label}", "step",
+                work, f"disagg.{self.label}", "step",
                 lambda: [d.creq.trace for d in self.running],
             )
-            self.steps += 1
             self._advance()
 
     def _admit(self) -> List[_Decoding]:
@@ -257,14 +260,6 @@ class DecodeWorker(Incarnation):
             ))
             self.running.append(admitted[-1])
         return admitted
-
-    def _step_work(self, admitted: List[_Decoding]) -> LayerWork:
-        # Monolithic inline prefills ride inside the batch step —
-        # every resident request's next token waits on them.
-        return super()._step_work(
-            sum(d.prefill_tokens * d.creq.request.parallel_n for d in admitted),
-            [d for d in self.running if d.prefill_tokens == 0 or d not in admitted],
-        )
 
     def _advance(self) -> None:
         now = self.sim.now

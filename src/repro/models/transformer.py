@@ -11,7 +11,9 @@ compute-bound at low load — the regimes the paper's figures live in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from ..sim import mean
 from .specs import ModelSpec
 
 __all__ = ["LayerWork", "TransformerCostModel"]
@@ -65,3 +67,20 @@ class TransformerCostModel:
             per_layer.bytes_touched * self.spec.n_layers,
             layers=self.spec.n_layers,
         )
+
+    def step_work(self, prefill_tokens: int, decode: Sequence) -> LayerWork:
+        """One serving step: ``prefill_tokens`` prompt tokens plus one
+        decode token per sequence of each resident in ``decode``
+        (residents expose ``request`` and ``context_len()``)."""
+        flops = 0.0
+        bytes_touched = 0.0
+        if prefill_tokens:
+            work = self.prefill(prefill_tokens)
+            flops += work.flops
+            bytes_touched += work.bytes_touched
+        decode_seqs = sum(r.request.parallel_n for r in decode)
+        if decode_seqs:
+            work = self.decode_step(decode_seqs, mean([float(r.context_len()) for r in decode]))
+            flops += work.flops
+            bytes_touched += work.bytes_touched
+        return LayerWork(flops, bytes_touched, layers=self.spec.n_layers)

@@ -11,7 +11,6 @@ first — the LIFO pattern of Figure 5b.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -19,14 +18,7 @@ from ...hw.memory import Region
 from ...models import KvGeometry
 from ...workloads import Request
 
-__all__ = ["GroupState", "SequenceGroup", "SchedulerState"]
-
-
-class GroupState(enum.Enum):
-    WAITING = "waiting"
-    RUNNING = "running"
-    SWAPPED = "swapped"
-    FINISHED = "finished"
+__all__ = ["SequenceGroup", "SchedulerState"]
 
 
 @dataclass
@@ -34,7 +26,6 @@ class SequenceGroup:
     """One request's scheduling state."""
 
     request: Request
-    state: GroupState = GroupState.WAITING
     #: Tokens generated so far by each of the parallel sequences
     #: (they advance in lock-step — one step = one token each).
     generated: int = 0
@@ -42,7 +33,9 @@ class SequenceGroup:
     swap_region: Optional[Region] = None
     swap_epoch: int = 0
     finish_time: Optional[float] = None
-    first_schedule_time: Optional[float] = None
+    #: Prompt tokens prefilled at admission (the whole prompt unless
+    #: the loop holds a cached prefix for it).
+    prefill_tokens: int = 0
 
     @property
     def owner(self) -> str:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.models import KvGeometry, OPT_30B
-from repro.serving.vllm import GroupState, SchedulerState, SequenceGroup
+from repro.serving.vllm import SchedulerState, SequenceGroup
 from repro.workloads import Request
 
 
