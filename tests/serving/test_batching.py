@@ -64,7 +64,9 @@ class Loop(ContinuousBatcher):
 
 def group(request_id, arrival=0.0, prompt=32, n=1):
     """A group holding 2 prompt blocks + ``n`` blocks at 1-16 tokens."""
-    return SequenceGroup(Request(request_id, arrival, prompt_len=prompt, output_len=64, parallel_n=n))
+    return SequenceGroup(
+        Request(request_id, arrival, prompt_len=prompt, output_len=64, parallel_n=n)
+    )
 
 
 class TestResumeAndAdmit:
