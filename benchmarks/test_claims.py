@@ -1,4 +1,4 @@
-"""The paper-fidelity gate: one case per claim in ``repro.bench.CLAIMS``.
+"""The paper-fidelity gate: one case per claim in ``repro.bench.claims.CLAIMS``.
 
 Every experiment runs once, under one module-scoped scorecard; each
 case asserts one claim. ``python -m repro claims`` prints the same
@@ -7,7 +7,7 @@ scorecard and ``python -m repro run <experiment>`` the tables behind it.
 
 import pytest
 
-from repro.bench import CLAIMS, verify_claims
+from repro.bench.claims import CLAIMS, verify_claims
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ Run:  python examples/fault_injection.py
 """
 
 from repro import CcMode, PipeLLMRuntime, build_machine
-from repro.bench import fault_campaign
+from repro.bench.faults import fault_campaign
 from repro.cluster.tenant import ClusterIvAudit
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw import MB

@@ -19,7 +19,7 @@ Run:  python examples/trace_export.py
 
 import json
 
-from repro.bench import fig2_microbenchmark
+from repro.bench.experiments import fig2_microbenchmark
 from repro.telemetry import ascii_gantt, chrome_trace, recording
 
 OUT = "trace.json"

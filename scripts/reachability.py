@@ -150,10 +150,11 @@ def _cli(*argv: str) -> Callable[[], None]:
 
 
 def _trace_every_experiment() -> None:
-    from repro.cli import EXPERIMENTS, _print_attrib
+    from repro.bench import EXPERIMENTS
+    from repro.cli import _print_attrib
     from repro.telemetry import ascii_gantt, chrome_trace, flat_metrics, metrics_csv, recording
 
-    for name, experiment in EXPERIMENTS.items():
+    for experiment in EXPERIMENTS.values():
         with recording() as session:
             experiment("quick")
         json.dumps(chrome_trace(session.hubs))

@@ -10,7 +10,8 @@ Public API tour:
   contribution, plus its predictor / validator / pipeline parts.
 * :mod:`repro.serving` — FlexGen-, vLLM- and PEFT-like engines that
   run unmodified on any runtime.
-* :mod:`repro.bench` — one function per paper figure.
+* :mod:`repro.bench` — ``EXPERIMENTS``, the registry of one function
+  per paper figure, ablation and extension.
 * :mod:`repro.telemetry` — unified observability: per-machine
   :class:`TelemetryHub` (typed events + lifecycle records),
   :func:`recording` to capture whole experiments, and Chrome-trace /

@@ -1,15 +1,18 @@
-"""Benchmark harness: system registry, experiment runners, tables."""
+"""Benchmark harness: the experiment registry.
 
-from .ablations import (
-    ablation_async_decrypt,
-    ablation_enc_threads,
-    ablation_kv_depth,
-    ablation_leeway,
-)
+``EXPERIMENTS`` maps each experiment id to its runner,
+``run(scale) -> ExperimentResult``, in presentation order. The CLI, the
+claims gate, ``scripts/generate_experiments.py`` and
+``scripts/reachability.py`` all read this one dict; every other name is
+imported from the submodule that defines it.
+"""
+
+from typing import Callable, Dict
+
+from .ablations import ablation_async_decrypt, ablation_enc_threads, ablation_kv_depth, ablation_leeway
+from .cluster import cluster_scaling
+from .disagg import disagg_frontier
 from .experiments import (
-    FULL,
-    QUICK,
-    Scale,
     attribution_breakdown,
     fig10_success_rate,
     fig2_microbenchmark,
@@ -19,83 +22,35 @@ from .experiments import (
     fig7_model_offloading,
     fig8_kv_swapping,
     fig9_threading,
-    run_flexgen,
-    run_peft,
-    run_vllm,
 )
-from .continuous import (
-    BENCH_SCHEMA_VERSION,
-    SUITES,
-    compare_artifacts,
-    find_latest_artifact,
-    load_artifact,
-    next_artifact_path,
-    render_comparison,
-    run_suite,
-)
-from .faults import FULL_FAULT_RATES, QUICK_FAULT_RATES, fault_campaign
-from .parallel import FULL_GPU_COUNTS, QUICK_GPU_COUNTS, parallel_scaling
-from .systems import CC, SystemSpec, WITHOUT_CC, cc_threads, pipellm, pipellm_zero
-from .claims import CLAIMS, Claim, ClaimOutcome, verify_claims
-from .cluster import cluster_scaling
-from .disagg import STRESS_TRACE, disagg_frontier
 from .extensions import extension_layerwise_fifo, extension_zero_offload
+from .faults import fault_campaign
+from .parallel import parallel_scaling
 from .serve import serve_frontier
-from .teeio import TEEIO_LINE_RATE, extension_teeio_scaling, teeio_params
-from .tables import ExperimentResult
+from .teeio import extension_teeio_scaling
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "CC",
-    "SUITES",
-    "compare_artifacts",
-    "find_latest_artifact",
-    "load_artifact",
-    "next_artifact_path",
-    "render_comparison",
-    "run_suite",
-    "ablation_async_decrypt",
-    "attribution_breakdown",
-    "ablation_enc_threads",
-    "ablation_kv_depth",
-    "ablation_leeway",
-    "CLAIMS",
-    "Claim",
-    "ClaimOutcome",
-    "verify_claims",
-    "cluster_scaling",
-    "STRESS_TRACE",
-    "disagg_frontier",
-    "fault_campaign",
-    "FULL_FAULT_RATES",
-    "QUICK_FAULT_RATES",
-    "FULL_GPU_COUNTS",
-    "QUICK_GPU_COUNTS",
-    "parallel_scaling",
-    "serve_frontier",
-    "ExperimentResult",
-    "FULL",
-    "QUICK",
-    "Scale",
-    "SystemSpec",
-    "WITHOUT_CC",
-    "cc_threads",
-    "fig10_success_rate",
-    "fig2_microbenchmark",
-    "fig3a_flexgen_overhead",
-    "fig3b_vllm_overhead",
-    "fig3c_peft_overhead",
-    "fig7_model_offloading",
-    "fig8_kv_swapping",
-    "fig9_threading",
-    "extension_teeio_scaling",
-    "extension_layerwise_fifo",
-    "extension_zero_offload",
-    "teeio_params",
-    "TEEIO_LINE_RATE",
-    "pipellm",
-    "pipellm_zero",
-    "run_flexgen",
-    "run_peft",
-    "run_vllm",
-]
+__all__ = ["EXPERIMENTS"]
+
+EXPERIMENTS: Dict[str, Callable] = {
+    "fig2": fig2_microbenchmark,
+    "fig3a": fig3a_flexgen_overhead,
+    "fig3b": fig3b_vllm_overhead,
+    "fig3c": fig3c_peft_overhead,
+    "fig7": fig7_model_offloading,
+    "fig8": fig8_kv_swapping,
+    "fig9": fig9_threading,
+    "fig10": fig10_success_rate,
+    "abl-threads": ablation_enc_threads,
+    "abl-asyncdec": ablation_async_decrypt,
+    "abl-leeway": ablation_leeway,
+    "abl-kvdepth": ablation_kv_depth,
+    "ext-teeio": extension_teeio_scaling,
+    "ext-layerwise": extension_layerwise_fifo,
+    "ext-zero": extension_zero_offload,
+    "cluster": cluster_scaling,
+    "serve": serve_frontier,
+    "disagg": disagg_frontier,
+    "faults": fault_campaign,
+    "parallel": parallel_scaling,
+    "attrib": attribution_breakdown,
+}

@@ -16,8 +16,6 @@ cover the remaining load-bearing choices DESIGN.md calls out:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..core import PipeLLMConfig
 from ..hw import GB
 from ..models import OPT_30B, OPT_66B
@@ -41,11 +39,11 @@ __all__ = [
 ]
 
 _VLLM_RATE = 1.6  # OPT-30B / ShareGPT pressure point.
+_ENC_THREADS = (1, 2, 4, 8)
+_KV_DEPTHS = (1, 3, 8)
 
 
-def ablation_enc_threads(
-    scale="quick", threads: Sequence[int] = (1, 2, 4, 8)
-) -> ExperimentResult:
+def ablation_enc_threads(scale="quick") -> ExperimentResult:
     """FlexGen OPT-66B throughput vs PipeLLM encryption thread count."""
     scale = _scale(scale)
     shape = SyntheticShape(32, scale.flexgen_output or 128)
@@ -55,7 +53,7 @@ def ablation_enc_threads(
         columns=["enc_threads", "throughput_tok_s", "overhead_pct", "success_rate"],
     )
     base, _ = run_flexgen(WITHOUT_CC, OPT_66B, shape, FLEXGEN_BATCH, scale.flexgen_requests)
-    for count in threads:
+    for count in _ENC_THREADS:
         system = pipellm(count, OFFLOAD_DEC_THREADS, name=f"PipeLLM-{count}t")
         res, runtime = run_flexgen(system, OPT_66B, shape, FLEXGEN_BATCH, scale.flexgen_requests)
         result.add_row(
@@ -130,9 +128,7 @@ def ablation_leeway(scale="quick") -> ExperimentResult:
     return result
 
 
-def ablation_kv_depth(
-    scale="quick", depths: Sequence[int] = (1, 3, 8)
-) -> ExperimentResult:
+def ablation_kv_depth(scale="quick") -> ExperimentResult:
     """KV staging-window depth (LIFO inversion vs readiness)."""
     scale = _scale(scale)
     result = ExperimentResult(
@@ -140,7 +136,7 @@ def ablation_kv_depth(
         "KV staging window depth (vLLM OPT-30B, ShareGPT, parallel 6)",
         columns=["kv_depth", "norm_latency_s_tok", "evicted", "iv_skipped", "success_rate"],
     )
-    for depth in depths:
+    for depth in _KV_DEPTHS:
         system = pipellm(1, 1, config=PipeLLMConfig(kv_depth=depth),
                          name=f"PipeLLM-d{depth}")
         res, runtime = run_vllm(system, OPT_30B, SHAREGPT, _VLLM_RATE, 6, scale.vllm_duration)

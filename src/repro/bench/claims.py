@@ -1,8 +1,9 @@
 """The paper's claims as executable checks: the one paper-fidelity gate.
 
 Each :class:`Claim` names a quantitative statement from the paper (or
-from one of the documented ablations and extensions), the experiment
-that reproduces it, and a checker over the experiment's rows.
+from one of the documented ablations and extensions), the id of the
+experiment in :data:`repro.bench.EXPERIMENTS` that reproduces it, and a
+checker over the experiment's rows.
 ``verify_claims()`` runs each referenced experiment once and reports,
 per claim, every compared quantity next to its bound — the
 reproduction's scorecard, runnable as ``python -m repro claims`` and
@@ -15,25 +16,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from .ablations import (
-    ablation_async_decrypt,
-    ablation_enc_threads,
-    ablation_kv_depth,
-    ablation_leeway,
-)
-from .experiments import (
-    fig10_success_rate,
-    fig2_microbenchmark,
-    fig3a_flexgen_overhead,
-    fig3b_vllm_overhead,
-    fig3c_peft_overhead,
-    fig7_model_offloading,
-    fig8_kv_swapping,
-    fig9_threading,
-)
-from .extensions import extension_layerwise_fifo
+from . import EXPERIMENTS
 from .tables import ExperimentResult
-from .teeio import extension_teeio_scaling
 
 __all__ = ["Claim", "ClaimOutcome", "CLAIMS", "verify_claims"]
 
@@ -45,7 +29,7 @@ class Claim:
     claim_id: str
     statement: str          # The paper's words (condensed).
     paper_value: str        # What the paper measured.
-    experiment: Callable    # Which experiment reproduces it.
+    experiment: str         # Id of the experiment that reproduces it.
     check: Callable[[ExperimentResult], Tuple[bool, str]]
 
 
@@ -344,152 +328,152 @@ CLAIMS: List[Claim] = [
         "cc-io-collapse",
         "CC-enabled H2D throughput is ~an order of magnitude below native",
         "55.31 vs 5.83 GB/s at 32 MB (Fig. 2)",
-        fig2_microbenchmark,
+        "fig2",
         _check_fig2_collapse,
     ),
     Claim(
         "micro-calibration",
         "Every Fig. 2 latency and throughput cell matches the paper's table",
         "w/o CC 1.17–1.43 µs, 27.16–55.31 GB/s; CC 14.93–5252.1 µs, 3.32–5.83 GB/s (Fig. 2)",
-        fig2_microbenchmark,
+        "fig2",
         _check_fig2_calibration,
     ),
     Claim(
         "flexgen-drop",
         "CC drops FlexGen OPT-66B serving throughput catastrophically",
         "82.8–88.2 % (Fig. 3a)",
-        fig3a_flexgen_overhead,
+        "fig3a",
         _check_fig3a_drop,
     ),
     Claim(
         "vllm-swap-divergence",
         "CC matches w/o CC without memory pressure and diverges once KV swapping starts",
         "latency diverges with request rate (Fig. 3b)",
-        fig3b_vllm_overhead,
+        "fig3b",
         _check_fig3b_divergence,
     ),
     Claim(
         "peft-drop",
         "CC drops fine-tuning throughput, worse for larger models",
         "36.2 % (OPT-30B), 14.0 % (OPT-13B) (Fig. 3c)",
-        fig3c_peft_overhead,
+        "fig3c",
         _check_fig3c_drops,
     ),
     Claim(
         "offload-cc-overhead",
         "CC costs FlexGen most of its throughput across models and shapes",
         "82.8–88.2 % (Fig. 7)",
-        fig7_model_offloading,
+        "fig7",
         _check_fig7_cc,
     ),
     Claim(
         "pipellm-offload-bound",
         "PipeLLM keeps model-offloading overhead below 19.6 %",
         "<19.6 % across 13B–175B (abstract, Fig. 7)",
-        fig7_model_offloading,
+        "fig7",
         _check_fig7_bound,
     ),
     Claim(
         "pipellm-beats-cc-offload",
         "PipeLLM outperforms CC in every offloading configuration",
         "every FlexGen and PEFT bar (Fig. 7)",
-        fig7_model_offloading,
+        "fig7",
         _check_fig7_dominance,
     ),
     Claim(
         "pipellm-kv-ordering",
         "Under KV-swap pressure PipeLLM always beats CC",
         "5.2–14.2 % vs 33.3–52.8 % overhead (Fig. 8)",
-        fig8_kv_swapping,
+        "fig8",
         _check_fig8_ordering,
     ),
     Claim(
         "prediction-success",
         "Prediction success stays near 100 % on vLLM (LIFO policy)",
         "near 100 % (§7.2)",
-        fig8_kv_swapping,
+        "fig8",
         _check_fig8_success,
     ),
     Claim(
         "kv-parallel-divergence",
         "CC diverges under load at every parallel-sampling width",
         "parallel 2 / 4 / 6 on OPT-30B ShareGPT (Fig. 8)",
-        fig8_kv_swapping,
+        "fig8",
         _check_fig8_parallel,
     ),
     Claim(
         "kv-p90-tail",
         "p90 latencies are reported and sit at or above the means",
         "normalized latency per request (Fig. 8)",
-        fig8_kv_swapping,
+        "fig8",
         _check_fig8_tail,
     ),
     Claim(
         "pipelining-beats-threads",
         "PipeLLM with 2 threads outperforms non-pipelined CC with 4",
         "Fig. 9",
-        fig9_threading,
+        "fig9",
         _check_fig9_pipelining,
     ),
     Claim(
         "misprediction-cheap",
         "Zero sequence-prediction success costs only a few percent",
         "8.3 % drop for PipeLLM-0 (Fig. 10)",
-        fig10_success_rate,
+        "fig10",
         _check_fig10_penalty,
     ),
     Claim(
         "enc-threads-knee",
         "Offloading needs several AES threads: one is no better than CC",
         "ablation of the §7.2 thread count",
-        ablation_enc_threads,
+        "abl-threads",
         _check_enc_threads,
     ),
     Claim(
         "async-decrypt-helps",
         "Taking decryption off the critical path lowers latency",
         "ablation of §5.4",
-        ablation_async_decrypt,
+        "abl-asyncdec",
         _check_async_decrypt,
     ),
     Claim(
         "adaptive-leeway",
         "The adaptive IV-leeway controller matches the best fixed leeway",
         "ablation of the IV leeway (DESIGN.md)",
-        ablation_leeway,
+        "abl-leeway",
         _check_leeway,
     ),
     Claim(
         "kv-depth-tradeoff",
         "Deeper KV staging windows trade evictions for IV skips",
         "ablation of the KV staging window (DESIGN.md)",
-        ablation_kv_depth,
+        "abl-kvdepth",
         _check_kv_depth,
     ),
     Claim(
         "teeio-sharing",
         "Shared TEE-I/O hardware matches PipeLLM alone but collapses across 8 GPUs",
         "8 GPUs per two-socket server (§8.3)",
-        extension_teeio_scaling,
+        "ext-teeio",
         _check_teeio,
     ),
     Claim(
         "layerwise-fifo",
         "Layer-wise (FIFO) KV swapping collapses under CC and PipeLLM recovers it",
         "Fig. 5's FIFO pattern",
-        extension_layerwise_fifo,
+        "ext-layerwise",
         _check_layerwise,
     ),
 ]
 
 
 def verify_claims(scale="quick") -> List[ClaimOutcome]:
-    """Run every claim's experiment (each once) and evaluate."""
-    cache: Dict[Callable, ExperimentResult] = {}
+    """Run every claim's experiment (each id once) and evaluate."""
+    cache: Dict[str, ExperimentResult] = {}
     outcomes: List[ClaimOutcome] = []
     for claim in CLAIMS:
         if claim.experiment not in cache:
-            cache[claim.experiment] = claim.experiment(scale)
+            cache[claim.experiment] = EXPERIMENTS[claim.experiment](scale)
         passed, measured = claim.check(cache[claim.experiment])
         outcomes.append(ClaimOutcome(claim, passed, measured))
     return outcomes

@@ -19,6 +19,7 @@ from __future__ import annotations
 from ..cluster import run_cluster
 from ..core import ClusterConfig
 from ..sim import mean
+from .experiments import _scale
 from .tables import ExperimentResult
 
 __all__ = ["cluster_scaling"]
@@ -43,9 +44,9 @@ def _row(result, section: str, rate: float) -> dict:
     )
 
 
-def cluster_scaling(scale: str = "quick") -> ExperimentResult:
+def cluster_scaling(scale="quick") -> ExperimentResult:
     """Cluster: throughput vs replicas, latency vs load, policy battle."""
-    quick = scale == "quick"
+    quick = _scale(scale).name == "quick"
     duration = 8.0 if quick else 30.0
     result = ExperimentResult(
         experiment_id="cluster",

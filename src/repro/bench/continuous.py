@@ -86,6 +86,15 @@ class SuiteScale:
     disagg_rate: float
     disagg_duration: float
 
+    @property
+    def experiment_scale(self) -> Scale:
+        """The experiment :class:`Scale` the fig2 and faults campaigns run at."""
+        return Scale(
+            name=f"bench-{self.name}", flexgen_requests=self.flexgen_requests,
+            flexgen_output=self.flexgen_output, vllm_duration=10.0,
+            peft_steps=2, fig2_transfers=self.fig2_transfers,
+        )
+
 
 SUITES: Dict[str, SuiteScale] = {
     "standard": SuiteScale(
@@ -164,12 +173,7 @@ def _profiled_flexgen(system, suite: SuiteScale, seed: int) -> Dict[str, Any]:
 
 
 def _micro_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
-    scale = Scale(
-        name=f"bench-{suite.name}", flexgen_requests=suite.flexgen_requests,
-        flexgen_output=suite.flexgen_output, vllm_duration=10.0,
-        peft_steps=2, fig2_transfers=suite.fig2_transfers,
-    )
-    table = fig2_microbenchmark(scale)
+    table = fig2_microbenchmark(suite.experiment_scale)
     out: Dict[str, Any] = {}
     for row in table.rows:
         key = f"{row['system']}@{row['size']}".replace(" ", "")
@@ -204,11 +208,7 @@ def _cluster_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
 
 
 def _faults_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
-    scale = Scale(
-        name=f"bench-{suite.name}", flexgen_requests=suite.flexgen_requests,
-        flexgen_output=suite.flexgen_output, vllm_duration=10.0,
-        peft_steps=2, fig2_transfers=suite.fig2_transfers,
-    )
+    scale = suite.experiment_scale
     # Clean run calibrates the storm window, exactly like the full
     # campaign; both runs contribute metrics.
     _, _, _, _, dry, _ = _run_once(scale, 0.0, _ADAPTIVE, (0.0, 0.0))

@@ -38,6 +38,7 @@ from ..faults import FaultPlan
 from ..hw import pack_names
 from ..tracing import TraceCollector, collecting, extract_traces, fleet_attribution
 from ..workloads import TraceSpec
+from .experiments import _scale
 from .tables import ExperimentResult
 
 __all__ = ["STRESS_TRACE", "disagg_frontier"]
@@ -83,9 +84,9 @@ def _require(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def disagg_frontier(scale: str = "quick") -> ExperimentResult:
+def disagg_frontier(scale="quick") -> ExperimentResult:
     """Disaggregated vs monolithic serving over encrypted KV migration."""
-    quick = scale == "quick"
+    quick = _scale(scale).name == "quick"
     duration = 8.0 if quick else 20.0
     rates = (10.0, 18.0) if quick else (8.0, 16.0, 24.0, 32.0)
     top = rates[-1]

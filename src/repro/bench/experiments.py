@@ -51,6 +51,7 @@ __all__ = [
     "Scale",
     "QUICK",
     "FULL",
+    "SCALES",
     "attribution_breakdown",
     "fig2_microbenchmark",
     "fig3a_flexgen_overhead",
@@ -97,10 +98,12 @@ FULL = Scale(
 )
 
 
+#: The named scales: the CLI's ``--scale`` choices, in order.
+SCALES = {scale.name: scale for scale in (QUICK, FULL)}
+
+
 def _scale(scale) -> Scale:
-    if isinstance(scale, Scale):
-        return scale
-    return {"quick": QUICK, "full": FULL}[scale]
+    return scale if isinstance(scale, Scale) else SCALES[scale]
 
 
 # ---------------------------------------------------------------------------

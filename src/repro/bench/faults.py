@@ -27,7 +27,7 @@ degraded and restored.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from ..cluster.tenant import ClusterIvAudit
 from ..core import PipeLLMConfig
@@ -100,13 +100,10 @@ def _run_once(scale, rate: float, policy: FaultPolicy, window: Tuple[float, floa
     return machine, runtime, injector, audit, flexgen, alerts
 
 
-def fault_campaign(
-    scale="quick", rates: Optional[Sequence[float]] = None
-) -> ExperimentResult:
+def fault_campaign(scale="quick") -> ExperimentResult:
     """Throughput/p99 degradation table: fault rate × survival policy."""
     scale = _scale(scale)
-    if rates is None:
-        rates = QUICK_FAULT_RATES if scale.name == "quick" else FULL_FAULT_RATES
+    rates = QUICK_FAULT_RATES if scale.name == "quick" else FULL_FAULT_RATES
 
     # Dry run at rate 0 calibrates the storm window against the clean
     # elapsed time (faulted runs only take longer, never shorter).

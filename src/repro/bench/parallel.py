@@ -27,7 +27,7 @@ invariants below are enforced on the finished table.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..cc.machine import CcMode, build_machine
 from ..cluster.tenant import ClusterIvAudit
@@ -105,13 +105,9 @@ def _run_pp(system: str, n_gpus: int) -> Tuple[ParallelResult, Optional[ClusterI
     return engine.run_inference(), audit
 
 
-def parallel_scaling(
-    scale="quick", gpu_counts: Optional[Sequence[int]] = None
-) -> ExperimentResult:
+def parallel_scaling(scale="quick") -> ExperimentResult:
     """TP/PP scaling table: GPU count x system over the encrypted fabric."""
-    scale = _scale(scale)
-    if gpu_counts is None:
-        gpu_counts = QUICK_GPU_COUNTS if scale.name == "quick" else FULL_GPU_COUNTS
+    gpu_counts = QUICK_GPU_COUNTS if _scale(scale).name == "quick" else FULL_GPU_COUNTS
 
     result = ExperimentResult(
         "parallel",

@@ -32,6 +32,7 @@ from typing import Dict, Tuple
 from ..core import ClusterConfig
 from ..serve import LoadSpec, SloSpec, run_serve
 from ..workloads import SHAREGPT_SERVE
+from .experiments import _scale
 from .tables import ExperimentResult
 
 __all__ = ["serve_frontier", "SERVE_RESERVE_BYTES", "SERVE_MAX_OUTSTANDING"]
@@ -62,9 +63,9 @@ def _config(system: str) -> ClusterConfig:
     )
 
 
-def serve_frontier(scale: str = "quick") -> ExperimentResult:
+def serve_frontier(scale="quick") -> ExperimentResult:
     """Serving frontier: SLO attainment & goodput vs offered load."""
-    quick = scale == "quick"
+    quick = _scale(scale).name == "quick"
     rates = (8.0, 24.0, 40.0) if quick else (8.0, 16.0, 24.0, 32.0, 40.0)
     duration = 5.0 if quick else 10.0
     slo = SloSpec()

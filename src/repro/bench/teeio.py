@@ -15,8 +15,6 @@ shared hardware becomes the bottleneck.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..hw import default_params
 from ..models import OPT_66B
 from ..workloads import SyntheticShape
@@ -30,6 +28,8 @@ __all__ = ["TEEIO_LINE_RATE", "extension_teeio_scaling", "teeio_params"]
 #: Sized to one full-duplex PCIe 5.0 x16 link — enough for ONE GPU at
 #: line rate, the optimistic reading of "line-rate encryption".
 TEEIO_LINE_RATE = 64e9
+#: Co-located tenant GPUs swept, up to one eight-GPU server.
+_TENANTS = (1, 2, 4, 8)
 
 
 def teeio_params(tenants: int, line_rate: float = TEEIO_LINE_RATE):
@@ -49,9 +49,7 @@ def teeio_params(tenants: int, line_rate: float = TEEIO_LINE_RATE):
     )
 
 
-def extension_teeio_scaling(
-    scale="quick", tenant_counts: Sequence[int] = (1, 2, 4, 8)
-) -> ExperimentResult:
+def extension_teeio_scaling(scale="quick") -> ExperimentResult:
     """FlexGen OPT-66B throughput: TEE-I/O (shared) vs PipeLLM (per-tenant)."""
     scale = _scale(scale)
     shape = SyntheticShape(32, scale.flexgen_output or 128)
@@ -72,7 +70,7 @@ def extension_teeio_scaling(
         overhead_pct=100.0 * (1.0 - pipe_res.throughput / base.throughput),
     )
 
-    for tenants in tenant_counts:
+    for tenants in _TENANTS:
         params = teeio_params(tenants)
         system = SystemSpec(f"TEE-I/O/{tenants}", CC.cc_mode)
         machine, runtime = system.build(params=params)

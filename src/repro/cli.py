@@ -53,61 +53,15 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from .bench import (
-    SUITES,
-    ablation_async_decrypt,
-    attribution_breakdown,
-    cluster_scaling,
-    disagg_frontier,
-    fault_campaign,
-    parallel_scaling,
-    verify_claims,
-    extension_layerwise_fifo,
-    extension_zero_offload,
-    ablation_enc_threads,
-    ablation_kv_depth,
-    ablation_leeway,
-    extension_teeio_scaling,
-    fig10_success_rate,
-    fig2_microbenchmark,
-    fig3a_flexgen_overhead,
-    fig3b_vllm_overhead,
-    fig3c_peft_overhead,
-    fig7_model_offloading,
-    fig8_kv_swapping,
-    fig9_threading,
-    serve_frontier,
-)
+from .bench import EXPERIMENTS
+from .bench.continuous import SUITES
+from .bench.experiments import SCALES
 from .hw import pack_names as hw_pack_names
 from .sim import set_default_seed
 
-__all__ = ["EXPERIMENTS", "main"]
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig2": fig2_microbenchmark,
-    "fig3a": fig3a_flexgen_overhead,
-    "fig3b": fig3b_vllm_overhead,
-    "fig3c": fig3c_peft_overhead,
-    "fig7": fig7_model_offloading,
-    "fig8": fig8_kv_swapping,
-    "fig9": fig9_threading,
-    "fig10": fig10_success_rate,
-    "abl-threads": ablation_enc_threads,
-    "abl-asyncdec": ablation_async_decrypt,
-    "abl-leeway": ablation_leeway,
-    "abl-kvdepth": ablation_kv_depth,
-    "ext-teeio": extension_teeio_scaling,
-    "ext-layerwise": extension_layerwise_fifo,
-    "ext-zero": extension_zero_offload,
-    "cluster": cluster_scaling,
-    "serve": serve_frontier,
-    "disagg": disagg_frontier,
-    "faults": fault_campaign,
-    "parallel": parallel_scaling,
-    "attrib": attribution_breakdown,
-}
+__all__ = ["main"]
 
 _SYSTEMS_HELP = """\
 w/o CC      confidential computing disabled (native performance)
@@ -125,27 +79,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="PipeLLM (ASPLOS 2025) reproduction experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, metavar="N",
+                      help="override every workload generator's RNG seed")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--scale", choices=tuple(SCALES), default="quick",
+                       help="experiment run size")
 
     sub.add_parser("list", help="list available experiments")
     sub.add_parser("systems", help="describe the compared systems")
-    claims = sub.add_parser("claims", help="verify the paper's headline claims")
-    claims.add_argument("--scale", choices=("quick", "full"), default="quick")
+    claims = sub.add_parser("claims", parents=[scale],
+                            help="verify the paper's headline claims")
     claims.add_argument("--json", action="store_true", help="emit outcomes as JSON")
 
-    run = sub.add_parser("run", help="run one experiment")
+    run = sub.add_parser("run", parents=[scale, seed], help="run one experiment")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run.add_argument("--scale", choices=("quick", "full"), default="quick")
     run.add_argument("--json", action="store_true", help="emit the result rows as JSON")
-    run.add_argument("--seed", type=int, default=None, metavar="N",
-                     help="override every workload generator's RNG seed")
 
-    everything = sub.add_parser("all", help="run every experiment")
-    everything.add_argument("--scale", choices=("quick", "full"), default="quick")
-    everything.add_argument("--seed", type=int, default=None, metavar="N",
-                            help="override every workload generator's RNG seed")
+    sub.add_parser("all", parents=[scale, seed], help="run every experiment")
 
     cluster = sub.add_parser(
-        "cluster", help="serve a multi-tenant workload on N confidential replicas"
+        "cluster", parents=[seed],
+        help="serve a multi-tenant workload on N confidential replicas",
     )
     cluster.add_argument("--replicas", type=int, default=2, metavar="N")
     cluster.add_argument("--policy",
@@ -163,18 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--fail-replica", type=int, default=0, metavar="I")
     cluster.add_argument("--recover-after", type=float, default=5.0, metavar="S",
                          help="crash-to-recovery delay (0 = stays down)")
-    cluster.add_argument("--seed", type=int, default=None, metavar="N")
     cluster.add_argument("--json", action="store_true",
                          help="emit the run summary as JSON")
 
     serve = sub.add_parser(
-        "serve", help="online-serving front end over the confidential cluster"
+        "serve", parents=[scale, seed],
+        help="online-serving front end over the confidential cluster",
     )
     serve.add_argument("--rate", type=float, default=None, metavar="RPS",
                        help="offered load for one streaming run (omit to "
                             "sweep the full frontier)")
-    serve.add_argument("--scale", choices=("quick", "full"), default="quick",
-                       help="frontier sweep size (ignored with --rate)")
     serve.add_argument("--duration", type=float, default=5.0, metavar="S",
                        help="arrival window for a single run (simulated s)")
     serve.add_argument("--system", choices=("pipellm", "cc", "native"),
@@ -188,17 +141,14 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fail-at", type=float, default=None, metavar="T",
                        help="crash one replica at simulated time T")
     serve.add_argument("--recover-after", type=float, default=5.0, metavar="S")
-    serve.add_argument("--seed", type=int, default=None, metavar="N")
     serve.add_argument("--json", action="store_true",
                        help="emit the run summary (or frontier rows) as JSON")
 
     disagg = sub.add_parser(
-        "disagg",
+        "disagg", parents=[scale, seed],
         help="disaggregated prefill/decode serving with live encrypted "
              "KV-cache migration",
     )
-    disagg.add_argument("--scale", choices=("quick", "full"), default="quick",
-                        help="campaign size (ignored in single-run mode)")
     disagg.add_argument("--rate", type=float, default=None, metavar="RPS",
                         help="offered load for one summary run (omit to "
                              "run the full campaign)")
@@ -227,35 +177,28 @@ def _build_parser() -> argparse.ArgumentParser:
     disagg.add_argument("--recover-after", type=float, default=5.0,
                         metavar="S", help="crash-to-recovery delay "
                         "(0 = stays down)")
-    disagg.add_argument("--seed", type=int, default=None, metavar="N")
     disagg.add_argument("--json", action="store_true",
                         help="emit the run summary (or campaign rows) as JSON")
 
     faults = sub.add_parser(
-        "faults",
+        "faults", parents=[scale, seed],
         help="fault-injection campaign: degradation table across storm rates",
     )
-    faults.add_argument("--scale", choices=("quick", "full"), default="quick")
     faults.add_argument("--json", action="store_true",
                         help="emit the result rows as JSON")
-    faults.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="override the fault and workload RNG seeds")
 
     par = sub.add_parser(
-        "parallel",
+        "parallel", parents=[scale, seed],
         help="multi-GPU scaling campaign over the encrypted interconnect",
     )
-    par.add_argument("--scale", choices=("quick", "full"), default="quick")
     par.add_argument("--json", action="store_true",
                      help="emit the result rows as JSON")
-    par.add_argument("--seed", type=int, default=None, metavar="N",
-                     help="override every workload generator's RNG seed")
 
     trace = sub.add_parser(
-        "trace", help="run one experiment with telemetry on and export the trace"
+        "trace", parents=[scale, seed],
+        help="run one experiment with telemetry on and export the trace",
     )
     trace.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    trace.add_argument("--scale", choices=("quick", "full"), default="quick")
     trace.add_argument(
         "--format", choices=("chrome", "json", "csv", "ascii"), default="chrome",
         help="chrome: Perfetto-loadable trace_event JSON; json/csv: flat "
@@ -265,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write to FILE instead of stdout")
     trace.add_argument("--max-events", type=int, default=None, metavar="N",
                        help="retain at most N typed events per machine")
-    trace.add_argument("--seed", type=int, default=None,
-                       help="override every workload generator's RNG seed")
     trace.add_argument("--attrib", type=int, default=None, metavar="REQ",
                        help="print the critical-path waterfall for request "
                             "id REQ (and the aggregate profile) instead of "
@@ -274,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "without a per-request waterfall")
 
     pm = sub.add_parser(
-        "postmortem",
+        "postmortem", parents=[seed],
         help="deterministic crash scenario → flight-recorder bundle, "
              "Chrome trace and critical-path table",
     )
@@ -290,10 +231,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--recover-after", type=float, default=2.0, metavar="S")
     pm.add_argument("--ring", type=int, default=256, metavar="N",
                     help="flight-recorder ring size per machine")
-    pm.add_argument("--seed", type=int, default=None, metavar="N")
 
     bench = sub.add_parser(
-        "bench", help="continuous benchmark harness with regression gating"
+        "bench", parents=[seed],
+        help="continuous benchmark harness with regression gating",
     )
     bench.add_argument("--suite", choices=sorted(SUITES), default="standard")
     bench.add_argument("--out", default=None, metavar="FILE",
@@ -311,13 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="regression tolerance in percent (default 5)")
     bench.add_argument("--warn-only", action="store_true",
                        help="report regressions but exit 0 (PR soft gate)")
-    bench.add_argument("--seed", type=int, default=None, metavar="N")
     bench.add_argument("--json", action="store_true",
                        help="emit the comparison (or artifact) as JSON")
 
     dash = sub.add_parser(
-        "dash", help="live ASCII dashboard over a FlexGen offloading run "
-                     "(or, with --serve, an online-serving run)"
+        "dash", parents=[seed],
+        help="live ASCII dashboard over a FlexGen offloading run "
+             "(or, with --serve, an online-serving run)",
     )
     dash.add_argument("--system", choices=("pipellm", "cc"), default="pipellm")
     dash.add_argument("--serve", action="store_true",
@@ -332,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="frame period in simulated milliseconds")
     dash.add_argument("--refresh-s", type=float, default=0.0, metavar="S",
                       help="wall-clock pause between frames (watchable pace)")
-    dash.add_argument("--seed", type=int, default=None, metavar="N")
     dash.add_argument("--json", action="store_true",
                       help="print only the final summary as JSON")
     return parser
@@ -565,11 +505,11 @@ def _run_dash(args, out) -> int:
         return 0
 
     if args.system == "pipellm":
-        from .bench import pipellm
+        from .bench.systems import pipellm
 
         system = pipellm(8, 2)
     else:
-        from .bench import CC as system  # noqa: N811
+        from .bench.systems import CC as system  # noqa: N811
 
     run = run_flexgen_dashboard(
         system=system,
@@ -786,7 +726,7 @@ def _dispatch(args, out) -> int:
         print(_SYSTEMS_HELP, end="", file=out)
         return 0
     if args.command == "claims":
-        from .bench.claims import render_outcomes
+        from .bench.claims import render_outcomes, verify_claims
 
         outcomes = verify_claims(args.scale)
         if args.json:

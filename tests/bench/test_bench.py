@@ -4,17 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench import (
-    CC,
-    ExperimentResult,
-    QUICK,
-    SystemSpec,
-    WITHOUT_CC,
-    cc_threads,
-    fig2_microbenchmark,
-    pipellm,
-    pipellm_zero,
-)
+from repro.bench.experiments import QUICK, fig2_microbenchmark
+from repro.bench.systems import CC, SystemSpec, WITHOUT_CC, cc_threads, pipellm, pipellm_zero
+from repro.bench.tables import ExperimentResult
 from repro.cc import CcMode, CudaContext
 from repro.core import PipeLLMRuntime
 

@@ -2,30 +2,19 @@
 
 import pytest
 
-from repro.bench import CLAIMS, Claim, verify_claims
+from repro.bench import EXPERIMENTS
 from repro.bench import claims as claims_module
-from repro.bench.claims import ClaimOutcome, render_outcomes
+from repro.bench.claims import CLAIMS, Claim, ClaimOutcome, render_outcomes, verify_claims
 from repro.bench.tables import ExperimentResult
 
 
 class TestRegistry:
     def test_every_eval_figure_claimed(self):
-        experiments = {claim.experiment.__name__ for claim in CLAIMS}
+        experiments = {claim.experiment for claim in CLAIMS}
         for name in (
-            "fig2_microbenchmark",
-            "fig3a_flexgen_overhead",
-            "fig3b_vllm_overhead",
-            "fig3c_peft_overhead",
-            "fig7_model_offloading",
-            "fig8_kv_swapping",
-            "fig9_threading",
-            "fig10_success_rate",
-            "ablation_enc_threads",
-            "ablation_async_decrypt",
-            "ablation_leeway",
-            "ablation_kv_depth",
-            "extension_teeio_scaling",
-            "extension_layerwise_fifo",
+            "fig2", "fig3a", "fig3b", "fig3c", "fig7", "fig8", "fig9", "fig10",
+            "abl-threads", "abl-asyncdec", "abl-leeway", "abl-kvdepth",
+            "ext-teeio", "ext-layerwise",
         ):
             assert name in experiments
 
@@ -48,11 +37,12 @@ class TestVerifyClaims:
                 return ExperimentResult(name, name, columns=["x"])
             return experiment
 
-        first, second = fake("first"), fake("second")
+        monkeypatch.setitem(EXPERIMENTS, "first", fake("first"))
+        monkeypatch.setitem(EXPERIMENTS, "second", fake("second"))
         checks = [(True, "ok"), (False, "bad"), (True, "ok")]
         monkeypatch.setattr(claims_module, "CLAIMS", [
             Claim(f"c{i}", "s", "p", experiment, lambda _, out=out: out)
-            for i, (experiment, out) in enumerate(zip((first, second, first), checks))
+            for i, (experiment, out) in enumerate(zip(("first", "second", "first"), checks))
         ])
         outcomes = verify_claims("quick")
         assert sorted(calls) == [("first", "quick"), ("second", "quick")]
@@ -75,10 +65,8 @@ class TestVerification:
         # The cheapest claims subset: run the fig2-based claim only by
         # filtering; the full scorecard runs as `python -m repro claims`
         # and in the benchmark suite.
-        from repro.bench.claims import CLAIMS as ALL
-
-        cheap = [c for c in ALL if c.experiment.__name__ == "fig2_microbenchmark"]
-        result = cheap[0].experiment("quick")
+        cheap = [c for c in CLAIMS if c.experiment == "fig2"]
+        result = EXPERIMENTS["fig2"]("quick")
         return [ClaimOutcome(c, *c.check(result)) for c in cheap]
 
     def test_cheap_claims_pass(self, outcomes):

@@ -4,25 +4,14 @@ import io
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.bench import EXPERIMENTS
+from repro.cli import main
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
-
-
-class TestList:
-    def test_lists_every_experiment(self):
-        code, text = run_cli("list")
-        assert code == 0
-        for name in EXPERIMENTS:
-            assert name in text
-
-    def test_registry_covers_all_paper_figures(self):
-        for figure in ("fig2", "fig3a", "fig3b", "fig3c", "fig7", "fig8", "fig9", "fig10"):
-            assert figure in EXPERIMENTS
 
 
 class TestSystems:

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.bench import CC, QUICK, FULL, Scale, WITHOUT_CC, pipellm, run_flexgen, run_peft, run_vllm
+from repro.bench import EXPERIMENTS
+from repro.bench.experiments import FULL, QUICK, run_flexgen, run_peft, run_vllm
+from repro.bench.systems import CC, WITHOUT_CC, pipellm
 from repro.models import OPT_13B, OPT_30B, OPT_66B
 from repro.workloads import ALPACA, SHAREGPT, SyntheticShape
 
@@ -25,6 +27,14 @@ class TestScale:
         assert _scale(QUICK) is QUICK
         with pytest.raises(KeyError):
             _scale("huge")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("experiment", ["cluster", "serve", "disagg"])
+    def test_fleet_campaigns_resolve_scale(self, experiment):
+        # These campaigns size their own sweeps; a Scale must pick the
+        # same sizes as its name does.
+        run = EXPERIMENTS[experiment]
+        assert run(QUICK).to_dict() == run("quick").to_dict()
 
 
 class TestRunners:

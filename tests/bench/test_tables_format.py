@@ -1,6 +1,6 @@
 """Rendering edge-case tests for ExperimentResult tables."""
 
-from repro.bench import ExperimentResult
+from repro.bench.tables import ExperimentResult
 from repro.bench.tables import _format_cell
 
 

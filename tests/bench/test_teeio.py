@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import TEEIO_LINE_RATE, teeio_params
+from repro.bench.teeio import TEEIO_LINE_RATE, teeio_params
 from repro.hw import default_params
 
 

@@ -1,6 +1,6 @@
 """Scheduler end-to-end: routing, hold-until-KV, resume vs replay."""
 
-from repro.bench import STRESS_TRACE
+from repro.bench.disagg import STRESS_TRACE
 from repro.cluster.routing import AffinityPolicy
 from repro.core import DisaggConfig
 from repro.disagg import DisaggCluster, run_disagg

@@ -6,7 +6,8 @@ its own end-to-end tests across all three runtime systems.
 
 import pytest
 
-from repro.bench import CC, WITHOUT_CC, pipellm, run_flexgen, run_vllm
+from repro.bench.experiments import run_flexgen, run_vllm
+from repro.bench.systems import CC, WITHOUT_CC, pipellm
 from repro.models import OPT_30B, OPT_66B
 from repro.workloads import ALPACA, SyntheticShape
 

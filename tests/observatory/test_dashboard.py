@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench import CC, pipellm, run_flexgen
+from repro.bench.experiments import run_flexgen
+from repro.bench.systems import CC, pipellm
 from repro.cc import CcMode, build_machine
 from repro.cluster import Cluster
 from repro.core import ClusterConfig

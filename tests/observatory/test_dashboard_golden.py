@@ -19,7 +19,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.bench import CC, pipellm
+from repro.bench.systems import CC, pipellm
 from repro.observatory.dashboard import run_flexgen_dashboard, run_serve_dashboard
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -5,7 +5,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import CC, pipellm, run_flexgen
+from repro.bench.experiments import run_flexgen
+from repro.bench.systems import CC, pipellm
 from repro.models import OPT_66B
 from repro.observatory import (
     attribute_request,
