@@ -10,9 +10,9 @@ The probe drives every front door in one process under a global
 only; about 3.3x the untraced run time):
 
 * every ``python -m repro`` subcommand at quick/smoke size: ``list``,
-  ``systems``, ``run``, ``claims``, ``faults --json``,
-  ``parallel --json``, ``bench`` (write, ``--compare``,
-  ``--candidate``), ``trace`` (every experiment, all four formats,
+  ``systems``, ``run``, ``claims --json`` (as CI's scorecard runs it),
+  ``faults --json``, ``parallel --json``, ``bench`` (write,
+  ``--compare``, ``--candidate``), ``trace`` (every experiment, all four formats,
   ``--attrib``), ``postmortem``, ``dash`` (FlexGen and ``--serve``)
   and the single-run ``cluster``/``serve``/``disagg`` modes under
   each policy, system, admission and crash kind;
@@ -208,7 +208,7 @@ def targets(workdir: Path) -> Dict[str, Callable[[], None]]:
         "cli:list": _cli("list"),
         "cli:systems": _cli("systems"),
         "cli:run": _cli("run", "fig2"),
-        "cli:claims": _cli("claims"),
+        "cli:claims": _cli("claims", "--json"),
         "cli:faults": _cli("faults", "--json"),
         "cli:parallel": _cli("parallel", "--json"),
         "cli:bench": _bench(workdir),

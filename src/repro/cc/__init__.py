@@ -1,6 +1,6 @@
 """NVIDIA-CC-style secure channel: machine assembly + CUDA-like API."""
 
-from .api import CudaContext, DeviceRuntime, TransferHandle, TransferLog, TransferRecord
+from .api import CudaContext, DeviceRuntime, TransferHandle
 from .machine import CcMode, Machine, build_attested_machine, build_machine
 
 __all__ = [
@@ -9,8 +9,6 @@ __all__ = [
     "DeviceRuntime",
     "Machine",
     "TransferHandle",
-    "TransferLog",
-    "TransferRecord",
     "build_attested_machine",
     "build_machine",
 ]

@@ -16,14 +16,19 @@ Every runtime maintains the *functional* channel in lock-step with the
 timing model: payload bytes are really encrypted under the session's
 incrementing IVs and really authenticated by the GPU copy-engine
 model.
+
+A runtime keeps no transfer history of its own. Each memcpy is seen
+on the PCIe link's ``bus_log`` (the §8.1 attacker's view) and, under
+telemetry recording, as a :class:`~repro.telemetry.hub.RequestRecord`.
+PipeLLM's predictor is fed by :class:`~repro.core.runtime.PipeLLMRuntime`
+itself, from each swap it classifies.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import List, Optional
 
 from ..hw.memory import MemoryChunk
 from ..sim import Event, Simulator
@@ -31,12 +36,7 @@ from ..telemetry import TransferEvent
 from ..telemetry.hub import RequestRecord
 from .machine import CcMode, Machine
 
-__all__ = ["CudaContext", "DeviceRuntime", "TransferHandle", "TransferLog", "TransferRecord"]
-
-#: Default retention for the observed-transfer ring buffer. Pattern
-#: detectors only ever look at a short recent window, so bounding the
-#: log keeps week-long multi-replica runs at constant memory.
-DEFAULT_TRACE_CAP = 65536
+__all__ = ["CudaContext", "DeviceRuntime", "TransferHandle"]
 
 H2D = "h2d"
 D2H = "d2h"
@@ -54,65 +54,13 @@ class TransferHandle:
     complete: Event
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    """One line of the low-level trace PipeLLM's predictor observes."""
-
-    time: float
-    direction: str
-    addr: int
-    size: int
-    tag: str
-
-
-class TransferLog:
-    """Ring buffer of the most recent :class:`TransferRecord` entries.
-
-    Looks like a read-only list over the retained window (newest-last)
-    while keeping whole-run statistics exact: ``total`` counts every
-    record ever appended, ``dropped`` how many fell off the front.
-    """
-
-    def __init__(self, cap: Optional[int] = DEFAULT_TRACE_CAP) -> None:
-        if cap is not None and cap < 1:
-            raise ValueError("trace cap must be positive (or None for unbounded)")
-        self.cap = cap
-        self._records: deque = deque(maxlen=cap)
-        self.total = 0
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted from the front of the ring."""
-        return self.total - len(self._records)
-
-    def append(self, record: TransferRecord) -> None:
-        self._records.append(record)
-        self.total += 1
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TransferRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._records)[index]
-        return self._records[index]
-
-    def __repr__(self) -> str:
-        return f"TransferLog(retained={len(self)}, total={self.total}, cap={self.cap})"
-
-
 class DeviceRuntime(abc.ABC):
     """The memcpy/synchronize surface all serving engines use."""
 
-    def __init__(self, machine: Machine, trace_cap: Optional[int] = DEFAULT_TRACE_CAP) -> None:
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.sim: Simulator = machine.sim
         self._outstanding: List[Event] = []
-        self.trace = TransferLog(cap=trace_cap)
-        self._observers: List[Callable[[TransferRecord], None]] = []
 
     # -- interface ---------------------------------------------------------
 
@@ -148,15 +96,6 @@ class DeviceRuntime(abc.ABC):
 
     # -- shared plumbing ------------------------------------------------------
 
-    def add_observer(self, observer: Callable[[TransferRecord], None]) -> None:
-        self._observers.append(observer)
-
-    def _record(self, direction: str, chunk: MemoryChunk) -> None:
-        record = TransferRecord(self.sim.now, direction, chunk.addr, chunk.size, chunk.tag)
-        self.trace.append(record)
-        for observer in self._observers:
-            observer(record)
-
     def _track(self, complete: Event) -> None:
         self._outstanding.append(complete)
 
@@ -189,16 +128,13 @@ class DeviceRuntime(abc.ABC):
 class CudaContext(DeviceRuntime):
     """Baseline runtimes: native ("w/o CC") and NVIDIA CC ("CC")."""
 
-    def __init__(
-        self, machine: Machine, trace_cap: Optional[int] = DEFAULT_TRACE_CAP
-    ) -> None:
-        super().__init__(machine, trace_cap=trace_cap)
+    def __init__(self, machine: Machine) -> None:
+        super().__init__(machine)
         self.params = machine.params
 
     # -- host to device ---------------------------------------------------
 
     def memcpy_h2d(self, chunk: MemoryChunk) -> TransferHandle:
-        self._record(H2D, chunk)
         handle = TransferHandle(chunk, H2D, self.sim.event(), self.sim.event())
         self._track(handle.complete)
         record = self._telemetry_request(handle)
@@ -246,7 +182,6 @@ class CudaContext(DeviceRuntime):
     # -- device to host ----------------------------------------------------
 
     def memcpy_d2h(self, chunk: MemoryChunk) -> TransferHandle:
-        self._record(D2H, chunk)
         handle = TransferHandle(chunk, D2H, self.sim.event(), self.sim.event())
         self._track(handle.complete)
         record = self._telemetry_request(handle)

@@ -202,8 +202,7 @@ class Fleet:
         return [
             cls(
                 self.sim, i, spec, system=config.system,
-                block_size=config.block_size, reserve_bytes=config.reserve_bytes,
-                params=params,
+                reserve_bytes=config.reserve_bytes, params=params,
                 faults=None if self.faults is None else self.faults.child(f"{cls.kind[0]}{i}"),
             )
             for i in range(count)
@@ -224,6 +223,8 @@ class Fleet:
         Seeded by the config's seed (overridable process-wide via the
         CLI ``--seed``), so runs are reproducible end to end.
         """
+        if tenants < 1:
+            raise ValueError("tenants must be >= 1")
         rng = SeededRng(default_seed(self.config.seed))
         requests = poisson_trace(trace, rate, duration, rng, parallel_n=parallel_n)
         rng_t = rng.fork("tenants")

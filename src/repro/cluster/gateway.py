@@ -8,7 +8,7 @@ The gateway is the cluster's single entry point. It owns:
 * **per-tenant secure sessions** — the first time a tenant's traffic
   reaches a given replica *incarnation*, the gateway runs the attested
   key exchange (:class:`repro.cluster.tenant.TenantChannel`), paying
-  the configured handshake latency in simulated time. Every request
+  a fixed handshake latency in simulated time. Every request
   and response then makes a real encrypt/decrypt round trip on that
   channel, so GCM tags and IV monotonicity are exercised — and audited
   — for the whole run;
@@ -39,6 +39,12 @@ from .routing import RoutingPolicy, make_policy
 from .tenant import ClusterIvAudit, TenantChannel
 
 __all__ = ["Gateway"]
+
+#: End-to-end latency target counted for SLO attainment (seconds).
+_SLO_LATENCY = 30.0
+
+#: Modeled latency of one tenant key-exchange + attestation.
+_HANDSHAKE_LATENCY = 500e-6
 
 
 class Gateway:
@@ -185,7 +191,7 @@ class Gateway:
             done = self.sim.event()
             self._pending[key] = done
             try:
-                yield self.sim.timeout(self.config.handshake_latency)
+                yield self.sim.timeout(_HANDSHAKE_LATENCY)
             finally:
                 del self._pending[key]
                 done.succeed()
@@ -282,7 +288,7 @@ class Gateway:
         self.metrics.counter("cluster.gateway.completed").add()
         self.metrics.latency("cluster.latency_s").record(max(0.0, creq.latency))
         self.metrics.counter(f"cluster.tenant.{creq.tenant}.completed").add()
-        if creq.latency <= self.config.slo_latency:
+        if creq.latency <= _SLO_LATENCY:
             self.metrics.counter(f"cluster.tenant.{creq.tenant}.slo_ok").add()
         self._emit("complete", creq, replica=replica.replica_id,
                    detail=f"latency={creq.latency:.3f}s")

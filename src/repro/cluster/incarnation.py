@@ -51,7 +51,6 @@ class Incarnation:
         replica_id: int,
         spec: ModelSpec,
         system: str = "pipellm",
-        block_size: int = 16,
         reserve_bytes: int = 4 << 30,
         params: Optional[HardwareParams] = None,
         faults=None,
@@ -61,7 +60,6 @@ class Incarnation:
         self.replica_id = replica_id
         self.spec = spec
         self.system = system
-        self.block_size = block_size
         self.reserve_bytes = reserve_bytes
         self.params = params or default_params()
         #: Optional :class:`repro.faults.FaultInjector` for this machine,
@@ -69,7 +67,7 @@ class Incarnation:
         #: machine, so fault streams continue deterministically).
         self.faults = faults
         self.cost = TransformerCostModel(spec)
-        self.geometry = KvGeometry(spec, block_size=block_size)
+        self.geometry = KvGeometry(spec)
 
         self.epoch = 0
         self.alive = False

@@ -21,6 +21,7 @@ from typing import Optional, Set
 
 __all__ = ["SwapClass", "TransferClass", "TransferClassifier"]
 
+#: Transfers below this size are control traffic, never pipelined.
 DEFAULT_SWAP_THRESHOLD = 128 * 1024
 
 

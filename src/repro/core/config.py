@@ -7,7 +7,6 @@ from typing import Optional
 
 from ..faults.plan import FaultPlan
 from ..faults.policies import FaultPolicy
-from .classify import DEFAULT_SWAP_THRESHOLD
 
 __all__ = ["ClusterConfig", "DisaggConfig", "PipeLLMConfig"]
 
@@ -21,8 +20,6 @@ class PipeLLMConfig:
     offloading, asynchronous decryption on, and no sabotage.
     """
 
-    #: Transfers below this size are control traffic, never pipelined.
-    swap_threshold: int = DEFAULT_SWAP_THRESHOLD
     #: Target number of speculatively encrypted chunks staged ahead.
     depth: int = 8
     #: Separate (smaller) staging window for KV-cache predictions.
@@ -38,24 +35,14 @@ class PipeLLMConfig:
     #: Adapt the leeway to the observed rate of small transfers
     #: between swaps (exponential moving average).
     adaptive_leeway: bool = True
-    #: Upper bound for the adaptive leeway. NOPs are cheap (~15 µs)
-    #: but every pad NOP consumes an IV that may skip a sibling staged
-    #: entry, so unbounded leeway self-poisons the pipeline; 64 covers
-    #: realistic bursts of interleaved small transfers (§5.1, §5.3).
-    max_leeway: int = 64
     #: Private-memory budget for staged speculative ciphertext (§6).
     max_staged_bytes: int = 32 << 30
-    #: How many encryption worker threads gang up on one chunk
-    #: (0 = all of them). Model offloading needs >1 to beat PCIe rate.
-    enc_ways: int = 0
     #: Decrypt swapped-out data off the critical path (§5.4).
     async_decrypt: bool = True
     #: Prediction sabotage for the Fig. 10 ablation: ``None`` or
     #: ``"reverse"`` (the PipeLLM-0 configuration — right set of
     #: chunks, always-wrong sequence).
     sabotage: Optional[str] = None
-    #: CPU overhead of the validation fast path per request (s).
-    validation_overhead: float = 1.0e-6
     #: How the runtime survives faults: retry/backoff for recovery
     #: re-encryptions, optional per-request timeout, and the
     #: degradation-controller thresholds. ``None`` uses the defaults.
@@ -64,10 +51,8 @@ class PipeLLMConfig:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.leeway < 0 or self.max_leeway < 0:
+        if self.leeway < 0:
             raise ValueError("leeway must be non-negative")
-        if self.swap_threshold <= 0:
-            raise ValueError("swap_threshold must be positive")
 
 
 #: Routing policy names accepted by :class:`ClusterConfig` (resolved
@@ -96,15 +81,9 @@ class ClusterConfig:
     queue_capacity: int = 64
     #: Queued requests older than this are shed (seconds).
     admission_timeout: float = 5.0
-    #: End-to-end latency target counted for SLO attainment (seconds).
-    slo_latency: float = 30.0
     #: Maximum requests concurrently resident on one replica
     #: (running + locally queued); the gateway holds the rest.
     max_outstanding: int = 8
-    #: Modeled latency of one tenant key-exchange + attestation.
-    handshake_latency: float = 500e-6
-    #: vLLM-style KV block size (tokens) on each replica.
-    block_size: int = 16
     #: GPU bytes reserved away from the KV pool (pressure knob).
     reserve_bytes: int = 4 << 30
     #: Simulated time at which one replica crashes (None = no fault).
@@ -134,8 +113,8 @@ class ClusterConfig:
             raise ValueError(f"unknown system {self.system!r}")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.admission_timeout <= 0 or self.slo_latency <= 0:
-            raise ValueError("timeouts must be positive")
+        if self.admission_timeout <= 0:
+            raise ValueError("admission_timeout must be positive")
         if self.max_outstanding < 1:
             raise ValueError("max_outstanding must be >= 1")
         if not 0 <= self.fail_replica < self.replicas:
@@ -166,8 +145,6 @@ class DisaggConfig:
     #: Decode-placement policy name (see ``CLUSTER_POLICIES``);
     #: prefill placement is always least-loaded.
     decode_policy: str = "affinity"
-    #: vLLM-style KV block size (tokens) on each worker.
-    block_size: int = 16
     #: GPU bytes reserved away from each decode worker's KV pool.
     reserve_bytes: int = 4 << 30
     #: Named hardware parameter pack (``repro.hw.get_params``); None

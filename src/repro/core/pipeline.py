@@ -192,9 +192,9 @@ class SpeculationPipeline:
         # Newest prediction first: under LIFO resume the entry staged
         # last is needed first, so it jumps the speculative queue.
         front = target.swap_class.value == "kv_cache"
-        ready = self.machine.engine.submit_encrypt_parallel(
-            target.size, ways=self.config.enc_ways, front=front
-        )
+        # Every encryption worker gangs up on the chunk: model
+        # offloading needs more than one to beat the PCIe rate.
+        ready = self.machine.engine.submit_encrypt_parallel(target.size, front=front)
         entry = StagedEntry(chunk, iv, message, ready, staged_at=self.machine.sim.now)
         memory.protect(target.addr, target.size, owner=entry.owner, deny_write=True)
         self._queue.append(entry)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cc.api import D2H, DEFAULT_TRACE_CAP, H2D, DeviceRuntime, TransferHandle
+from ..cc.api import D2H, H2D, DeviceRuntime, TransferHandle
 from ..cc.machine import Machine
 from ..crypto import AuthenticationError, EncryptedMessage, tamper_tag
 from ..faults.policies import DegradationController, FaultPolicy, PipelineMode
@@ -49,6 +49,15 @@ _RELINQUISH_AFTER_MISSES = 3
 #: same-instant batch mates to arrive, short against any transfer.
 _DEFER_GRACE = 50e-6
 
+#: Upper bound for the adaptive leeway. NOPs are cheap (~15 µs)
+#: but every pad NOP consumes an IV that may skip a sibling staged
+#: entry, so unbounded leeway self-poisons the pipeline; 64 covers
+#: realistic bursts of interleaved small transfers (§5.1, §5.3).
+_MAX_LEEWAY = 64
+
+#: CPU overhead of the validation fast path per request (s).
+_VALIDATION_OVERHEAD = 1.0e-6
+
 
 @dataclass
 class _PendingDecrypt:
@@ -68,14 +77,13 @@ class PipeLLMRuntime(DeviceRuntime):
         self,
         machine: Machine,
         config: Optional[PipeLLMConfig] = None,
-        trace_cap: Optional[int] = DEFAULT_TRACE_CAP,
     ) -> None:
         if not machine.cc_enabled:
             raise ValueError("PipeLLM requires a CC-enabled machine")
-        super().__init__(machine, trace_cap=trace_cap)
+        super().__init__(machine)
         self.params = machine.params
         self.config = config or PipeLLMConfig()
-        self.classifier = TransferClassifier(swap_threshold=self.config.swap_threshold)
+        self.classifier = TransferClassifier()
         self.predictor = SwapPredictor(self.classifier, sabotage=self.config.sabotage)
         self.pipeline = SpeculationPipeline(machine, self.config)
         #: The machine-level fault injector (None on clean runs).
@@ -175,7 +183,6 @@ class PipeLLMRuntime(DeviceRuntime):
     # -- host → device ----------------------------------------------------------
 
     def memcpy_h2d(self, chunk: MemoryChunk) -> TransferHandle:
-        self._record(H2D, chunk)
         handle = TransferHandle(chunk, H2D, self.sim.event(), self.sim.event())
         self._track(handle.complete)
         record = self._telemetry_request(handle)
@@ -299,14 +306,13 @@ class PipeLLMRuntime(DeviceRuntime):
         NOPs at commit time, an under-long one costs a full chunk
         re-encryption, so the controller errs high."""
         self._leeway_value = min(
-            float(self.config.max_leeway),
+            float(_MAX_LEEWAY),
             max(2.0 * self._leeway_value, self._leeway_ema + 8.0),
         )
 
     # -- device → host -------------------------------------------------------------
 
     def memcpy_d2h(self, chunk: MemoryChunk) -> TransferHandle:
-        self._record(D2H, chunk)
         handle = TransferHandle(chunk, D2H, self.sim.event(), self.sim.event())
         self._track(handle.complete)
         record = self._telemetry_request(handle)
@@ -522,7 +528,7 @@ class PipeLLMRuntime(DeviceRuntime):
         if parallel:
             self._ondemand_encryptions.add()
             enc_ready = self.machine.engine.submit_encrypt_parallel(
-                chunk.size, ways=self.config.enc_ways, urgent=True
+                chunk.size, urgent=True
             )
         else:
             enc_ready = self.machine.engine.submit_encrypt_inline_cc(chunk.size)
@@ -642,7 +648,7 @@ class PipeLLMRuntime(DeviceRuntime):
         # Newest-first decryption: LIFO resume wants the most recent
         # swap-out back first, so its plaintext should be ready first.
         yield self.machine.engine.submit_decrypt_parallel(
-            chunk.size, ways=self.config.enc_ways, front=True
+            chunk.size, front=True
         )
         self._land_decrypt(pending, synchronous=False)
         if self.fault_controller.speculation_enabled:
@@ -714,7 +720,7 @@ class PipeLLMRuntime(DeviceRuntime):
                 message = endpoint.encrypt_next(chunk.payload, nbytes_logical=chunk.size)
                 self.pipeline.on_iv_consumed(message.sender_iv)
                 extra.append(self.machine.engine.submit_encrypt_parallel(
-                    chunk.size, ways=self.config.enc_ways, urgent=True
+                    chunk.size, urgent=True
                 ))
                 extra.append(self.sim.timeout(policy.delay(attempt)))
                 continue
@@ -790,7 +796,7 @@ class PipeLLMRuntime(DeviceRuntime):
     # -- leeway adaptation & misc ------------------------------------------------------
 
     def _fast_api_return(self, handle: TransferHandle) -> None:
-        self.sim.process(_fire_after(self.sim, self.config.validation_overhead, handle.api_done))
+        self.sim.process(_fire_after(self.sim, _VALIDATION_OVERHEAD, handle.api_done))
 
     def _note_swap_arrival(self) -> None:
         if self.config.adaptive_leeway:
@@ -801,7 +807,7 @@ class PipeLLMRuntime(DeviceRuntime):
         if not self.config.adaptive_leeway:
             return self.config.leeway
         value = max(self._leeway_value, self._leeway_ema)
-        return min(self.config.max_leeway, int(round(value)))
+        return min(_MAX_LEEWAY, int(round(value)))
 
     def _count_miss(self) -> None:
         self._consecutive_misses += 1

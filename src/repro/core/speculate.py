@@ -13,7 +13,7 @@ channel's forced-mispredict fault query on a hit, then :meth:`_settle`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable
 
 from ..faults.policies import DegradationController, FaultPolicy
 from .classify import SwapClass, TransferClassifier
@@ -28,7 +28,6 @@ class StreamSpeculator:
     def __init__(
         self,
         clock: Callable[[], float],
-        policy: Optional[FaultPolicy] = None,
         faults=None,
         warmup: int = 8,
     ) -> None:
@@ -41,7 +40,7 @@ class StreamSpeculator:
         #: Optional :class:`repro.faults.FaultInjector` for forced
         #: mispredictions (the storm campaigns).
         self.faults = faults
-        self.controller = DegradationController(policy or FaultPolicy(), clock)
+        self.controller = DegradationController(FaultPolicy(), clock)
         # One predictor per source: each source's outgoing sequence is
         # its own deterministic schedule; mixing sources would make the
         # learned pattern depend on how concurrent streams interleave.

@@ -86,7 +86,7 @@ class DisaggCluster(Fleet):
         super().__init__(config)
         self.spec = spec
         self.params = params or get_params(config.hw_pack or "h100-cc")
-        self.geometry = KvGeometry(spec, block_size=config.block_size)
+        self.geometry = KvGeometry(spec)
         self.prefill_pool = self._spawn(
             PrefillWorker, config.prefill_workers, spec, self.params
         )

@@ -56,7 +56,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.speculate import StreamSpeculator
 from ..crypto import derive_link_session
-from ..faults.policies import FaultPolicy
 from ..hw import MB, HardwareParams
 from ..sim import Simulator
 from ..tracing import active_collector
@@ -159,8 +158,6 @@ class MigrationFabric:
         system: str = "pipellm",
         audit=None,
         faults=None,
-        policy: Optional[FaultPolicy] = None,
-        chunk_bytes: int = MIGRATION_CHUNK_BYTES,
     ) -> None:
         if system not in ("native", "cc", "pipellm"):
             raise ValueError(f"unknown migration system {system!r}")
@@ -170,12 +167,9 @@ class MigrationFabric:
         self.system = system
         self.audit = audit
         self.faults = faults
-        self.chunk_bytes = chunk_bytes
         self.speculator: Optional[MigrationSpeculator] = None
         if system == "pipellm":
-            self.speculator = MigrationSpeculator(
-                clock=lambda: sim.now, policy=policy, faults=faults
-            )
+            self.speculator = MigrationSpeculator(clock=lambda: sim.now, faults=faults)
         self._links: Dict[Tuple[str, str], _MigrationLink] = {}
         self.records: List[MigrationRecord] = []
         self.bytes_moved = 0
@@ -207,7 +201,7 @@ class MigrationFabric:
 
     def chunk_seconds(self, staged: bool) -> float:
         """Wire occupancy of one chunk (two CC channel legs)."""
-        p, n = self.params, self.chunk_bytes
+        p, n = self.params, MIGRATION_CHUNK_BYTES
         if self.system == "native":
             return 2.0 * p.ncc_occupancy(n)
         if staged:
@@ -224,7 +218,7 @@ class MigrationFabric:
         the moment either incarnation dies, leaving ``status`` set so
         the scheduler can pick resume vs replay.
         """
-        chunks = max(1, -(-creq.kv_bytes // self.chunk_bytes))
+        chunks = max(1, -(-creq.kv_bytes // MIGRATION_CHUNK_BYTES))
         src_epoch, dst_epoch = src.epoch, dst.epoch
         src_label = f"{src.label}.e{src_epoch}"
         link = self.link(src, dst)
@@ -251,7 +245,7 @@ class MigrationFabric:
             staged = False
             if self.speculator is not None:
                 staged = self.speculator.lookup(
-                    src_label, dst.replica_id, self.chunk_bytes
+                    src_label, dst.replica_id, MIGRATION_CHUNK_BYTES
                 )
             payload = chunk_payload(creq.rid, index)
             message = None
@@ -259,7 +253,7 @@ class MigrationFabric:
                 # A hit ships pre-encrypted under the predicted IV; a
                 # miss encrypts inline under the true next IV, and any
                 # discarded staged ciphertext never touched the wire.
-                message = link.tx.seal(payload, staged, self.chunk_bytes)
+                message = link.tx.seal(payload, staged, MIGRATION_CHUNK_BYTES)
             seconds = self.chunk_seconds(staged)
             if self.faults is not None and self.faults.migration_drop(link.label):
                 # Wire loss: retransmit the SAME ciphertext — the IV
@@ -280,7 +274,7 @@ class MigrationFabric:
             record.delivered += 1
             record.hits += int(staged)
             record.misses += int(message is not None and not staged)
-            self.bytes_moved += self.chunk_bytes
+            self.bytes_moved += MIGRATION_CHUNK_BYTES
         record.end = self.sim.now
         if span is not None:
             collector.end(

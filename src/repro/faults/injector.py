@@ -34,6 +34,17 @@ from .policies import RetryPolicy
 
 __all__ = ["FaultInjector"]
 
+#: Maximum extra latency per jittered DMA; the draw is uniform in
+#: (0, _PCIE_JITTER_S].
+_PCIE_JITTER_S = 20e-6
+
+#: Extra service time of one stalled crypto-engine submission.
+_ENGINE_STALL_S = 200e-6
+
+#: Maximum extra latency per jittered hop leg; the draw is uniform
+#: in (0, _LINK_JITTER_S].
+_LINK_JITTER_S = 20e-6
+
 
 class FaultInjector:
     """Deterministic, per-domain-seeded fault decisions for one machine."""
@@ -150,7 +161,7 @@ class FaultInjector:
 
     def pcie_jitter(self, direction: str) -> float:
         """Extra latency (seconds) to tack onto this DMA; 0 = clean."""
-        return self._jitter("pcie", self.plan.pcie_jitter_rate, self.plan.pcie_jitter_s,
+        return self._jitter("pcie", self.plan.pcie_jitter_rate, _PCIE_JITTER_S,
                             "pcie-jitter", direction)
 
     # -- crypto engine ---------------------------------------------------
@@ -163,7 +174,7 @@ class FaultInjector:
         if (self.plan.engine_stall_rate > 0.0
                 and self._rng["engine"].random() < self.plan.engine_stall_rate):
             self._fire("engine", "engine-stall", pool)
-            service += self.plan.engine_stall_s
+            service += _ENGINE_STALL_S
         return service
 
     # -- secure channel --------------------------------------------------
@@ -191,7 +202,7 @@ class FaultInjector:
     def link_jitter(self, link: str) -> float:
         """Extra latency (seconds) for this hop leg; 0 = clean."""
         return self._jitter("interconnect", self.plan.link_jitter_rate,
-                            self.plan.link_jitter_s, "link-jitter", link)
+                            _LINK_JITTER_S, "link-jitter", link)
 
     def link_mispredict(self, link: str) -> bool:
         """Should this speculated link hop be forced into a miss?"""

@@ -50,17 +50,13 @@ class FaultPlan:
     #: Probability one DMA picks up extra latency (link retraining,
     #: congestion on the bounce-buffer path).
     pcie_jitter_rate: float = 0.0
-    #: Maximum extra latency per jittered DMA; the draw is uniform in
-    #: (0, pcie_jitter_s].
-    pcie_jitter_s: float = 20e-6
     #: Probability one DMA transiently fails and must be replayed.
     pcie_drop_rate: float = 0.0
 
     # -- crypto engine (hw/engine.py) -----------------------------------
     #: Probability one worker submission stalls (scheduling hiccup,
-    #: cache-thrashing neighbour) for ``engine_stall_s`` extra.
+    #: cache-thrashing neighbour) for a fixed extra time.
     engine_stall_rate: float = 0.0
-    engine_stall_s: float = 200e-6
     #: Service-time multiplier applied to every submission while the
     #: plan is live (1.0 = nominal speed).
     engine_slowdown: float = 1.0
@@ -82,9 +78,6 @@ class FaultPlan:
     #: Probability one inter-GPU hop leg picks up extra latency
     #: (bounce-buffer congestion, copy-engine contention).
     link_jitter_rate: float = 0.0
-    #: Maximum extra latency per jittered hop leg; the draw is uniform
-    #: in (0, link_jitter_s].
-    link_jitter_s: float = 20e-6
     #: Probability one hop leg transiently fails and must be replayed.
     link_drop_rate: float = 0.0
     #: Probability one speculated link hop is forced into a miss,
@@ -110,8 +103,6 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value!r}")
-        if self.pcie_jitter_s < 0 or self.engine_stall_s < 0 or self.link_jitter_s < 0:
-            raise ValueError("fault durations must be non-negative")
         if self.engine_slowdown < 1.0:
             raise ValueError("engine_slowdown must be >= 1.0")
         if self.replica_crash_rate < 0 or self.replica_recover_after < 0:

@@ -28,6 +28,9 @@ from typing import Callable, List, Optional, Tuple
 
 __all__ = ["DegradationController", "FaultPolicy", "PipelineMode", "RetryPolicy"]
 
+#: Probe observations before deciding to restore or re-degrade.
+PROBE_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -76,16 +79,14 @@ class FaultPolicy:
     min_samples: int = 12
     #: Time spent in-order before probing speculation again (seconds).
     degraded_hold_s: float = 0.05
-    #: Probe observations before deciding to restore or re-degrade.
-    probe_samples: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ema_alpha <= 1.0:
             raise ValueError("ema_alpha must be in (0, 1]")
         if not 0.0 <= self.exit_miss_rate <= self.enter_miss_rate <= 1.0:
             raise ValueError("need 0 <= exit_miss_rate <= enter_miss_rate <= 1")
-        if self.min_samples < 1 or self.probe_samples < 1:
-            raise ValueError("sample counts must be >= 1")
+        if self.min_samples < 1:
+            raise ValueError("min_samples must be >= 1")
         if self.degraded_hold_s < 0:
             raise ValueError("degraded_hold_s must be non-negative")
         if self.request_timeout_s is not None and self.request_timeout_s <= 0:
@@ -162,7 +163,7 @@ class DegradationController:
             self._probe_seen += 1
             if self.miss_ema >= self.policy.enter_miss_rate:
                 self._enter(PipelineMode.DEGRADED)
-            elif self._probe_seen >= self.policy.probe_samples:
+            elif self._probe_seen >= PROBE_SAMPLES:
                 if self.miss_ema <= self.policy.exit_miss_rate:
                     self._enter(PipelineMode.SPECULATIVE)
                 else:
@@ -190,7 +191,7 @@ class DegradationController:
             self._degraded_since = now
         elif mode is PipelineMode.PROBING:
             # A probe judges fresh evidence, not the storm's residue:
-            # restart the EMA at the exit threshold so probe_samples
+            # restart the EMA at the exit threshold so PROBE_SAMPLES
             # clean hits decisively clear it (and misses re-trip it).
             self.miss_ema = self.policy.exit_miss_rate
             self._probe_seen = 0

@@ -1,4 +1,4 @@
-"""Performance observatory: profiler, dashboard, wall-clock lint.
+"""Performance observatory: profiler and dashboard.
 
 The quantitative lens on everything the rest of the repo simulates:
 
@@ -11,12 +11,9 @@ The quantitative lens on everything the rest of the repo simulates:
   live ASCII view (utilization, latency percentiles, speculation
   hit-rate, IV-audit status, degradation mode) read straight from the
   machine's :class:`~repro.sim.stats.MetricSet` and live hardware
-  state, that provably does not perturb the simulation;
-* :mod:`repro.observatory.lint` — the structural wall-clock hygiene
-  check keeping simulated and real time apart.
+  state, that provably does not perturb the simulation.
 """
 
-from .lint import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
 from .profiler import (
     AttributionProfile,
     RequestAttribution,
@@ -28,7 +25,6 @@ from .profiler import (
 )
 
 __all__ = [
-    "ALLOWED_WALL_CLOCK_FILES",
     "AttributionProfile",
     "RequestAttribution",
     "SpeculationAccount",
@@ -36,5 +32,4 @@ __all__ = [
     "profile_hub",
     "render_profile",
     "render_waterfall",
-    "wall_clock_call_sites",
 ]

@@ -7,16 +7,14 @@ object with usage accounting. Payloads are *token counts*, not text:
 the simulation cares about lengths and timing, never content, exactly
 like the trace stand-ins in :mod:`repro.workloads.traces`.
 
-All timestamps are **simulated seconds**. ``to_dict`` renders the
-wire shape (``cmpl-<id>`` ids, ``choices``, ``usage``) so examples and
-tests can assert against the familiar schema.
+All timestamps are **simulated seconds**.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import List
 
 __all__ = [
     "TIERS",
@@ -68,14 +66,6 @@ class StreamChunk:
     index: int  # 1-based token index within the completion
     time: float  # simulated arrival time at the client
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": f"cmpl-{self.request_id}",
-            "object": "text_completion.chunk",
-            "created": self.time,
-            "choices": [{"index": 0, "token_index": self.index}],
-        }
-
 
 @dataclass(frozen=True)
 class Usage:
@@ -83,17 +73,6 @@ class Usage:
 
     prompt_tokens: int
     completion_tokens: int
-
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "total_tokens": self.total_tokens,
-        }
 
 
 @dataclass
@@ -137,20 +116,3 @@ class CompletionResponse:
     def latency(self) -> float:
         """End-to-end latency (arrival to finish)."""
         return self.finish_time - self.request.arrival_time
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": f"cmpl-{self.request.request_id}",
-            "object": "text_completion",
-            "created": self.created,
-            "model": self.request.model,
-            "choices": [{"index": 0, "finish_reason": self.finish_reason}],
-            "usage": self.usage.to_dict(),
-            "metrics": {
-                "ttft_s": self.ttft,
-                "tpot_s": self.tpot,
-                "latency_s": self.latency,
-                "attempts": self.attempts,
-                "tier": self.request.tier,
-            },
-        }

@@ -35,6 +35,12 @@ _PAYLOAD_BYTES = 24
 #: Backward pass costs roughly 2× the forward GEMMs.
 _BACKWARD_FACTOR = 2.0
 
+#: LoRA rank (adapter size: 2·r·h per projection, 4 projections).
+_LORA_RANK = 16
+
+#: Seed of the base weights' functional payload bytes.
+_SEED = 1
+
 
 @dataclass
 class PeftConfig:
@@ -45,9 +51,6 @@ class PeftConfig:
     #: How many layers stay resident on the GPU (DeepSpeed offloads
     #: the rest to make room for activations).
     resident_layers: int
-    #: LoRA rank (adapter size: 2·r·h per projection, 4 projections).
-    lora_rank: int = 16
-    seed: int = 1
 
 
 @dataclass
@@ -92,7 +95,7 @@ class PeftEngine(Engine[PeftResult]):
     def _allocate(self) -> Dict[int, Region]:
         """Read-only base weights, plus the LoRA adapter state."""
         spec = self.config.spec
-        rng = SeededRng(self.config.seed)
+        rng = SeededRng(_SEED)
         regions = {
             layer: self.machine.host_memory.allocate(
                 spec.layer_bytes,
@@ -103,7 +106,7 @@ class PeftEngine(Engine[PeftResult]):
         }
         # Host-side LoRA adapter state, rewritten by the optimizer each
         # step (exercises the write-fault invalidation path).
-        self.adapter_bytes = int(8 * self.config.lora_rank * spec.hidden * spec.n_layers * 2)
+        self.adapter_bytes = int(8 * _LORA_RANK * spec.hidden * spec.n_layers * 2)
         self._adapters = self.machine.host_memory.allocate(
             max(self.adapter_bytes, 4096), tag="lora.adapters", payload=b"adapters-v0"
         )
@@ -156,7 +159,7 @@ class PeftEngine(Engine[PeftResult]):
         )
 
     def _label(self) -> str:
-        return f"{self.config.spec.name} lora-r{self.config.lora_rank}"
+        return f"{self.config.spec.name} lora-r{_LORA_RANK}"
 
     def _after_backward(self, layer: int, step: int):
         """After a streamed layer's backward: LoRA's gradients stay on

@@ -13,7 +13,7 @@ Design goals:
 * **Zero dependencies** — the kernel uses only ``heapq`` and
   ``itertools``.
 * **Small surface** — everything the PipeLLM models need (timeouts,
-  one-shot events, ``all_of``/``any_of`` combinators, preemptible-free
+  one-shot events, the ``all_of`` combinator, preemptible-free
   resources, FIFO stores) and nothing else.
 
 Example
@@ -206,16 +206,15 @@ class Interrupt(Exception):
 
 
 class Condition(Event):
-    """Base for :func:`Simulator.all_of` / :func:`Simulator.any_of`."""
+    """The event :func:`Simulator.all_of` returns."""
 
-    __slots__ = ("_events", "_need_all", "_scan")
+    __slots__ = ("_events", "_scan")
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event], need_all: bool) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
-        self._need_all = need_all
         #: Index of the first child not known to have triggered; a
-        #: child never un-triggers, so ``all_of`` only scans forward.
+        #: child never un-triggers, so the scan only moves forward.
         self._scan = 0
         for event in self._events:
             if event._ok is None:
@@ -227,13 +226,11 @@ class Condition(Event):
 
     def _satisfied(self) -> bool:
         events = self._events
-        if self._need_all:
-            scan, count = self._scan, len(events)
-            while scan < count and events[scan]._ok is not None:
-                scan += 1
-            self._scan = scan
-            return scan == count
-        return not events or any(e._ok is not None for e in events)
+        scan, count = self._scan, len(events)
+        while scan < count and events[scan]._ok is not None:
+            scan += 1
+        self._scan = scan
+        return scan == count
 
     def _maybe_fire(self) -> None:
         if self._ok is not None or not self._satisfied():
@@ -242,7 +239,7 @@ class Condition(Event):
             if e._ok is False:
                 self.fail(e._value)
                 return
-        self.succeed([e._value for e in self._events if e._ok is not None])
+        self.succeed([e._value for e in self._events])
 
     def _on_child(self, _event: Event) -> None:
         self._maybe_fire()
@@ -328,11 +325,7 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         """Event that triggers when *all* of ``events`` have triggered."""
-        return Condition(self, events, need_all=True)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        """Event that triggers when *any* of ``events`` has triggered."""
-        return Condition(self, events, need_all=False)
+        return Condition(self, events)
 
     def run(self, until: Optional[float] = None) -> None:
         """Process events until the queue drains or ``until`` is reached.

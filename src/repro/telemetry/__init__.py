@@ -32,7 +32,6 @@ from .export import (
     metrics_csv,
 )
 from .hub import (
-    EventTap,
     RequestRecord,
     TelemetryHub,
     TraceSession,
@@ -43,7 +42,6 @@ from .hub import (
 __all__ = [
     "AlertEvent",
     "ClusterEvent",
-    "EventTap",
     "FaultEvent",
     "InjectionEvent",
     "IvEvent",

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..sim.stats import MetricSet
 from ..sim.tracing import SpanTracer
 from .events import TelemetryEvent
 
 __all__ = [
-    "EventTap",
     "RequestRecord",
     "TelemetryHub",
     "TraceSession",
@@ -128,45 +126,6 @@ class RequestRecord:
         return out
 
 
-class EventTap:
-    """Bounded event subscriber with drop-oldest backpressure.
-
-    Long campaigns can emit millions of events; a profiler that
-    subscribes naively would grow memory without bound. A tap keeps at
-    most ``max_events`` of the newest events and counts what it sheds
-    in the hub's always-on metrics (``telemetry.tap.dropped_events``)
-    so the loss is observable, never silent.
-    """
-
-    def __init__(self, hub: "TelemetryHub", max_events: int = 4096) -> None:
-        if max_events <= 0:
-            raise ValueError("max_events must be positive")
-        self.hub = hub
-        self.max_events = max_events
-        self.buffer: Deque[TelemetryEvent] = deque(maxlen=max_events)
-        self.seen = 0
-        self.dropped = 0
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        self.seen += 1
-        if len(self.buffer) == self.max_events:
-            self.dropped += 1
-            self.hub.metrics.counter("telemetry.tap.dropped_events").add(1)
-        self.buffer.append(event)
-
-    def __len__(self) -> int:
-        return len(self.buffer)
-
-    def __iter__(self) -> Iterator[TelemetryEvent]:
-        return iter(self.buffer)
-
-    def drain(self) -> List[TelemetryEvent]:
-        """Return and clear the buffered events (oldest first)."""
-        events = list(self.buffer)
-        self.buffer.clear()
-        return events
-
-
 class TelemetryHub:
     """Structured event bus for one machine.
 
@@ -234,12 +193,6 @@ class TelemetryHub:
     def subscribe(self, subscriber: Callable[[TelemetryEvent], None]) -> None:
         """Deliver every subsequent (enabled) event to ``subscriber``."""
         self._subscribers.append(subscriber)
-
-    def tap(self, max_events: int = 4096) -> EventTap:
-        """Attach a bounded drop-oldest :class:`EventTap` subscriber."""
-        tap = EventTap(self, max_events=max_events)
-        self.subscribe(tap)
-        return tap
 
     def events_of(self, event_type: Type[TelemetryEvent]) -> List[TelemetryEvent]:
         """All retained events of one type, in emission order."""

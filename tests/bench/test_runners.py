@@ -43,7 +43,7 @@ class TestRunners:
             WITHOUT_CC, OPT_66B, SyntheticShape(32, 2), batch_size=8, n_requests=8
         )
         assert result.generated_tokens == 16
-        assert runtime.trace  # the runtime observed transfers
+        assert runtime.machine.pcie.bus_log  # transfers crossed the bus
 
     def test_run_peft(self):
         result, _ = run_peft(WITHOUT_CC, OPT_13B, batch_size=4, resident_layers=38, steps=1)

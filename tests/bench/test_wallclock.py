@@ -25,7 +25,7 @@ import pytest
 
 from repro.crypto.backend import available_backends, make_gcm
 from repro.crypto.gcm import iv_from_counter
-from repro.observatory import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
+from tests.observatory.lint import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 

@@ -81,3 +81,10 @@ def test_both_fleets_draw_the_same_workload():
             for c in fleet.workload(rate=5.0, duration=3.0, tenants=3)
         ])
     assert draws[0] and draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("name", sorted(FLEETS))
+def test_workload_rejects_zero_tenants(name):
+    # The same check and message as the serving front end's LoadSpec.
+    with pytest.raises(ValueError, match="tenants must be >= 1"):
+        FLEETS[name]().workload(rate=5.0, duration=3.0, tenants=0)

@@ -2,7 +2,7 @@
 
 The controller's contract: multiplicative increase on staleness
 deaths, slow decay on staged commits, floored by the EMA of small
-transfers per swap, capped by ``max_leeway``.
+transfers per swap, capped at 64.
 """
 
 import pytest
@@ -38,7 +38,7 @@ class TestControllerMechanics:
         assert runtime._leeway_value >= 8.0
 
     def test_bump_capped(self):
-        _, runtime = make(max_leeway=64)
+        _, runtime = make()
         runtime._leeway_value = 60.0
         runtime._bump_leeway()
         assert runtime._leeway_value == 64.0

@@ -1,14 +1,19 @@
 """Differential harness: incremental ``RepetitiveDetector`` ≡ the scan.
 
 :class:`repro.core.patterns.RepetitiveDetector` keeps the smallest
-period of its window incrementally. The original implementation, which
-rescans every candidate period on every call, lives on here as the
-oracle. Both run on the same traces — random, strictly periodic,
-near-periodic, run-length (the shape of per-destination KV-migration
-chunk trains) and traces long enough to evict — and after every
-observation must agree on ``predict(k)`` and ``score``. A second case
-races two :class:`SwapPredictor` s, one built with the oracle, so the
+period of its window incrementally. The oracle below recomputes the
+period of its whole window from scratch after every observation, with
+the prefix function (:func:`border_period`). Both run on the same
+traces — random, strictly periodic, near-periodic, run-length (the
+shape of per-destination KV-migration chunk trains) and traces long
+enough to evict — and after every observation must agree on
+``predict(k)`` and ``score``. A second case races two
+:class:`SwapPredictor` s, one built with the oracle, so the
 ``best_detector`` tie-breaks are covered too.
+
+The original scan, which tries every candidate period, is the oracle's
+own oracle: :func:`scan_period` must agree with :func:`border_period`
+on every trace shape at the small windows.
 """
 
 from collections import deque
@@ -23,9 +28,45 @@ from repro.core import RepetitiveDetector, SwapClass, SwapPredictor, TransferCla
 from repro.core.patterns import ChunkKey, PatternDetector
 
 
-class ScanningRepetitiveDetector(PatternDetector):
-    """The original detector: score accounting and period scan as shipped
-    before the incremental version, kept as the reference."""
+def scan_period(history: List[ChunkKey], min_confirm: int = 1) -> Optional[int]:
+    """Smallest period of ``history`` by trying every candidate (quadratic)."""
+    n = len(history)
+    for period in range(1, n - 1 + 1):
+        confirmed = n - period
+        if confirmed < min_confirm:
+            continue
+        if all(history[i] == history[i - period] for i in range(period, n)):
+            return period
+    return None
+
+
+def border_period(history: List[ChunkKey], min_confirm: int = 1) -> Optional[int]:
+    """Smallest period of ``history`` from the prefix function (linear).
+
+    ``p`` is a period exactly when ``n - p`` is the length of a proper
+    border, and ``n - p`` is what the scan counts as confirmed. So the
+    smallest period is ``n - border[n-1]``, or None when the longest
+    border is below ``min_confirm`` (always at least one).
+    """
+    n = len(history)
+    if not n:
+        return None
+    border = [0] * n
+    for i in range(1, n):
+        k = border[i - 1]
+        while k and history[i] != history[k]:
+            k = border[k - 1]
+        if history[i] == history[k]:
+            k += 1
+        border[i] = k
+    if border[-1] < max(min_confirm, 1):
+        return None
+    return n - border[-1]
+
+
+class OracleRepetitiveDetector(PatternDetector):
+    """The original detector's score accounting, with the period of the
+    whole window recomputed after every observation."""
 
     name = "repetitive"
 
@@ -36,6 +77,7 @@ class ScanningRepetitiveDetector(PatternDetector):
         self._primed = False
         self._history: Deque[ChunkKey] = deque(maxlen=max_history)
         self._min_confirm = min_confirm
+        self._period: Optional[int] = None
 
     def _grade(self, predicted: Optional[ChunkKey], actual: ChunkKey) -> None:
         if predicted is None:
@@ -59,27 +101,17 @@ class ScanningRepetitiveDetector(PatternDetector):
     def observe_swap_in(self, key: ChunkKey) -> None:
         self._grade(self._next(), key)
         self._history.append(key)
-
-    def _period(self) -> Optional[int]:
-        history = list(self._history)
-        n = len(history)
-        for period in range(1, n - 1 + 1):
-            confirmed = n - period
-            if confirmed < self._min_confirm:
-                continue
-            if all(history[i] == history[i - period] for i in range(period, n)):
-                return period
-        return None
+        self._period = border_period(list(self._history), self._min_confirm)
 
     def _next(self, ahead: int = 0) -> Optional[ChunkKey]:
-        period = self._period()
+        period = self._period
         if period is None:
             return None
         history = list(self._history)
         return history[len(history) - period + (ahead % period)]
 
     def predict(self, count: int) -> List[ChunkKey]:
-        period = self._period()
+        period = self._period
         if period is None:
             return []
         history = list(self._history)
@@ -139,8 +171,7 @@ TRACES = {
     "evicting": evicting_traces,
 }
 
-#: The oracle is quadratic per observation; the full-size window gets
-#: fewer (long) examples.
+#: The full-size window gets fewer (long) examples.
 EXAMPLES = {3: 150, 5: 150, 16: 100, 512: 4}
 
 
@@ -153,13 +184,27 @@ def test_detector_matches_oracle(window, shape):
     @given(TRACES[shape](window))
     def check(trace):
         fast = RepetitiveDetector(max_history=window)
-        oracle = ScanningRepetitiveDetector(max_history=window)
+        oracle = OracleRepetitiveDetector(max_history=window)
         for step, symbol in enumerate(trace):
             fast.observe_swap_in(key(symbol))
             oracle.observe_swap_in(key(symbol))
             for count in counts:
                 assert fast.predict(count) == oracle.predict(count), (step, count)
             assert fast.score == oracle.score, step
+
+    check()
+
+
+@pytest.mark.parametrize("shape", sorted(TRACES))
+@pytest.mark.parametrize("window", [w for w in sorted(EXAMPLES) if w <= 16])
+def test_border_period_matches_scan(window, shape):
+    @settings(max_examples=EXAMPLES[window], deadline=None)
+    @given(TRACES[shape](window))
+    def check(trace):
+        history: Deque[ChunkKey] = deque(maxlen=window)
+        for step, symbol in enumerate(trace):
+            history.append(key(symbol))
+            assert border_period(list(history)) == scan_period(list(history)), step
 
     check()
 
@@ -205,9 +250,9 @@ def make_predictor(detector_class=RepetitiveDetector):
 @given(mixed_traces())
 def test_swap_predictor_matches_oracle(trace):
     fast = make_predictor()
-    oracle = make_predictor(ScanningRepetitiveDetector)
+    oracle = make_predictor(OracleRepetitiveDetector)
     # Fresh scores all tie at zero, so the first weights detector wins.
-    assert isinstance(oracle.best_detector(SwapClass.WEIGHTS), ScanningRepetitiveDetector)
+    assert isinstance(oracle.best_detector(SwapClass.WEIGHTS), OracleRepetitiveDetector)
     for step, (op, addr, size) in enumerate(trace):
         for predictor in (fast, oracle):
             if op == "in":

@@ -60,22 +60,6 @@ class TestCpuAccess:
         assert machine.gpu.auth_failures == 0
 
 
-class TestTraceAndObservers:
-    def test_pipellm_traces_like_baseline(self):
-        machine, runtime = make()
-        region = machine.host_memory.allocate(KV, "w", b"x")
-        seen = []
-        runtime.add_observer(lambda record: seen.append((record.direction, record.size)))
-
-        def app():
-            yield runtime.memcpy_h2d(machine.host_memory.chunk_at(region.addr)).complete
-
-        machine.sim.process(app())
-        machine.run()
-        assert seen == [("h2d", KV)]
-        assert len(runtime.trace) == 1
-
-
 class TestFreedRegions:
     def test_free_kills_staged_entry(self):
         machine, runtime = make()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import DegradationController, FaultPolicy, PipelineMode, RetryPolicy
+from repro.faults.policies import PROBE_SAMPLES
 
 
 class TestRetryPolicy:
@@ -105,7 +106,7 @@ class TestDegradationController:
             ctl.observe(False)
         clock.now += policy.degraded_hold_s
         ctl.poll()
-        for _ in range(policy.probe_samples):
+        for _ in range(PROBE_SAMPLES):
             ctl.observe(True)
         assert ctl.mode is PipelineMode.SPECULATIVE
         assert [t[1:] for t in ctl.transitions] == [

@@ -3,8 +3,9 @@
 Every metric in this repo is defined over **simulated** seconds; a
 single stray ``time.time()`` in the instrumented path would silently
 mix wall-clock into latency math and make runs irreproducible. This
-module AST-scans ``src/repro`` for wall-clock reads and is enforced by
-a test, so the invariant holds structurally rather than by review.
+module AST-scans ``src/repro`` for wall-clock reads;
+``tests/observatory/test_lint.py`` (also a CI step) holds the tree to
+it, so the invariant holds structurally rather than by review.
 
 Allowed call sites: the CLI entry point and the dashboard refresh
 loop — the only places that interact with a human in real time.

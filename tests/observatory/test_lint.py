@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import repro
-from repro.observatory import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
+from tests.observatory.lint import ALLOWED_WALL_CLOCK_FILES, wall_clock_call_sites
 
 SRC = Path(repro.__file__).parent
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.serve import CompletionRequest, CompletionResponse, StreamChunk, Usage
+from repro.serve import CompletionRequest, CompletionResponse, Usage
 
 
 def _request(**kw):
@@ -63,16 +63,3 @@ class TestCompletionResponse:
     def test_single_token_completion_has_no_tpot(self):
         response = self._response(usage=Usage(64, 1))
         assert math.isnan(response.tpot)
-
-    def test_wire_shape(self):
-        doc = self._response().to_dict()
-        assert doc["id"] == "cmpl-7"
-        assert doc["object"] == "text_completion"
-        assert doc["usage"]["total_tokens"] == 80
-        assert doc["choices"][0]["finish_reason"] == "stop"
-        assert doc["metrics"]["tier"] == "standard"
-
-    def test_stream_chunk_wire_shape(self):
-        doc = StreamChunk(request_id=7, index=3, time=1.5).to_dict()
-        assert doc["object"] == "text_completion.chunk"
-        assert doc["choices"][0]["token_index"] == 3

@@ -220,17 +220,6 @@ class TestConditions:
         sim.run()
         assert done == [3.0]
 
-    def test_any_of_fires_on_first(self, sim):
-        done = []
-
-        def proc():
-            yield sim.any_of([sim.timeout(5.0), sim.timeout(1.0)])
-            done.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert done == [1.0]
-
     def test_all_of_empty_fires_immediately(self, sim):
         done = []
 

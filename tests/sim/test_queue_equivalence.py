@@ -136,7 +136,7 @@ delays = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
 steps = st.lists(
     st.tuples(
         st.sampled_from(
-            ["wait", "trigger", "wait_event", "interrupt", "join", "all", "any",
+            ["wait", "trigger", "wait_event", "interrupt", "join", "all",
              "submit", "gang", "uneven", "jobs"]
         ),
         delays,
@@ -191,8 +191,7 @@ def execute(simulator_cls, plan, horizons, pool_cls=GeneratorWorkerPool, pool_at
                     note((sim.now, wid, index, value))
             elif op == "jobs":
                 if jobs:
-                    combine = sim.all_of if ref & 1 else sim.any_of
-                    value = yield combine(jobs[-1 - ref % 3:])
+                    value = yield sim.all_of(jobs[-1 - ref % 3:])
                     note((sim.now, wid, index, value))
             elif op == "wait":
                 yield sim.timeout(delay)
@@ -221,8 +220,6 @@ def execute(simulator_cls, plan, horizons, pool_cls=GeneratorWorkerPool, pool_at
                         log.append((sim.now, wid, index, interrupt.cause))
             elif op == "all":
                 yield sim.all_of([sim.timeout(delay), sim.timeout(0.0)])
-            elif op == "any":
-                yield sim.any_of([sim.timeout(delay), sim.timeout(1.0)])
         note((sim.now, wid, "done"))
 
     for wid, worker_steps in enumerate(plan):
