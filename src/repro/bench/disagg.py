@@ -36,7 +36,8 @@ from ..core import DisaggConfig
 from ..disagg import DisaggCluster, run_disagg
 from ..faults import FaultPlan
 from ..hw import pack_names
-from ..tracing import TraceCollector, collecting, extract_traces, fleet_attribution
+from ..telemetry import recording
+from ..tracing import extract_traces, fleet_attribution
 from ..workloads import TraceSpec
 from .experiments import _scale
 from .tables import ExperimentResult
@@ -201,14 +202,13 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     stress_duration = 6.0 if quick else 8.0
     stress_runs = {}
     for system in ("cc", "pipellm"):
-        cluster = DisaggCluster(disagg_config(system))
-        collector = TraceCollector()
-        with collecting(collector):
+        with recording() as session:
+            cluster = DisaggCluster(disagg_config(system))
             run = cluster.run(cluster.workload(
                 18.0, stress_duration, tenants=1, trace=STRESS_TRACE
             ))
         run.check(f"stress {system}")
-        attribution = fleet_attribution(extract_traces(collector))
+        attribution = fleet_attribution(extract_traces(session.collectors[0]))
         _require(
             not attribution.closure_problems,
             f"stress {system}: causal ledger not closed: "
@@ -246,9 +246,8 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     crash_config.fail_kind = "decode"
     crash_config.fail_index = target
     crash_config.recover_after = 1.5
-    cluster = DisaggCluster(crash_config)
-    collector = TraceCollector()
-    with collecting(collector):
+    with recording() as session:
+        cluster = DisaggCluster(crash_config)
         crash_run = cluster.run(cluster.workload(
             18.0, stress_duration, tenants=1, trace=STRESS_TRACE
         ))
@@ -260,7 +259,7 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
         f"crash mid-migration must exercise resume "
         f"(failovers={crash_run.failovers}, resumes={crash_run.resumes})",
     )
-    attribution = fleet_attribution(extract_traces(collector))
+    attribution = fleet_attribution(extract_traces(session.collectors[0]))
     _require(
         not attribution.closure_problems,
         f"crash run: causal ledger not closed: "

@@ -33,7 +33,7 @@ from ..hw import (
 from ..sim import MetricSet, Simulator
 from ..sim.tracing import SpanTracer
 from ..hw.pcie import PcieLink
-from ..telemetry import TelemetryHub, active_session
+from ..telemetry import TelemetryHub, register_hub
 
 __all__ = ["CcMode", "Machine", "build_attested_machine", "build_machine"]
 
@@ -85,9 +85,7 @@ class Machine:
             metrics=self.metrics,
             tracer=SpanTracer(enabled=False) if self.shared_sim else self.sim.tracer,
         )
-        trace_session = active_session()
-        if trace_session is not None:
-            trace_session.register(self.telemetry)
+        register_hub(self.telemetry)
         #: Optional :class:`repro.faults.FaultInjector`. Binding gives
         #: the injector this machine's clock and hub; the hardware
         #: models below consult it at their injection points and the

@@ -347,8 +347,6 @@ def _run_postmortem(args, out) -> int:
         AlertEngine,
         BurnRateRule,
         FlightRecorder,
-        TraceCollector,
-        collecting,
         default_event_rules,
         extract_traces,
         postmortem_bundle,
@@ -365,7 +363,6 @@ def _run_postmortem(args, out) -> int:
         seed=seed,
     )
     load = LoadSpec(rate=args.rate, duration=args.duration, seed=seed)
-    collector = TraceCollector()
     recorder = FlightRecorder(ring_size=args.ring)
     engine = AlertEngine(
         slo_rules=(
@@ -379,11 +376,12 @@ def _run_postmortem(args, out) -> int:
         ),
         event_rules=default_event_rules(window=max(0.5, args.duration / 4)),
     )
-    with recording() as session, collecting(collector):
+    with recording() as session:
         session.watch(engine.watch)
         session.watch(recorder.watch)
         result = run_serve(config, load, alerts=engine, seed=seed)
-        hubs = list(session.hubs)
+    hubs = session.hubs
+    (collector,) = session.collectors
     end_time = max(
         (event.time for hub in hubs for event in hub.events),
         default=load.duration,
@@ -495,7 +493,7 @@ def _run_dash(args, out) -> int:
             rate=args.rate,
             duration=args.duration,
             system=args.system,
-            interval_s=max(args.interval_ms / 1e3, 1e-4),
+            interval_s=args.interval_ms / 1e3,
             render=not args.json,
             sink=None if args.json else (lambda frame: print(frame + "\n", file=out)),
             refresh_wall_s=args.refresh_s,
@@ -706,7 +704,12 @@ def _run_serve(args, out) -> int:
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """Run one subcommand; ``--seed`` holds only for this call."""
     out = out or sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "max_events", None) is not None and args.max_events < 0:
+        parser.error("--max-events must be >= 0")
+    if not getattr(args, "interval_ms", 1.0) > 0:
+        parser.error("--interval-ms must be > 0")
     seed = getattr(args, "seed", None)
     previous = set_default_seed(seed) if seed is not None else None
     try:

@@ -64,7 +64,7 @@ class FleetRequest:
     first_token_time: float = math.nan
     #: Dispatch (or prefill) attempts; 1 means no failover.
     attempts: int = 0
-    #: Causal-trace linkage (set only when a collector is active): the
+    #: Causal-trace linkage (set only while recording): the
     #: request's trace context and its open queue span.
     trace: Optional[Any] = None
     trace_queue: Optional[Any] = None

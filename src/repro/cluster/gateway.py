@@ -32,8 +32,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..core import ClusterConfig
 from ..sim import Simulator
 from ..sim.stats import MetricSet
-from ..telemetry import ClusterEvent, TelemetryHub, active_session
-from ..tracing import active_collector
+from ..telemetry import ClusterEvent, TelemetryHub, register_hub, trace_collector
 from .replica import ClusterRequest, Replica
 from .routing import RoutingPolicy, make_policy
 from .tenant import ClusterIvAudit, TenantChannel
@@ -69,9 +68,9 @@ class Gateway:
         self.telemetry = TelemetryHub(
             sim=sim, metrics=self.metrics, tracer=sim.tracer, label="gateway"
         )
-        session = active_session()
-        if session is not None:
-            session.register(self.telemetry)
+        register_hub(self.telemetry)
+        #: Mints roots for untraced requests; None unless built while recording.
+        self._collector = trace_collector(sim)
 
         #: Optional duck-typed observer of the request lifecycle (the
         #: online-serving front end). Hooks: ``on_token(creq, replica,
@@ -106,17 +105,16 @@ class Gateway:
         if len(self.queue) >= self.config.queue_capacity:
             self._shed(creq, "capacity")
             return
-        collector = active_collector()
-        if collector is not None:
-            if creq.trace is None:
-                # No front end minted a root (plain cluster workload):
-                # the gateway owns this request's trace end to end.
-                creq.trace = collector.start_trace(
-                    f"cluster.req-{creq.rid}", "request", "request",
-                    "gateway", self.sim.now,
-                )
-                self._minted_roots[creq.rid] = creq.trace
-            creq.trace_queue = collector.begin(
+        if creq.trace is None and self._collector is not None:
+            # No front end minted a root (plain cluster workload):
+            # the gateway owns this request's trace end to end.
+            creq.trace = self._collector.start_trace(
+                f"cluster.req-{creq.rid}", "request", "request",
+                "gateway", self.sim.now,
+            )
+            self._minted_roots[creq.rid] = creq.trace
+        if creq.trace is not None:
+            creq.trace_queue = creq.trace.collector.begin(
                 creq.trace, "queue", "queue", "gateway", self.sim.now
             )
         creq.state = "queued"
@@ -211,13 +209,12 @@ class Gateway:
         if not replica.alive or replica.epoch != key[2]:
             self._requeue(creq)
             return
-        collector = active_collector()
-        if collector is not None and creq.trace is not None \
-                and self.sim.now > hs_start:
+        trace = creq.trace
+        if trace is not None and self.sim.now > hs_start:
             # Attested key-exchange wait (shared or owned) — the AES
             # session-establishment leg of this request's path.
-            collector.add(creq.trace, "handshake", "handshake", "gateway",
-                          hs_start, self.sim.now)
+            trace.collector.add(trace, "handshake", "handshake", "gateway",
+                                hs_start, self.sim.now)
         # The request ciphertext makes a functional round trip: the
         # tenant encrypts under its next TX IV, the replica decrypts
         # (GCM tag verified) — any desync or replay raises here.
@@ -231,12 +228,12 @@ class Gateway:
         self.metrics.counter("cluster.gateway.dispatched").add()
         self._emit("dispatch", creq, replica=replica.replica_id,
                    detail=self.policy.name)
-        if collector is not None and creq.trace is not None:
+        if trace is not None:
             # One span per delivery attempt: failover closes it with
             # a "failover" status and the retry opens attempt-N+1, so
             # crashes never leave a dangling span.
-            creq.trace_attempt = collector.begin(
-                creq.trace, f"attempt-{creq.attempts}", "service",
+            creq.trace_attempt = trace.collector.begin(
+                trace, f"attempt-{creq.attempts}", "service",
                 f"replica-{replica.replica_id}", self.sim.now,
             )
         replica.submit(creq)
@@ -247,9 +244,8 @@ class Gateway:
     def _requeue(self, creq: ClusterRequest) -> None:
         """Front-of-queue re-admission (failover path; no capacity check)."""
         self._trace_close(creq, "trace_attempt", status="failover")
-        collector = active_collector()
-        if collector is not None and creq.trace is not None:
-            creq.trace_queue = collector.begin(
+        if creq.trace is not None:
+            creq.trace_queue = creq.trace.collector.begin(
                 creq.trace, "queue", "queue", "gateway", self.sim.now
             )
         creq.state = "queued"
@@ -340,18 +336,13 @@ class Gateway:
         if ctx is None:
             return
         setattr(creq, attr, None)
-        collector = active_collector()
-        if collector is not None:
-            collector.end(ctx, self.sim.now, status=status)
+        ctx.collector.end(ctx, self.sim.now, status=status)
 
     def _close_minted_root(self, creq: ClusterRequest, status: str) -> None:
         """Close the root span iff this gateway minted it."""
         root = self._minted_roots.pop(creq.rid, None)
-        if root is None:
-            return
-        collector = active_collector()
-        if collector is not None:
-            collector.end(root, self.sim.now, status=status)
+        if root is not None:
+            root.collector.end(root, self.sim.now, status=status)
 
     # -- accounting ------------------------------------------------------
 

@@ -30,7 +30,6 @@ from ..cc import CcMode, Machine, build_attested_machine
 from ..hw import HardwareParams, default_params
 from ..models import KvGeometry, LayerWork, ModelSpec, TransformerCostModel
 from ..sim import Simulator
-from ..tracing import active_collector
 
 __all__ = ["Incarnation", "IncarnationDead"]
 
@@ -167,17 +166,16 @@ class Incarnation:
         traces: Callable[[], Iterable[Any]],
     ):
         """Run one GPU step, then record it on the tracer ``lane`` and,
-        when a collector is active, as a compute span on every live
-        causal context ``traces()`` returns."""
+        while recording, as a compute span on every live causal context
+        ``traces()`` returns (built only then: this is the hot path)."""
         sim = self.sim
         start = sim.now
         yield self.machine.gpu.compute(work.flops, work.bytes_touched, layers=work.layers)
         sim.tracer.record(lane, step, start, sim.now)
-        collector = active_collector()
-        if collector is not None and sim.now > start:
+        if self.machine.telemetry.enabled and sim.now > start:
             for ctx in traces():
                 if ctx is not None:
-                    collector.add(ctx, step, "compute", self.incarnation, start, sim.now)
+                    ctx.collector.add(ctx, step, "compute", self.incarnation, start, sim.now)
 
     # -- subclass surface -------------------------------------------------
 

@@ -58,7 +58,6 @@ from ..core.speculate import StreamSpeculator
 from ..crypto import derive_link_session
 from ..hw import MB, HardwareParams
 from ..sim import Simulator
-from ..tracing import active_collector
 
 __all__ = [
     "MIGRATION_CHUNK_BYTES",
@@ -228,10 +227,9 @@ class MigrationFabric:
             resumed=resumed,
         )
         self.records.append(record)
-        collector = active_collector()
         span = None
-        if collector is not None and creq.trace is not None:
-            span = collector.begin(
+        if creq.trace is not None:
+            span = creq.trace.collector.begin(
                 creq.trace, f"migrate:{src.label}->{dst.label}", "migration",
                 "fabric", self.sim.now,
             )
@@ -277,7 +275,7 @@ class MigrationFabric:
             self.bytes_moved += MIGRATION_CHUNK_BYTES
         record.end = self.sim.now
         if span is not None:
-            collector.end(
+            span.collector.end(
                 span, self.sim.now,
                 status="ok" if record.complete else record.status,
             )

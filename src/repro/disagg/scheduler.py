@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 
 from ..cluster import make_policy
 from ..sim import Simulator
-from ..tracing import active_collector
+from ..telemetry import trace_collector
 from .migration import MigrationFabric
 from .workers import DecodeWorker, DisaggRequest, PrefillWorker
 
@@ -81,6 +81,8 @@ class DisaggScheduler:
         #: (request, source) pairs whose migration awaits a live decode
         #: worker (flushed on recovery).
         self._parked_migrations: List[Tuple[DisaggRequest, PrefillWorker]] = []
+        #: Mints one trace per request; None unless built while recording.
+        self._collector = trace_collector(sim)
 
     @property
     def monolithic(self) -> bool:
@@ -91,13 +93,12 @@ class DisaggScheduler:
 
     def submit(self, creq: DisaggRequest) -> None:
         """Accept one request into the disaggregated pipeline."""
-        collector = active_collector()
-        if collector is not None:
-            creq.trace = collector.start_trace(
+        if self._collector is not None:
+            creq.trace = self._collector.start_trace(
                 f"disagg.req-{creq.rid}", "request", "request", "scheduler",
                 creq.submit_time,
             )
-            creq.trace_queue = collector.begin(
+            creq.trace_queue = self._collector.begin(
                 creq.trace, "route", "queue", "scheduler", self.sim.now
             )
         self._dispatch(creq)
@@ -122,9 +123,8 @@ class DisaggScheduler:
             worker.submit(creq)
 
     def _close_queue_span(self, creq: DisaggRequest) -> None:
-        collector = active_collector()
-        if collector is not None and creq.trace_queue is not None:
-            collector.end(creq.trace_queue, self.sim.now)
+        if creq.trace_queue is not None:
+            creq.trace_queue.collector.end(creq.trace_queue, self.sim.now)
             creq.trace_queue = None
 
     # -- migration -------------------------------------------------------
@@ -237,8 +237,7 @@ class DisaggScheduler:
         self.shed.append(creq)
 
     def _close_root(self, creq: DisaggRequest, status: str) -> None:
-        collector = active_collector()
-        if collector is not None and creq.trace is not None:
+        if creq.trace is not None:
             self._close_queue_span(creq)
-            collector.end(creq.trace, self.sim.now, status=status)
+            creq.trace.collector.end(creq.trace, self.sim.now, status=status)
             creq.trace = None

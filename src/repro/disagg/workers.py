@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from ..cluster.fleet import FleetRequest
 from ..cluster.incarnation import Incarnation
-from ..tracing import active_collector
 from ..workloads import Request
 
 __all__ = ["DisaggRequest", "PrefillWorker", "DecodeWorker"]
@@ -223,7 +222,6 @@ class DecodeWorker(Incarnation):
 
     def _admit(self) -> List[_Decoding]:
         admitted: List[_Decoding] = []
-        collector = active_collector()
         while self._queue:
             creq = self._queue[0]
             reserved = self.kv_reservation(creq)
@@ -242,10 +240,10 @@ class DecodeWorker(Incarnation):
                 creq.request.prompt_len if math.isnan(creq.prefill_done_time)
                 else 0
             )
-            if (collector is not None and creq.trace is not None
+            if (creq.trace is not None
                     and not math.isnan(creq.kv_ready_time)
                     and self.sim.now > creq.kv_ready_time):
-                collector.add(
+                creq.trace.collector.add(
                     creq.trace, "kv-hold", "hold", self.incarnation,
                     creq.kv_ready_time, self.sim.now,
                 )

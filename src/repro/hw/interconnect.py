@@ -46,8 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto import SessionEndpoint, derive_link_session
 from ..sim import BandwidthPipe, Event, Simulator
-from ..telemetry import LinkEvent
-from ..tracing import active_collector
+from ..telemetry import LinkEvent, trace_collector
 from .engine import CryptoEngine
 from .gpu import GpuEnclave
 from .params import HardwareParams
@@ -150,6 +149,8 @@ class Interconnect:
         self.bounce_bytes = 0
         #: Monotone hop counter for deterministic per-hop trace ids.
         self._trace_seq = 0
+        #: Mints per-hop root traces; None unless built while recording.
+        self._collector = trace_collector(sim)
 
     # -- wiring ----------------------------------------------------------
 
@@ -232,9 +233,7 @@ class Interconnect:
                 hub.mark_api_done(record, self.sim.now)
                 hub.mark_complete(record, self.sim.now)
         if root is not None:
-            collector = active_collector()
-            if collector is not None:
-                collector.end(root, self.sim.now)
+            root.collector.end(root, self.sim.now)
 
     def _begin_record(self, dst: int, nbytes: int, tag: str):
         hub = self.telemetry
@@ -251,14 +250,11 @@ class Interconnect:
         steps in the parallel engines) gets its own deterministic
         ``<machine>.hop-<n>`` trace so attribution covers the fabric.
         """
-        if record is None or record.trace is not None:
-            return None
-        collector = active_collector()
-        if collector is None:
+        if record is None or record.trace is not None or self._collector is None:
             return None
         label = self.telemetry.label or "fabric"
         self._trace_seq += 1
-        root = collector.begin(
+        root = self._collector.begin(
             None, f"hop {src}->{dst}", "request", label, self.sim.now,
             trace_id=f"{label}.hop-{self._trace_seq}",
         )

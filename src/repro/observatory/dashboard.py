@@ -138,12 +138,12 @@ class Dashboard:
                     f"   shed {_count(served, 'serve.shed')}"
                 )
 
-        tap_hub = self.machine.telemetry
-        if tap_hub.enabled:
+        hub = self.machine.telemetry
+        if hub.enabled:
             from ..telemetry.export import event_lane
 
             lane_counts: Dict[str, int] = {}
-            for event in tap_hub.events:
+            for event in hub.events:
                 lane = event_lane(event)
                 lane_counts[lane] = lane_counts.get(lane, 0) + 1
             lanes = "  ".join(
@@ -152,9 +152,8 @@ class Dashboard:
             lines.append("")
             lines.append("telemetry")
             lines.append(
-                f"  events {len(tap_hub.events)}"
-                f"   ring-dropped {tap_hub.dropped_events}"
-                f"   tap-dropped {_count(metrics, 'telemetry.tap.dropped_events')}"
+                f"  events {len(hub.events)}"
+                f"   ring-dropped {hub.dropped_events}"
             )
             lines.append(f"  lanes: {lanes}")
 
@@ -169,7 +168,6 @@ class Dashboard:
                 f"   gpu auth failures {self.machine.gpu.auth_failures}"
             )
 
-        hub = self.machine.telemetry
         if hub.enabled and hub.requests:
             profile = profile_hub(
                 hub, horizon=now,
@@ -193,6 +191,27 @@ class DashboardRun:
 
     summary: Dict[str, Any]
     frames: List[str]
+
+
+def _frame_loop(sim, dash, done, interval_s, render, sink, refresh_wall_s) -> List[str]:
+    """Advance ``sim`` in ``interval_s`` slices of simulated time until
+    ``done()``, rendering one frame per slice when ``render``."""
+    if not interval_s > 0:
+        raise ValueError(f"interval_s must be > 0, got {interval_s}")
+    frames: List[str] = []
+    while not done():
+        before = sim.now
+        sim.run(until=before + interval_s)
+        if render:
+            frame = dash.frame()
+            frames.append(frame)
+            if sink is not None:
+                sink(frame)
+            if refresh_wall_s > 0.0:
+                time.sleep(refresh_wall_s)
+        if sim.now == before:
+            break  # drained without finishing — bug guard
+    return frames
 
 
 def run_flexgen_dashboard(
@@ -224,16 +243,10 @@ def run_flexgen_dashboard(
         dash = Dashboard(machine, runtime=runtime)
 
         machine.sim.process(engine._main())
-        frames: List[str] = []
-        while engine.result is None:
-            machine.run(until=machine.sim.now + interval_s)
-            if render:
-                frame = dash.frame()
-                frames.append(frame)
-                if sink is not None:
-                    sink(frame)
-                if refresh_wall_s > 0.0:
-                    time.sleep(refresh_wall_s)
+        frames = _frame_loop(
+            machine.sim, dash, lambda: engine.result is not None,
+            interval_s, render, sink, refresh_wall_s,
+        )
         result = engine.result
 
     profile = profile_hub(
@@ -302,19 +315,10 @@ def run_serve_dashboard(
         )
 
         frontend.start(requests)
-        frames: List[str] = []
-        while len(frontend.responses) < len(requests):
-            before = cluster.sim.now
-            cluster.sim.run(until=cluster.sim.now + interval_s)
-            if render:
-                frame = dash.frame()
-                frames.append(frame)
-                if sink is not None:
-                    sink(frame)
-                if refresh_wall_s > 0.0:
-                    time.sleep(refresh_wall_s)
-            if cluster.sim.now == before:
-                break  # drained without resolving everything — bug guard
+        frames = _frame_loop(
+            cluster.sim, dash, lambda: len(frontend.responses) >= len(requests),
+            interval_s, render, sink, refresh_wall_s,
+        )
         result = frontend.result(
             duration, trace=load.trace.name, rate=load.rate
         )

@@ -33,8 +33,7 @@ from typing import Any, Dict, List, Optional
 from ..cluster import Cluster, FleetResult
 from ..cluster.replica import ClusterRequest
 from ..sim import mean
-from ..telemetry import ServeEvent, TelemetryHub, active_session
-from ..tracing import active_collector
+from ..telemetry import ServeEvent, TelemetryHub, register_hub, trace_collector
 from ..workloads import Request
 from .admission import SloSpec, make_admission
 from .api import CompletionRequest, CompletionResponse, StreamChunk, Usage
@@ -63,8 +62,8 @@ class _ServeRecord:
     stream_start: float = math.nan
     done: bool = False
     chunks: List[StreamChunk] = field(default_factory=list)
-    #: Root causal span of the request's trace (None when no
-    #: collector is active); closed exactly once, at completion or
+    #: Root causal span of the request's trace (None when not
+    #: recording); closed exactly once, at completion or
     #: shedding, so the DAG never dangles.
     trace_root: Optional[Any] = None
     #: Open admission-hold span (queueing time before release).
@@ -146,9 +145,9 @@ class ServeFrontend:
             sim=self.sim, metrics=self.gateway.metrics,
             tracer=self.sim.tracer, label="serve",
         )
-        session = active_session()
-        if session is not None:
-            session.register(self.telemetry)
+        register_hub(self.telemetry)
+        #: Mints one trace per request; None unless built while recording.
+        self._collector = trace_collector(self.sim)
         if self.alerts is not None and self.alerts.hub is None:
             self.alerts.hub = self.telemetry
 
@@ -164,12 +163,11 @@ class ServeFrontend:
         self.offered += 1
         rec = _ServeRecord(request=request, creq=self._wrap(request))
         self.records[request.request_id] = rec
-        collector = active_collector()
-        if collector is not None:
+        if self._collector is not None:
             # Mint the request's trace at admission: the root span is
             # the end-to-end request, and the context rides the
             # ClusterRequest through gateway, replica and runtime.
-            rec.trace_root = collector.start_trace(
+            rec.trace_root = self._collector.start_trace(
                 f"serve.req-{request.request_id}", "request", "request",
                 "serve", self.sim.now,
             )
@@ -182,7 +180,7 @@ class ServeFrontend:
         elif decision == "hold":
             self._emit("hold", rec)
             if rec.trace_root is not None:
-                rec.trace_hold = collector.begin(
+                rec.trace_hold = self._collector.begin(
                     rec.trace_root, "hold", "hold", "serve", self.sim.now
                 )
             self.sim.process(self._deadline_watch(rec))
@@ -250,11 +248,8 @@ class ServeFrontend:
 
     def _trace_close(self, ctx, status: str = "ok") -> None:
         """Close one causal span at the current simulated time."""
-        if ctx is None:
-            return
-        collector = active_collector()
-        if collector is not None:
-            collector.end(ctx, self.sim.now, status=status)
+        if ctx is not None:
+            ctx.collector.end(ctx, self.sim.now, status=status)
 
     # -- gateway listener hooks ------------------------------------------
 

@@ -5,8 +5,10 @@ The observability layer every other subsystem reports through:
 * :class:`TelemetryHub` — per-machine structured event bus (typed
   events + lane spans + per-request lifecycle records), default-off
   with a near-free disabled path;
-* :func:`recording` — context manager enabling telemetry for every
-  machine built inside it (used by ``python -m repro trace``);
+* :func:`recording` — the one observability switch: enables
+  telemetry for every machine built inside it and owns the causal
+  span collectors of every run inside it (used by ``python -m repro
+  trace`` and ``postmortem``);
 * :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON,
   flat JSON/CSV metric dumps, and ASCII Gantt rendering.
 """
@@ -35,8 +37,9 @@ from .hub import (
     RequestRecord,
     TelemetryHub,
     TraceSession,
-    active_session,
     recording,
+    register_hub,
+    trace_collector,
 )
 
 __all__ = [
@@ -54,11 +57,12 @@ __all__ = [
     "TelemetryHub",
     "TraceSession",
     "TransferEvent",
-    "active_session",
     "ascii_gantt",
     "canonical_lane",
     "chrome_trace",
     "flat_metrics",
     "metrics_csv",
     "recording",
+    "register_hub",
+    "trace_collector",
 ]

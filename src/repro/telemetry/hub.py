@@ -11,7 +11,8 @@ The hub is **disabled by default** and its disabled path is designed
 to be nearly free: ``emit`` and ``begin_request`` return after one
 attribute check, so benchmark numbers stay honest. Enabling the hub
 (directly, or for a whole experiment via :func:`recording`) turns on
-span collection and event/record retention.
+span collection and event/record retention; :func:`recording` also
+collects the causal span DAGs of :mod:`repro.tracing`.
 
 Counters, by contrast, are *always* live: they are plain
 :class:`~repro.sim.stats.MetricSet` counters shared with the machine,
@@ -28,14 +29,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..sim.stats import MetricSet
 from ..sim.tracing import SpanTracer
+from ..tracing.context import TraceCollector
 from .events import TelemetryEvent
 
 __all__ = [
     "RequestRecord",
     "TelemetryHub",
     "TraceSession",
-    "active_session",
     "recording",
+    "register_hub",
+    "trace_collector",
 ]
 
 #: Fixed transfer-size histogram buckets (bytes): 4 KB … 256 MB.
@@ -250,13 +253,7 @@ class TelemetryHub:
             "telemetry.transfer_bytes", TRANSFER_SIZE_BUCKETS
         ).record(float(record.size))
         if record.trace is not None:
-            # Lazy import: repro.tracing imports telemetry events, so
-            # a module-level import here would be circular.
-            from ..tracing import active_collector
-
-            collector = active_collector()
-            if collector is not None:
-                collector.adopt_record(record, machine=self.label)
+            record.trace.collector.adopt_record(record, machine=self.label)
 
     def outcome_counts(self) -> Dict[str, int]:
         """Validation outcome counts over the recorded swap-in requests."""
@@ -280,12 +277,22 @@ class TelemetryHub:
 
 
 class TraceSession:
-    """Collects the hubs of every machine built while recording."""
+    """Collects the hubs of every machine built while recording, and
+    the causal-trace collectors of every run inside the session."""
 
     def __init__(self, max_events_per_hub: Optional[int] = None) -> None:
+        if (max_events_per_hub or 0) < 0:
+            raise ValueError(f"max_events_per_hub must be >= 0, got {max_events_per_hub}")
         self.hubs: List[TelemetryHub] = []
         self.max_events_per_hub = max_events_per_hub
         self._watchers: List[Callable[[TelemetryHub], None]] = []
+        self._collector_of: Dict[Any, TraceCollector] = {}
+
+    @property
+    def collectors(self) -> List[TraceCollector]:
+        """One span collector per simulator (trace ids restart with
+        every run), in creation order."""
+        return list(self._collector_of.values())
 
     def watch(self, fn: Callable[[TelemetryHub], None]) -> None:
         """Call ``fn(hub)`` for every hub registered so far and every
@@ -297,7 +304,9 @@ class TraceSession:
         self._watchers.append(fn)
 
     def register(self, hub: TelemetryHub) -> None:
-        hub.max_events = self.max_events_per_hub
+        cap = self.max_events_per_hub
+        if cap is not None and (hub.max_events is None or cap < hub.max_events):
+            hub.max_events = cap
         hub.enable()
         if not hub.label:
             hub.label = f"machine-{len(self.hubs)}"
@@ -309,14 +318,27 @@ class TraceSession:
 _SESSIONS: List[TraceSession] = []
 
 
-def active_session() -> Optional[TraceSession]:
-    """The innermost live :func:`recording` session, if any."""
-    return _SESSIONS[-1] if _SESSIONS else None
+def register_hub(hub: TelemetryHub) -> None:
+    """Enable ``hub`` and list it on every live :func:`recording`
+    session, outermost first; the tightest retention cap wins."""
+    for session in _SESSIONS:
+        session.register(hub)
+
+
+def trace_collector(sim) -> Optional[TraceCollector]:
+    """The causal-trace collector of ``sim``'s run, shared by every
+    live :func:`recording` session; None when nothing is recording.
+    Only layers that mint traces call this, once, when built."""
+    collector = TraceCollector() if _SESSIONS else None
+    for session in _SESSIONS:
+        collector = session._collector_of.setdefault(sim, collector)
+    return collector
 
 
 @contextlib.contextmanager
 def recording(max_events_per_hub: Optional[int] = None):
-    """Enable telemetry for every machine built inside the block.
+    """Enable telemetry (``session.hubs``) and causal tracing
+    (``session.collectors``) for everything built inside the block.
 
     >>> with recording() as session:
     ...     result = fig2_microbenchmark("quick")

@@ -6,7 +6,10 @@ The diagnosability layer over :mod:`repro.telemetry`:
   trace-context propagation: one context minted per request at the
   serving front end (or gateway, or per interconnect hop) and
   threaded through every layer, yielding one causal span DAG per
-  request instead of flat per-machine lanes;
+  request instead of flat per-machine lanes. Each context carries
+  its collector; the collectors themselves belong to the
+  :func:`repro.telemetry.recording` session, one per simulator run
+  (``session.collectors``);
 * :mod:`repro.tracing.critical_path` — exact critical-path extraction
   over those DAGs (the chain telescopes to the measured request
   latency float-exactly), DAG closure checks, and the one stage table
@@ -21,14 +24,7 @@ The diagnosability layer over :mod:`repro.telemetry`:
 """
 
 from .alerts import Alert, AlertEngine, BurnRateRule, EventRule, default_event_rules
-from .context import (
-    ROOT_PARENT,
-    CausalSpan,
-    TraceCollector,
-    TraceContext,
-    active_collector,
-    collecting,
-)
+from .context import ROOT_PARENT, CausalSpan, TraceCollector, TraceContext
 from .critical_path import (
     CLASS_VERDICTS,
     STAGE_CLASSES,
@@ -67,10 +63,8 @@ __all__ = [
     "TraceCollector",
     "TraceContext",
     "TraceCriticalPath",
-    "active_collector",
     "check_closure",
     "class_totals",
-    "collecting",
     "critical_path",
     "critical_path_duration",
     "default_event_rules",

@@ -19,17 +19,17 @@ request id (``serve.req-3``, ``cluster.req-7``, ``<machine>.hop-12``)
 and ``span_id`` is a per-trace counter — no wall clock, no
 randomness, so two runs at one seed produce byte-identical DAGs.
 
-The active :class:`TraceCollector` is discovered the same way the
-telemetry hub discovers its recording session: a module-level stack
-(:func:`collecting` / :func:`active_collector`) that instrumented
-layers consult with one cheap call, keeping the no-tracing path free.
+Every context carries the :class:`TraceCollector` that minted it, so
+layers continuing a trace record through the context they were handed.
+Only the layers that mint traces ask the live
+:func:`repro.telemetry.recording` session for their run's collector,
+once, when built; outside a session they mint nothing.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "TraceContext",
     "CausalSpan",
     "TraceCollector",
-    "active_collector",
-    "collecting",
 ]
 
 #: Sentinel ``parent_span_id`` of a trace's root span.
@@ -57,6 +55,11 @@ class TraceContext:
     trace_id: str
     span_id: int
     parent_span_id: int = ROOT_PARENT
+    #: The collector that minted the context; continuing layers record
+    #: their spans through it. Not part of the context's identity.
+    collector: Optional["TraceCollector"] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -157,7 +160,7 @@ class TraceCollector:
         )
         self.spans.append(span)
         self._by_key[(trace_id, span_id)] = span
-        return TraceContext(trace_id, span_id, parent_span_id)
+        return TraceContext(trace_id, span_id, parent_span_id, self)
 
     def start_trace(
         self, trace_id: str, name: str, stage: str, machine: str, start: float
@@ -243,27 +246,3 @@ class TraceCollector:
     def __len__(self) -> int:
         return len(self.spans)
 
-
-_COLLECTORS: List[TraceCollector] = []
-
-
-def active_collector() -> Optional[TraceCollector]:
-    """The innermost live :func:`collecting` collector, if any."""
-    return _COLLECTORS[-1] if _COLLECTORS else None
-
-
-@contextlib.contextmanager
-def collecting(collector: Optional[TraceCollector] = None):
-    """Collect causal spans from everything run inside the block.
-
-    Layers discover the collector through :func:`active_collector`,
-    mirroring how machines discover the telemetry recording session —
-    so ``with recording(), collecting() as dag:`` turns on both the
-    per-machine event stream and the cross-machine causal DAG.
-    """
-    collector = collector if collector is not None else TraceCollector()
-    _COLLECTORS.append(collector)
-    try:
-        yield collector
-    finally:
-        _COLLECTORS.remove(collector)

@@ -148,6 +148,11 @@ class TestTraceAttrib:
         assert "critical-path profile" in text
         assert "request " not in text
 
+    def test_negative_max_events_rejected_at_parse_time(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("trace", "fig2", "--max-events", "-1")
+        assert exc.value.code == 2
+
     def test_missing_request_id_fails(self):
         code, text = run_cli("trace", "fig2", "--attrib", "999999")
         assert code == 1

@@ -1,6 +1,13 @@
 """Dashboard: panel content and render-on/off non-perturbation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.bench.experiments import run_flexgen
 from repro.bench.systems import CC, pipellm
@@ -66,7 +73,7 @@ class TestPanels:
     def test_frame_carries_the_telemetry_panel(self):
         last = run(render=True).frames[-1]
         assert "telemetry" in last
-        assert "ring-dropped" in last and "tap-dropped" in last
+        assert "ring-dropped" in last
         assert "lanes:" in last
         # Lane counts come from the typed event stream; a PipeLLM run
         # always speculates, so that lane must be populated.
@@ -78,6 +85,32 @@ class TestPanels:
         result = run(render=True, sink=received.append)
         # The sink gets every loop frame plus one final frame.
         assert len(received) == len(result.frames) + 1
+
+
+def _python(*args):
+    """Run a fresh interpreter on ``args``; a hang fails on the timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+
+
+class TestFramePeriod:
+    @pytest.mark.parametrize("fn", ["run_flexgen_dashboard", "run_serve_dashboard"])
+    def test_zero_interval_rejected(self, fn):
+        done = _python("-c", (
+            f"from repro.observatory.dashboard import {fn}\n"
+            f"try:\n    {fn}(interval_s=0.0, render=False)\n"
+            "except ValueError as exc:\n    print('rejected:', exc)\n"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert "rejected: interval_s must be > 0" in done.stdout
+
+    def test_cli_rejects_non_positive_interval_at_parse_time(self):
+        done = _python("-m", "repro", "dash", "--json", "--interval-ms", "0")
+        assert done.returncode == 2
+        assert "--interval-ms" in done.stderr
 
 
 def utilization_rows(frame):

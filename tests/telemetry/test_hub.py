@@ -12,8 +12,8 @@ from repro.telemetry import (
     SpeculationEvent,
     TelemetryHub,
     TransferEvent,
-    active_session,
     recording,
+    trace_collector,
 )
 
 LAYER = 8 * MB
@@ -178,10 +178,9 @@ class TestRecordingSession:
         assert machine.telemetry.label == "machine-0"
 
     def test_inactive_outside_block(self):
-        assert active_session() is None
         with recording():
-            assert active_session() is not None
-        assert active_session() is None
+            assert trace_collector(object()) is not None
+        assert trace_collector(object()) is None
         machine = build_machine(CcMode.ENABLED)
         assert not machine.telemetry.enabled
 
@@ -190,3 +189,30 @@ class TestRecordingSession:
             machine = build_machine(CcMode.ENABLED)
         assert machine.telemetry.max_events == 3
         assert session.max_events_per_hub == 3
+
+    def test_nested_sessions_both_see_a_machine(self):
+        with recording(max_events_per_hub=5) as outer:
+            with recording(max_events_per_hub=3) as inner:
+                machine = build_machine(CcMode.ENABLED)
+        assert outer.hubs == inner.hubs == [machine.telemetry]
+        assert machine.telemetry.max_events == 3  # the tightest cap
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_events_per_hub"):
+            with recording(max_events_per_hub=-1):
+                pass
+        assert trace_collector(object()) is None
+
+    def test_one_collector_per_simulator(self):
+        from repro.sim import Simulator
+
+        assert trace_collector(Simulator()) is None
+        a, b = Simulator(), Simulator()
+        with recording() as outer:
+            with recording() as inner:
+                col_a = trace_collector(a)
+                assert trace_collector(a) is col_a
+            col_b = trace_collector(b)
+        assert col_b is not col_a
+        assert outer.collectors == [col_a, col_b]
+        assert inner.collectors == [col_a]

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.tracing import (
-    ROOT_PARENT,
-    TraceCollector,
-    TraceContext,
-    active_collector,
-    collecting,
-)
+from repro.tracing import ROOT_PARENT, TraceCollector, TraceContext
 
 
 def test_start_trace_mints_root():
@@ -87,15 +81,13 @@ def test_open_spans_tracks_dangling():
     assert col.open_spans() == []
 
 
-def test_collecting_stack_nesting():
-    assert active_collector() is None
-    with collecting() as outer:
-        assert active_collector() is outer
-        inner_col = TraceCollector()
-        with collecting(inner_col):
-            assert active_collector() is inner_col
-        assert active_collector() is outer
-    assert active_collector() is None
+def test_context_carries_its_collector_outside_its_identity():
+    col = TraceCollector()
+    root = col.start_trace("t-1", "request", "request", "gw", 0.0)
+    child = root.collector.begin(root, "queue", "queue", "gw", 0.0)
+    assert root.collector is col and child.collector is col
+    assert child == TraceContext("t-1", 1, 0)
+    assert "collector" not in repr(child)
 
 
 def test_adopt_record_materializes_stage_children():

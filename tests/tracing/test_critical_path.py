@@ -19,7 +19,6 @@ from repro.tracing import (
     CausalSpan,
     TraceCollector,
     check_closure,
-    collecting,
     critical_path,
     critical_path_duration,
     extract_trace,
@@ -231,12 +230,32 @@ def test_cluster_run_traces_are_exact():
     from repro.core import ClusterConfig
     from repro.telemetry import recording
 
-    with recording(), collecting() as col:
+    with recording() as session:
         result = run_cluster(
             ClusterConfig(replicas=2, seed=7), rate=3.0, duration=6.0
         )
+    (col,) = session.collectors
     assert result.completed > 0
     _assert_all_traces_exact(col, expect_min_traces=result.completed)
+
+
+def test_one_session_over_two_runs_keeps_one_collector_per_run():
+    """Trace ids restart with every run, so a session spanning two
+    fleet runs holds one collector per simulator, each closed."""
+    from repro.cluster import run_cluster
+    from repro.core import ClusterConfig
+    from repro.telemetry import recording
+
+    with recording() as session:
+        results = [
+            run_cluster(ClusterConfig(replicas=2, seed=7), rate=3.0, duration=3.0)
+            for _ in range(2)
+        ]
+    first, second = session.collectors
+    assert first is not second
+    for col, result in zip(session.collectors, results):
+        ids = _assert_all_traces_exact(col, expect_min_traces=result.completed)
+        assert len(set(ids)) == len(ids) and "cluster.req-0" in ids
 
 
 def test_crash_failover_traces_stay_closed():
@@ -247,13 +266,14 @@ def test_crash_failover_traces_stay_closed():
     from repro.core import ClusterConfig
     from repro.telemetry import recording
 
-    with recording(), collecting() as col:
+    with recording() as session:
         result = run_cluster(
             ClusterConfig(
                 replicas=3, seed=11, fail_at=2.0, recover_after=3.0
             ),
             rate=4.0, duration=10.0,
         )
+    (col,) = session.collectors
     assert result.failovers > 0, "scenario must actually exercise failover"
     ids = _assert_all_traces_exact(col, expect_min_traces=result.completed)
     failover_spans = [
@@ -268,11 +288,12 @@ def test_serve_run_traces_are_exact():
     from repro.serve import LoadSpec, run_serve
     from repro.telemetry import recording
 
-    with recording(), collecting() as col:
+    with recording() as session:
         result = run_serve(
             ClusterConfig(replicas=2, seed=5),
             LoadSpec(rate=6.0, duration=5.0, seed=5),
         )
+    (col,) = session.collectors
     assert result.completed > 0
     _assert_all_traces_exact(col, expect_min_traces=result.completed)
     # Serve roots are minted at frontend admission.
@@ -287,12 +308,13 @@ def test_parallel_interconnect_hops_get_root_traces():
     from repro.parallel import TensorParallelEngine
     from repro.telemetry import recording
 
-    with recording(), collecting() as col:
+    with recording() as session:
         machine = build_machine(
             CcMode.ENABLED, n_gpus=2, enc_threads=2, dec_threads=2
         )
         engine = TensorParallelEngine(machine, OPT_13B, batch=8)
         engine.run(output_tokens=1)
+    (col,) = session.collectors
     ids = _assert_all_traces_exact(col, expect_min_traces=4)
     assert all(".hop-" in t for t in ids)
     fleet = fleet_attribution(extract_traces(col))
@@ -313,7 +335,7 @@ def test_profiler_and_fleet_attribution_agree_on_tp2(speculate, expected):
     from repro.parallel import LinkSpeculator, TensorParallelEngine
     from repro.telemetry import recording
 
-    with recording(), collecting() as col:
+    with recording() as session:
         machine = build_machine(
             CcMode.ENABLED, n_gpus=2, enc_threads=8, dec_threads=2
         )
@@ -326,5 +348,6 @@ def test_profiler_and_fleet_attribution_agree_on_tp2(speculate, expected):
             machine.telemetry,
             enc_bandwidth=machine.params.enc_bandwidth_per_thread,
         )
+    (col,) = session.collectors
     fleet = fleet_attribution(extract_traces(col))
     assert profile.verdict == fleet.verdict == expected
