@@ -261,23 +261,20 @@ def _serve_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     """Online-serving front end: CC vs PipeLLM at one offered load."""
     from ..serve import LoadSpec, SloSpec, run_serve
     from ..workloads import SHAREGPT_SERVE
-    from .serve import SERVE_MAX_OUTSTANDING, SERVE_RESERVE_BYTES
+    from .serve import serve_config
 
     out: Dict[str, Any] = {
         "rate_rps": suite.serve_rate,
         "duration_s": suite.serve_duration,
     }
     for system in ("cc", "pipellm"):
-        config = ClusterConfig(
-            replicas=2, system=system, policy="least-loaded",
-            reserve_bytes=SERVE_RESERVE_BYTES,
-            max_outstanding=SERVE_MAX_OUTSTANDING,
-        )
         load = LoadSpec(
             trace=SHAREGPT_SERVE, rate=suite.serve_rate,
             duration=suite.serve_duration,
         )
-        run = run_serve(config, load, slo=SloSpec(), admission="slo")
+        run = run_serve(
+            serve_config(system, seed=seed), load, slo=SloSpec(), admission="slo"
+        )
         out[system] = _project(
             run, f"serve {system}",
             ("offered", "completed", "shed", "attainment", "goodput_rps",
@@ -288,18 +285,16 @@ def _serve_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
 
 def _disagg_campaign(suite: SuiteScale, seed: int) -> Dict[str, Any]:
     """Disaggregated prefill/decode vs monolithic at one offered load."""
-    from ..core import DisaggConfig
     from ..disagg import run_disagg
+    from .disagg import disagg_config, mono_config
 
     out: Dict[str, Any] = {
         "rate_rps": suite.disagg_rate,
         "duration_s": suite.disagg_duration,
     }
     configs = {
-        "mono": DisaggConfig(prefill_workers=0, decode_workers=4,
-                             system="cc", seed=seed),
-        "disagg": DisaggConfig(prefill_workers=1, decode_workers=3,
-                               system="pipellm", seed=seed),
+        "mono": mono_config(seed=seed),
+        "disagg": disagg_config("pipellm", seed=seed),
     }
     for label, config in configs.items():
         run = run_disagg(

@@ -42,7 +42,7 @@ from ..workloads import TraceSpec
 from .experiments import _scale
 from .tables import ExperimentResult
 
-__all__ = ["STRESS_TRACE", "disagg_frontier"]
+__all__ = ["STRESS_TRACE", "disagg_config", "disagg_frontier", "mono_config"]
 
 #: Hot-tenant migration-stress shape: long prompts (big KV images),
 #: short outputs (little decode to hide behind), one tenant (affinity
@@ -53,6 +53,16 @@ STRESS_TRACE = TraceSpec(
     mean_prompt=192.0, sigma_prompt=0.2, max_prompt=256,
     mean_output=4.0, sigma_output=0.3, max_output=8,
 )
+
+
+def mono_config(**overrides) -> DisaggConfig:
+    """The monolithic baseline: four CC decode workers prefilling inline."""
+    return DisaggConfig(prefill_workers=0, decode_workers=4, system="cc", **overrides)
+
+
+def disagg_config(system: str, **overrides) -> DisaggConfig:
+    """The 1p+3d split fleet under ``system``."""
+    return DisaggConfig(prefill_workers=1, decode_workers=3, system=system, **overrides)
 
 
 def _row(run, section: str, topology: str, rate: float, verdict: str = "") -> dict:
@@ -104,12 +114,6 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     )
 
     # -- frontier: mono CC vs disagg PipeLLM across offered load --------
-    def mono_config() -> DisaggConfig:
-        return DisaggConfig(prefill_workers=0, decode_workers=4, system="cc")
-
-    def disagg_config(system: str) -> DisaggConfig:
-        return DisaggConfig(prefill_workers=1, decode_workers=3, system=system)
-
     runs = {}
     for rate in rates:
         for topology, config in (
@@ -241,11 +245,10 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     target = max(
         range(3), key=lambda i: AffinityPolicy._weight("tenant-0", i)
     )
-    crash_config = disagg_config("cc")
-    crash_config.fail_at = 2.0
-    crash_config.fail_kind = "decode"
-    crash_config.fail_index = target
-    crash_config.recover_after = 1.5
+    crash_config = disagg_config(
+        "cc", fail_at=2.0, fail_kind="decode", fail_index=target,
+        recover_after=1.5,
+    )
     with recording() as session:
         cluster = DisaggCluster(crash_config)
         crash_run = cluster.run(cluster.workload(
@@ -278,9 +281,9 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     # Mispredict storm: degradation must park speculation, the run must
     # drain clean, and IV consumption must be bit-identical to the
     # clean pipellm stress run (drops retransmit ciphertext, never IVs).
-    storm_config = disagg_config("pipellm")
-    storm_config.fault_plan = FaultPlan.migration_storm(
-        0.6, stop=stress_duration / 2
+    storm_config = disagg_config(
+        "pipellm",
+        fault_plan=FaultPlan.migration_storm(0.6, stop=stress_duration / 2),
     )
     storm_cluster = DisaggCluster(storm_config)
     storm_run = storm_cluster.run(storm_cluster.workload(

@@ -35,7 +35,9 @@ from ..workloads import SHAREGPT_SERVE
 from .experiments import _scale
 from .tables import ExperimentResult
 
-__all__ = ["serve_frontier", "SERVE_RESERVE_BYTES", "SERVE_MAX_OUTSTANDING"]
+__all__ = [
+    "serve_config", "serve_frontier", "SERVE_RESERVE_BYTES", "SERVE_MAX_OUTSTANDING",
+]
 
 #: KV-pool squeeze that makes the sweep cross the swap threshold: a
 #: two-replica OPT-13B fleet keeps ~1 GB of KV blocks per GPU, enough
@@ -53,14 +55,18 @@ _SYSTEMS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _config(system: str) -> ClusterConfig:
-    return ClusterConfig(
+def serve_config(system: str, **overrides) -> ClusterConfig:
+    """The two-replica serving fleet under ``system``; ``overrides``
+    replace or add :class:`ClusterConfig` fields."""
+    fields = dict(
         replicas=2,
         system=system,
         policy="least-loaded",
         reserve_bytes=SERVE_RESERVE_BYTES,
         max_outstanding=SERVE_MAX_OUTSTANDING,
     )
+    fields.update(overrides)
+    return ClusterConfig(**fields)
 
 
 def serve_frontier(scale="quick") -> ExperimentResult:
@@ -89,7 +95,7 @@ def serve_frontier(scale="quick") -> ExperimentResult:
                     trace=SHAREGPT_SERVE, rate=rate, duration=duration
                 )
                 run = run_serve(
-                    _config(system), load, slo=slo, admission=admission
+                    serve_config(system), load, slo=slo, admission=admission
                 )
                 runs[(system, admission, rate)] = run
                 run.check(f"serve {system} {admission} rate={rate}")

@@ -50,6 +50,7 @@ process-wide.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -522,183 +523,116 @@ def _run_dash(args, out) -> int:
     return 0
 
 
-def _run_cluster(args, out) -> int:
-    from .cluster import run_cluster
-    from .core import ClusterConfig
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser):
+    """Turn a ``ValueError`` raised while building a run from its
+    options into a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    config = ClusterConfig(
-        replicas=args.replicas,
-        policy=args.policy,
-        system=args.system,
-        fail_at=args.fail_at,
-        fail_replica=args.fail_replica,
-        recover_after=args.recover_after,
-        seed=args.seed if args.seed is not None else 42,
-    )
-    start = time.time()
-    result = run_cluster(
-        config, rate=args.rate, duration=args.duration, tenants=args.tenants
-    )
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2), file=out)
+
+def _format(value) -> str:
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_format(v)}" for k, v in value.items()) or "none"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def _print_summary(command: str, header: str, result, started: float, out,
+                   as_json: bool) -> int:
+    """A single fleet run's ``as_dict()``: as JSON, or under ``header``
+    with one aligned row per key."""
+    summary = result.as_dict()
+    if as_json:
+        print(json.dumps(summary, indent=2), file=out)
         return 0
-    print(
-        f"cluster: {result.replicas} replicas ({result.system}), "
-        f"policy={result.policy}, rate={args.rate:g} req/s, "
-        f"{args.tenants} tenants", file=out,
-    )
-    rows = [
-        ("offered / completed / shed",
-         f"{result.offered} / {result.completed} / {result.shed}"),
-        ("throughput", f"{result.throughput:.2f} req/s"),
-        ("latency p50 / p99",
-         f"{result.p50_latency * 1e3:.1f} ms / {result.p99_latency * 1e3:.1f} ms"),
-        ("gateway queue depth (mean)", f"{result.queue_depth_mean:.2f}"),
-        ("handshakes / failovers / crashes",
-         f"{result.handshakes} / {result.failovers} / {result.crashes}"),
-        ("prefix hits / swap-outs",
-         f"{result.prefix_hits} / {result.swap_outs}"),
-        ("auth failures", str(result.auth_failures)),
-        ("IVs audited", f"{result.iv_observed} over {result.iv_lanes} lanes"),
-    ]
-    width = max(len(label) for label, _ in rows)
-    for label, value in rows:
-        print(f"  {label.ljust(width)}  {value}", file=out)
-    util = "  ".join(
-        f"r{rid}={frac * 100:.0f}%" for rid, frac in sorted(result.utilization.items())
-    )
-    print(f"  {'per-replica GPU utilization'.ljust(width)}  {util}", file=out)
-    for tenant, frac in sorted(result.slo_attainment.items()):
-        print(f"  {f'SLO attainment {tenant}'.ljust(width)}  {frac * 100:.0f}%",
-              file=out)
-    print(f"[cluster: {time.time() - start:.1f}s]", file=out)
+    print(f"{command}: {header}", file=out)
+    width = max(map(len, summary))
+    for key, value in summary.items():
+        print(f"  {key.ljust(width)}  {_format(value)}", file=out)
+    print(f"[{command}: {time.time() - started:.1f}s]", file=out)
     return 0
 
 
-def _run_disagg(args, out) -> int:
+def _run_cluster(args, out, parser) -> int:
+    from .cluster import Cluster
+    from .core import ClusterConfig
+
+    started = time.time()
+    with _usage_errors(parser):
+        cluster = Cluster(ClusterConfig(
+            replicas=args.replicas,
+            policy=args.policy,
+            system=args.system,
+            fail_at=args.fail_at,
+            fail_replica=args.fail_replica,
+            recover_after=args.recover_after,
+        ))
+        requests = cluster.workload(args.rate, args.duration, tenants=args.tenants)
+    return _print_summary(
+        "cluster", f"rate={args.rate:g} req/s, {args.tenants} tenants",
+        cluster.run(requests), started, out, args.json,
+    )
+
+
+def _run_disagg(args, out, parser) -> int:
     if args.rate is None and args.hw_pack is None:
         _run_one("disagg", args.scale, out, as_json=args.json)
         return 0
 
     from .core import DisaggConfig
-    from .disagg import run_disagg
+    from .disagg import DisaggCluster
 
-    config = DisaggConfig(
-        prefill_workers=args.prefill,
-        decode_workers=args.decode,
-        system=args.system,
-        decode_policy=args.policy,
-        hw_pack=args.hw_pack,
-        fail_at=args.fail_at,
-        fail_kind=args.fail_kind,
-        fail_index=args.fail_index,
-        recover_after=args.recover_after,
-        seed=args.seed if args.seed is not None else 42,
-    )
     rate = args.rate if args.rate is not None else 4.0
-    start = time.time()
-    result = run_disagg(
-        config, rate=rate, duration=args.duration, tenants=args.tenants
-    )
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2, sort_keys=True), file=out)
-        return 0
-    topology = (
-        "monolithic" if result.prefill_workers == 0
-        else f"{result.prefill_workers}p+{result.decode_workers}d"
-    )
-    print(
-        f"disagg: {topology} ({result.system}), "
+    started = time.time()
+    with _usage_errors(parser):
+        cluster = DisaggCluster(DisaggConfig(
+            prefill_workers=args.prefill,
+            decode_workers=args.decode,
+            system=args.system,
+            decode_policy=args.policy,
+            hw_pack=args.hw_pack,
+            fail_at=args.fail_at,
+            fail_kind=args.fail_kind,
+            fail_index=args.fail_index,
+            recover_after=args.recover_after,
+        ))
+        requests = cluster.workload(rate, args.duration, tenants=args.tenants)
+    return _print_summary(
+        "disagg",
         f"pack={args.hw_pack or 'h100-cc'}, rate={rate:g} req/s, "
-        f"{args.tenants} tenants", file=out,
+        f"{args.tenants} tenants",
+        cluster.run(requests), started, out, args.json,
     )
-    rows = [
-        ("offered / completed / shed",
-         f"{result.offered} / {result.completed} / {result.shed}"),
-        ("goodput", f"{result.goodput:.2f} req/s"),
-        ("TTFT p50 / p99",
-         f"{result.p50_ttft * 1e3:.1f} ms / {result.p99_ttft * 1e3:.1f} ms"),
-        ("latency mean / p99",
-         f"{result.mean_latency * 1e3:.1f} ms / "
-         f"{result.p99_latency * 1e3:.1f} ms"),
-        ("migrations / chunks / resends",
-         f"{result.migrations} / {result.migration_chunks} / "
-         f"{result.migration_resends}"),
-        ("speculation hit rate", f"{result.migration_hit_rate:.3f}"),
-        ("wire per chunk", f"{result.migration_s_per_chunk * 1e6:.1f} us"),
-        ("failovers / resumes / replays",
-         f"{result.failovers} / {result.resumes} / {result.replays}"),
-        ("IVs audited",
-         f"{result.iv_observed} over {result.iv_lanes} lanes "
-         f"({result.migration_links} links)"),
-    ]
-    width = max(len(label) for label, _ in rows)
-    for label, value in rows:
-        print(f"  {label.ljust(width)}  {value}", file=out)
-    util = "  ".join(
-        f"{label}={frac * 100:.0f}%"
-        for label, frac in sorted(result.utilization.items())
-    )
-    print(f"  {'per-worker GPU utilization'.ljust(width)}  {util}", file=out)
-    print(f"[disagg: {time.time() - start:.1f}s]", file=out)
-    return 0
 
 
-def _run_serve(args, out) -> int:
+def _run_serve(args, out, parser) -> int:
     if args.rate is None:
         _run_one("serve", args.scale, out, as_json=args.json)
         return 0
 
-    from .bench.serve import SERVE_MAX_OUTSTANDING, SERVE_RESERVE_BYTES
-    from .core import ClusterConfig
+    from .bench.serve import serve_config
     from .serve import LoadSpec, run_serve
     from .workloads import ALPACA_SERVE, SHAREGPT_SERVE
 
-    trace = SHAREGPT_SERVE if args.trace == "sharegpt" else ALPACA_SERVE
-    config = ClusterConfig(
-        replicas=args.replicas,
-        system=args.system,
-        policy="least-loaded",
-        reserve_bytes=SERVE_RESERVE_BYTES,
-        max_outstanding=SERVE_MAX_OUTSTANDING,
-        fail_at=args.fail_at,
-        recover_after=args.recover_after,
+    started = time.time()
+    with _usage_errors(parser):
+        config = serve_config(
+            args.system, replicas=args.replicas, fail_at=args.fail_at,
+            recover_after=args.recover_after,
+        )
+        load = LoadSpec(
+            trace=SHAREGPT_SERVE if args.trace == "sharegpt" else ALPACA_SERVE,
+            rate=args.rate, duration=args.duration, tenants=args.tenants,
+        )
+    return _print_summary(
+        "serve", f"{args.replicas} replicas, {args.tenants} tenants",
+        run_serve(config, load, admission=args.admission), started, out,
+        args.json,
     )
-    load = LoadSpec(
-        trace=trace, rate=args.rate, duration=args.duration,
-        tenants=args.tenants,
-    )
-    start = time.time()
-    result = run_serve(config, load, admission=args.admission)
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2, sort_keys=True), file=out)
-        return 0
-    print(
-        f"serve: {args.replicas} replicas ({args.system}), "
-        f"admission={result.admission}, trace={result.trace}, "
-        f"rate={args.rate:g} req/s", file=out,
-    )
-    shed = " ".join(
-        f"{reason}={count}"
-        for reason, count in sorted(result.shed_by_reason.items())
-    ) or "none"
-    rows = [
-        ("offered / completed / shed",
-         f"{result.offered} / {result.completed} / {result.shed}"),
-        ("shed reasons", shed),
-        ("SLO attainment", f"{result.attainment * 100:.0f}%"),
-        ("goodput", f"{result.goodput:.2f} req/s"),
-        ("TTFT p50 / p99",
-         f"{result.p50_ttft * 1e3:.1f} ms / {result.p99_ttft * 1e3:.1f} ms"),
-        ("TPOT mean", f"{result.mean_tpot * 1e3:.2f} ms"),
-        ("swap-outs / failovers / auth failures",
-         f"{result.swap_outs} / {result.failovers} / {result.auth_failures}"),
-    ]
-    width = max(len(label) for label, _ in rows)
-    for label, value in rows:
-        print(f"  {label.ljust(width)}  {value}", file=out)
-    print(f"[serve: {time.time() - start:.1f}s]", file=out)
-    return 0
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
@@ -713,13 +647,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     seed = getattr(args, "seed", None)
     previous = set_default_seed(seed) if seed is not None else None
     try:
-        return _dispatch(args, out)
+        return _dispatch(args, out, parser)
     finally:
         if seed is not None:
             set_default_seed(previous)
 
 
-def _dispatch(args, out) -> int:
+def _dispatch(args, out, parser: argparse.ArgumentParser) -> int:
     if args.command == "list":
         for name, fn in EXPERIMENTS.items():
             summary = (fn.__doc__ or "").strip().splitlines()[0]
@@ -745,20 +679,17 @@ def _dispatch(args, out) -> int:
             _run_one(name, args.scale, out)
             print(file=out)
         return 0
-    if args.command == "faults":
-        _run_one("faults", args.scale, out, as_json=args.json)
-        return 0
-    if args.command == "parallel":
-        _run_one("parallel", args.scale, out, as_json=args.json)
+    if args.command in ("faults", "parallel"):
+        _run_one(args.command, args.scale, out, as_json=args.json)
         return 0
     if args.command == "trace":
         return _run_trace(args, out)
     if args.command == "cluster":
-        return _run_cluster(args, out)
+        return _run_cluster(args, out, parser)
     if args.command == "serve":
-        return _run_serve(args, out)
+        return _run_serve(args, out, parser)
     if args.command == "disagg":
-        return _run_disagg(args, out)
+        return _run_disagg(args, out, parser)
     if args.command == "postmortem":
         return _run_postmortem(args, out)
     if args.command == "bench":

@@ -19,8 +19,8 @@ Subclasses (:class:`~repro.cluster.cluster.Cluster`,
 list of :class:`~repro.cluster.incarnation.Incarnation`) and the
 ``front`` door requests enter through, and supply the request wrapper
 (``_wrap``), the scripted crash's target (``_scripted_target``) and
-the result fold (``_result``). The fold starts from :meth:`Fleet._ledger`,
-the shared fields of :class:`FleetResult`, and adds the topology's own.
+the result fold (``_result``). Every fold, the serving front end's too,
+starts from :meth:`Fleet._ledger` and adds the topology's own fields.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class FleetRequest:
     submit_time: float
     state: str = "queued"
     finish_time: float = math.nan
-    #: First streamed token (nan until then; the cluster gateway does
-    #: not record it, so cluster runs report no TTFTs).
+    #: First streamed token (nan until then), stamped once per request
+    #: by the front door and kept across failover restarts.
     first_token_time: float = math.nan
     #: Dispatch (or prefill) attempts; 1 means no failover.
     attempts: int = 0
@@ -179,8 +179,9 @@ class Fleet:
     #: Every machine, in crash-index order (set by the subclass).
     machines: List[Incarnation]
     #: The front door: ``submit(creq)``, ``fail(machine)``,
-    #: ``recover(machine)``, the ``completed``/``shed`` lists and the
-    #: ``failovers`` count.
+    #: ``recover(machine)``, the ``completed`` list (in completion
+    #: order) and the ``failovers`` count. A request's ``state`` says
+    #: whether it was shed.
     front: Any
 
     def __init__(self, config) -> None:
@@ -310,18 +311,19 @@ class Fleet:
         self.front.recover(machine)
 
     def _ledger(self, requests: List[FleetRequest]) -> Dict[str, Any]:
-        """The shared :class:`FleetResult` fields of one run.
+        """The shared :class:`FleetResult` fields of one run of ``requests``,
+        read off each request's ``state`` and timestamps.
 
         The duration runs to the last request resolution, not to the
         last timer: lingering watchdogs would otherwise pad the run and
         depress throughput and utilization.
         """
-        front = self.front
-        completed = front.completed
+        completed = self.front.completed
+        shed = [c for c in requests if c.state == "shed"]
         unfinished = sum(c.state not in ("done", "shed") for c in requests)
         resolved = [
             c.finish_time
-            for c in completed + front.shed
+            for c in completed + shed
             if not math.isnan(c.finish_time)
         ]
         duration = max(resolved) if resolved and not unfinished else self.sim.now
@@ -330,9 +332,9 @@ class Fleet:
             duration=duration,
             offered=len(requests),
             completed=len(completed),
-            shed=len(front.shed),
+            shed=len(shed),
             unfinished=unfinished,
-            failovers=front.failovers,
+            failovers=self.front.failovers,
             crashes=sum(m.crashes for m in self.machines),
             auth_failures=sum(m.auth_failures for m in self.machines),
             iv_lanes=self.audit.keys_seen(),

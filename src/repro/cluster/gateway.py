@@ -26,6 +26,7 @@ lanes interleave with PCIe/GPU lanes in Chrome-trace exports.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -87,7 +88,6 @@ class Gateway:
         #: the deterministic seeds would derive the same key twice.
         self._pending: Dict[Tuple[str, int, int], object] = {}
         self.completed: List[ClusterRequest] = []
-        self.shed: List[ClusterRequest] = []
         self.handshakes = 0
         self.failovers = 0
         #: Trace roots this gateway minted itself (cluster-only runs,
@@ -139,7 +139,6 @@ class Gateway:
         self._close_minted_root(creq, status=f"shed:{reason}")
         creq.state = "shed"
         creq.finish_time = self.sim.now
-        self.shed.append(creq)
         self.metrics.counter("cluster.gateway.shed").add()
         self.metrics.counter(f"cluster.gateway.shed.{reason}").add()
         self._emit("shed", creq, detail=reason)
@@ -261,11 +260,13 @@ class Gateway:
     def on_token(self, creq: ClusterRequest, replica: Replica, index: int) -> None:
         """A replica decoded one token of ``creq`` (1-based ``index``).
 
-        Pure notification for the serving front end's token streaming;
-        the gateway itself keeps no per-token state.
+        Notifies the listener, then stamps the request's first token
+        once (after, so the listener can tell the first token apart).
         """
         if self.listener is not None:
             self.listener.on_token(creq, replica, index)
+        if math.isnan(creq.first_token_time):
+            creq.first_token_time = self.sim.now
 
     def on_complete(self, creq: ClusterRequest, replica: Replica) -> None:
         """A replica finished ``creq``: return the encrypted response."""

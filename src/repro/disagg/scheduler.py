@@ -72,7 +72,6 @@ class DisaggScheduler:
         self.mono_policy = make_policy("least-loaded")
 
         self.completed: List[DisaggRequest] = []
-        self.shed: List[DisaggRequest] = []
         self.failovers = 0
         self.replays = 0
         self.resumes = 0
@@ -234,7 +233,6 @@ class DisaggScheduler:
         creq.state = "shed"
         creq.finish_time = self.sim.now
         self._close_root(creq, f"shed:{reason}")
-        self.shed.append(creq)
 
     def _close_root(self, creq: DisaggRequest, status: str) -> None:
         if creq.trace is not None:

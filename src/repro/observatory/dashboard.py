@@ -292,20 +292,12 @@ def run_serve_dashboard(
     FlexGen dashboard: rendering is read-only, so ``render=False``
     yields an identical summary.
     """
-    from ..bench.serve import SERVE_MAX_OUTSTANDING, SERVE_RESERVE_BYTES
+    from ..bench.serve import serve_config
     from ..cluster import Cluster
-    from ..core import ClusterConfig
     from ..serve import LoadSpec, ServeFrontend, generate_load
 
     with recording():
-        config = ClusterConfig(
-            replicas=2,
-            system=system,
-            policy="least-loaded",
-            reserve_bytes=SERVE_RESERVE_BYTES,
-            max_outstanding=SERVE_MAX_OUTSTANDING,
-        )
-        cluster = Cluster(config)
+        cluster = Cluster(serve_config(system))
         frontend = ServeFrontend(cluster)
         load = LoadSpec(rate=rate, duration=duration, seed=seed)
         requests = generate_load(load)

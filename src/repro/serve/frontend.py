@@ -52,7 +52,6 @@ class _ServeRecord:
 
     request: CompletionRequest
     creq: ClusterRequest
-    first_token_time: float = math.nan
     #: Last token's simulated time within the current attempt.
     last_token_time: float = math.nan
     #: Tokens streamed in the current delivery attempt (resets on
@@ -76,9 +75,11 @@ class _ServeRecord:
 
 @dataclass
 class ServeResult(FleetResult):
-    """Everything one serving run measured. ``duration`` is the
-    offered-load window, not the drain time; per-replica
-    ``utilization`` is not measured (empty)."""
+    """Everything one serving run measured, folded through the fleet's
+    shared ledger over the front end's requests. Two fields differ
+    from the other fleets: ``duration`` is the offered-load window,
+    not the drain time, and per-replica ``utilization`` is not
+    reported (empty)."""
 
     admission: str
     trace: str
@@ -153,14 +154,12 @@ class ServeFrontend:
 
         self.records: Dict[int, _ServeRecord] = {}
         self.responses: List[CompletionResponse] = []
-        self.offered = 0
         self._pumping = False
 
     # -- intake ----------------------------------------------------------
 
     def submit(self, request: CompletionRequest) -> None:
         """One arrival: consult admission, then gateway or shed."""
-        self.offered += 1
         rec = _ServeRecord(request=request, creq=self._wrap(request))
         self.records[request.request_id] = rec
         if self._collector is not None:
@@ -259,8 +258,8 @@ class ServeFrontend:
             return
         now = self.sim.now
         tracer = self.telemetry.tracer
-        if math.isnan(rec.first_token_time):
-            rec.first_token_time = now
+        if math.isnan(creq.first_token_time):
+            # The gateway stamps the first token after this hook.
             self.gateway.metrics.latency("serve.ttft_s").record(
                 max(0.0, now - rec.request.arrival_time)
             )
@@ -293,13 +292,12 @@ class ServeFrontend:
         rec.done = True
         self._close_stream(rec)
         tokens = creq.request.output_len
-        ttft = rec.first_token_time - rec.request.arrival_time
-        tpot = math.nan
-        if tokens > 1 and not math.isnan(rec.first_token_time):
-            tpot = (now - rec.first_token_time) / (tokens - 1)
+        response = self._response(rec, "stop", tokens)
+        tpot = response.tpot
+        if not math.isnan(tpot):
             self.gateway.metrics.latency("serve.tpot_s").record(tpot)
         self.gateway.metrics.counter("serve.completed").add()
-        attained = self.slo.attained(rec.request.tier, ttft, tpot)
+        attained = self.slo.attained(rec.request.tier, response.ttft, tpot)
         if attained:
             self.gateway.metrics.counter("serve.slo_attained").add()
         if self.alerts is not None:
@@ -307,16 +305,7 @@ class ServeFrontend:
         self._trace_close(rec.trace_root)
         rec.trace_root = None
         self._emit("complete", rec, detail=f"tokens={tokens}")
-        self.responses.append(CompletionResponse(
-            request=rec.request,
-            created=now,
-            finish_reason="stop",
-            usage=Usage(rec.request.prompt_tokens, tokens),
-            first_token_time=rec.first_token_time,
-            finish_time=now,
-            attempts=creq.attempts,
-            chunks=rec.chunks,
-        ))
+        self.responses.append(response)
         self.admission.on_done(rec.request)
         self._pump()
 
@@ -358,16 +347,20 @@ class ServeFrontend:
         if self.alerts is not None:
             self.alerts.observe_slo(now, False)
         self._emit("shed", rec, detail=reason)
-        self.responses.append(CompletionResponse(
+        self.responses.append(self._response(rec, f"shed:{reason}", rec.attempt_tokens))
+
+    def _response(self, rec: _ServeRecord, finish_reason: str, tokens: int) -> CompletionResponse:
+        """The request's final response, ending now with ``tokens`` served."""
+        return CompletionResponse(
             request=rec.request,
-            created=now,
-            finish_reason=f"shed:{reason}",
-            usage=Usage(rec.request.prompt_tokens, rec.attempt_tokens),
-            first_token_time=rec.first_token_time,
-            finish_time=now,
+            created=self.sim.now,
+            finish_reason=finish_reason,
+            usage=Usage(rec.request.prompt_tokens, tokens),
+            first_token_time=rec.creq.first_token_time,
+            finish_time=self.sim.now,
             attempts=rec.creq.attempts,
             chunks=rec.chunks,
-        ))
+        )
 
     # -- accounting ------------------------------------------------------
 
@@ -423,40 +416,24 @@ class ServeFrontend:
 
     def result(self, duration: float, trace: str = "", rate: float = 0.0) -> ServeResult:
         """Summarize the run of the load ``trace`` offered at ``rate``
-        over the window ``duration``; every offered request must be
-        resolved."""
-        ok = [r for r in self.responses if r.ok]
-        shed = [r for r in self.responses if not r.ok]
+        over the window ``duration``, through the fleet's shared ledger;
+        every offered request must be resolved."""
+        ledger = self.cluster._ledger([rec.creq for rec in self.records.values()])
+        ledger.update(duration=duration, utilization={})
         shed_by_reason: Dict[str, int] = {}
-        for response in shed:
-            reason = response.finish_reason.split(":", 1)[1]
-            shed_by_reason[reason] = shed_by_reason.get(reason, 0) + 1
-        attained = int(
-            self.gateway.metrics.counter("serve.slo_attained").value
-        )
-        replicas = self.cluster.replicas
+        for response in self.responses:
+            if not response.ok:
+                reason = response.finish_reason.split(":", 1)[1]
+                shed_by_reason[reason] = shed_by_reason.get(reason, 0) + 1
         result = ServeResult(
-            system=self.config.system,
-            duration=duration,
-            offered=self.offered,
-            completed=len(ok),
-            shed=len(shed),
-            unfinished=self.offered - len(self.responses),
-            failovers=self.gateway.failovers,
-            crashes=sum(r.crashes for r in replicas),
-            auth_failures=sum(r.auth_failures for r in replicas),
-            iv_lanes=self.cluster.audit.keys_seen(),
-            iv_observed=self.cluster.audit.observed,
-            latencies=[r.latency for r in ok if not math.isnan(r.latency)],
-            ttfts=[r.ttft for r in ok if not math.isnan(r.ttft)],
-            utilization={},
+            **ledger,
             admission=self.admission.name,
             trace=trace,
             rate=rate,
-            attained=attained,
+            attained=int(self.gateway.metrics.counter("serve.slo_attained").value),
             shed_by_reason=shed_by_reason,
-            tpots=[r.tpot for r in ok if not math.isnan(r.tpot)],
-            swap_outs=sum(r.swap_out_count for r in replicas),
+            tpots=[r.tpot for r in self.responses if r.ok and not math.isnan(r.tpot)],
+            swap_outs=sum(r.swap_out_count for r in self.cluster.replicas),
             responses=list(self.responses),
         )
         result.check("serve")

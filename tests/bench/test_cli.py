@@ -107,9 +107,10 @@ class TestServeCommand:
     def test_single_run_summary(self):
         code, text = run_cli("serve", "--rate", "8", "--duration", "2")
         assert code == 0
-        assert "admission=slo" in text
-        assert "SLO attainment" in text
-        assert "TTFT p50 / p99" in text
+        rows = dict(line.split(None, 1) for line in text.splitlines()
+                    if line.startswith("  "))
+        assert rows["admission"] == "slo"
+        assert {"attainment", "p50_ttft_s", "p99_ttft_s"} <= set(rows)
 
     def test_single_run_json_ledger_closes(self):
         import json
@@ -132,6 +133,21 @@ class TestServeCommand:
         doc = json.loads(text)
         assert doc["trace"] == "alpaca-serve"
         assert doc["admission"] == "fifo"
+
+
+class TestSingleRunOptions:
+    @pytest.mark.parametrize("argv", [
+        ("cluster", "--replicas", "0"),
+        ("cluster", "--tenants", "0"),
+        ("serve", "--rate", "4", "--tenants", "0"),
+        ("disagg", "--rate", "4", "--prefill", "0", "--fail-at", "1",
+         "--fail-kind", "prefill"),
+    ])
+    def test_invalid_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "repro: error:" in capsys.readouterr().err
 
 
 class TestTraceAttrib:

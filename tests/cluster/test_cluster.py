@@ -33,6 +33,16 @@ class TestClusterRuns:
         assert result.throughput > 0
         assert 0 < result.duration < 60
 
+    def test_ttfts_recorded_per_completion(self):
+        # The gateway stamps each request's first token once, so every
+        # completion carries a TTFT no longer than its latency.
+        _, result = small_run(ClusterConfig(replicas=2, fail_at=1.0, recover_after=1.0))
+        assert len(result.ttfts) == result.completed > 0
+        assert all(
+            0 < ttft <= latency
+            for ttft, latency in zip(result.ttfts, result.latencies)
+        )
+
     def test_every_request_encrypted_roundtrip(self):
         # One request IV + one response IV per completion, more with
         # failover retries — never fewer.

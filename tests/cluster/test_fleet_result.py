@@ -45,7 +45,7 @@ def _serve():
 
 #: name -> (run, the per-request lists that result carries).
 RUNS = {
-    "cluster": (_cluster, ("latencies",)),
+    "cluster": (_cluster, ("ttfts", "latencies")),
     "disagg": (_disagg, ("ttfts", "latencies")),
     "serve": (_serve, ("ttfts", "tpots")),
 }
@@ -58,6 +58,10 @@ def _digest(value) -> str:
 GOLDEN = {
     "cluster": {
         "as_dict": "c239463a6323d18e9ee466cd128e56242e9dcb4706eac826ddba59420b476a55",
+        "ttfts": (
+            10,
+            "364decfa394736ad310b6a1f87fcc0f364f592210f6e7b03d6b1ba5093ff6769",
+        ),
         "latencies": (
             10,
             "dce4afcf171824f28680d293b3b87ee442d93b44d3f613ff026a8922e7369b4f",

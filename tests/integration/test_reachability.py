@@ -49,11 +49,11 @@ def test_simulator_run_is_reached(reports):
     assert "repro.sim.core:Simulator.run" in report["reached"]
     unreached = {f"{f['module']}:{f['qualname']}" for f in report["unreached"]}
     assert "repro.sim.core:Simulator.run" not in unreached
-    # The quickstart never touches the disaggregated fleet, but the CLI
+    # The quickstart never touches the serving front end, but the CLI
     # names it: refs flag an unreached function that still has callers.
-    assert "repro.disagg.cluster:run_disagg" in unreached
-    (entry,) = [f for f in report["unreached"] if f["qualname"] == "run_disagg"
-                and f["module"] == "repro.disagg.cluster"]
+    assert "repro.serve.frontend:run_serve" in unreached
+    (entry,) = [f for f in report["unreached"] if f["qualname"] == "run_serve"
+                and f["module"] == "repro.serve.frontend"]
     assert any(ref.startswith("src/repro/cli.py:") for ref in entry["refs"])
 
 
