@@ -27,7 +27,8 @@ ITERATIONS = 4
 
 
 def run(label, machine, runtime):
-    machine.sim.tracer.enabled = True
+    tracer = machine.telemetry.tracer  # the machine's own lane spans
+    tracer.enabled = True
     layer = machine.host_memory.allocate(LAYER, "layer.0", b"weights")
     runtime.hint_weight_chunk_size(LAYER)
 
@@ -44,12 +45,12 @@ def run(label, machine, runtime):
 
     lanes = [
         lane for lane in ("enc[0]", "enc[1]", "pcie.h2d.cc", "pcie.h2d", "gpu")
-        if lane in machine.sim.tracer.lanes()
+        if lane in tracer.lanes()
     ]
     print(f"--- {label} " + "-" * (60 - len(label)))
-    print(render_gantt(machine.sim.tracer, width=70, lanes=lanes))
+    print(render_gantt(tracer, width=70, lanes=lanes))
     print(f"total: {machine.sim.now * 1e3:.1f} ms  "
-          f"(gpu busy {machine.sim.tracer.busy_time('gpu') * 1e3:.1f} ms)\n")
+          f"(gpu busy {tracer.busy_time('gpu') * 1e3:.1f} ms)\n")
     return machine.sim.now
 
 

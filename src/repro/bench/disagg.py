@@ -39,7 +39,7 @@ from ..hw import pack_names
 from ..telemetry import recording
 from ..tracing import extract_traces, fleet_attribution
 from ..workloads import TraceSpec
-from .experiments import _scale
+from .experiments import _require, _scale
 from .tables import ExperimentResult
 
 __all__ = ["STRESS_TRACE", "disagg_config", "disagg_frontier", "mono_config"]
@@ -88,11 +88,6 @@ def _row(run, section: str, topology: str, rate: float, verdict: str = "") -> di
         iv_obs=run.iv_observed,
         verdict=verdict,
     )
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
 
 
 def disagg_frontier(scale="quick") -> ExperimentResult:

@@ -106,6 +106,12 @@ def _scale(scale) -> Scale:
     return scale if isinstance(scale, Scale) else SCALES[scale]
 
 
+def _require(condition: bool, message: str) -> None:
+    """An experiment's acceptance check; raised even under ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
+
+
 # ---------------------------------------------------------------------------
 # Shared runners
 # ---------------------------------------------------------------------------

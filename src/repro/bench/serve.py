@@ -14,7 +14,7 @@ top rate the fleet is saturated and the SLO policy's deadline
 shedding converts hopeless requests into headroom — higher goodput
 than FIFO despite completing fewer requests.
 
-Inline asserts pin the reproduction claims:
+Inline checks (raised even under ``python -O``) pin the reproduction claims:
 
 * accounting — every offered request resolves (completed + shed);
 * at the lowest rate, PipeLLM's SLO attainment is ≥ 0.95;
@@ -32,7 +32,7 @@ from typing import Dict, Tuple
 from ..core import ClusterConfig
 from ..serve import LoadSpec, SloSpec, run_serve
 from ..workloads import SHAREGPT_SERVE
-from .experiments import _scale
+from .experiments import _require, _scale
 from .tables import ExperimentResult
 
 __all__ = [
@@ -119,15 +119,16 @@ def serve_frontier(scale="quick") -> ExperimentResult:
 
     # At low load the confidential service meets its SLOs.
     low_run = runs[("pipellm", "slo", low)]
-    assert low_run.attainment >= 0.95, (
-        f"PipeLLM attainment {low_run.attainment:.3f} < 0.95 at {low} req/s"
+    _require(
+        low_run.attainment >= 0.95,
+        f"PipeLLM attainment {low_run.attainment:.3f} < 0.95 at {low} req/s",
     )
 
     # The top rate crosses the swap threshold and saturates the fleet:
     # deadline shedding engages, and nothing is lost untracked.
     top_pipellm = runs[("pipellm", "slo", top)]
-    assert top_pipellm.swap_outs > 0, "top rate never hit KV pressure"
-    assert top_pipellm.shed > 0, "overload never triggered shedding"
+    _require(top_pipellm.swap_outs > 0, "top rate never hit KV pressure")
+    _require(top_pipellm.shed > 0, "overload never triggered shedding")
 
     # The PipeLLM frontier dominates CC-serialized. Two forms, both
     # robust to the noisy deep-overload tail (past saturation, goodput
@@ -146,22 +147,23 @@ def serve_frontier(scale="quick") -> ExperimentResult:
         ),
         None,
     )
-    assert knee is not None, "CC never felt swap pressure across the sweep"
-    assert (
-        runs[("pipellm", "slo", knee)].goodput
-        >= runs[("cc", "slo", knee)].goodput
-    ), f"PipeLLM does not dominate CC at the swap knee ({knee} req/s)"
+    _require(knee is not None, "CC never felt swap pressure across the sweep")
+    _require(
+        runs[("pipellm", "slo", knee)].goodput >= runs[("cc", "slo", knee)].goodput,
+        f"PipeLLM does not dominate CC at the swap knee ({knee} req/s)",
+    )
     area = {
         system: sum(runs[(system, "slo", r)].goodput for r in rates)
         for system in ("cc", "pipellm")
     }
-    assert area["pipellm"] >= area["cc"], (
-        f"PipeLLM frontier area {area['pipellm']:.1f} < CC {area['cc']:.1f}"
+    _require(
+        area["pipellm"] >= area["cc"],
+        f"PipeLLM frontier area {area['pipellm']:.1f} < CC {area['cc']:.1f}",
     )
 
     # Per-request latency metrics reached the telemetry layer (the
     # serve.* latency stats `repro dash --serve` renders).
-    assert low_run.ttfts and low_run.tpots
+    _require(bool(low_run.ttfts and low_run.tpots), "no TTFT/TPOT samples at the low rate")
 
     gap = (
         runs[("pipellm", "slo", knee)].goodput

@@ -166,12 +166,10 @@ class CudaContext(DeviceRuntime):
         message = self.machine.cpu_endpoint.encrypt_next(chunk.payload, nbytes_logical=chunk.size)
         self.machine.gpu.receive_ciphertext(chunk, message)
         # Timing: the call blocks for control plane + one-thread AES.
-        service = self.params.cc_control_latency + chunk.size / self.params.enc_bandwidth_per_thread
         start = self.sim.now
-        yield self.machine.engine._enc_pool.submit(service)
+        yield self.machine.engine.submit_encrypt_inline_cc(chunk.size)
         if record is not None:
             record.mark_stage("encrypt", start, self.sim.now)
-        self.machine.engine.bytes_encrypted += chunk.size
         handle.api_done.succeed()
         start = self.sim.now
         yield self.machine.pcie.transfer_h2d(chunk.size, cc_path=True)
@@ -215,17 +213,17 @@ class CudaContext(DeviceRuntime):
         if record is not None:
             record.mark_stage("pcie", start, self.sim.now)
         # Timing: the call blocks until the CPU thread finished decrypting.
-        service = self.params.cc_control_latency + chunk.size / self.params.dec_bandwidth_per_thread
         start = self.sim.now
-        yield self.machine.engine._dec_pool.submit(service)
+        yield self.machine.engine.submit_decrypt_inline_cc(chunk.size)
         if record is not None:
             record.mark_stage("decrypt", start, self.sim.now)
-        self.machine.engine.bytes_decrypted += chunk.size
         self.machine.host_memory.write_silent(chunk.addr, plaintext)
         handle.api_done.succeed()
         handle.complete.succeed()
 
 
 def _fire_after(sim: Simulator, delay: float, event: Event):
+    """Process: succeed ``event`` after ``delay``, unless already fired."""
     yield sim.timeout(delay)
-    event.succeed()
+    if not event.triggered:
+        event.succeed()

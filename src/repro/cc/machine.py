@@ -30,8 +30,7 @@ from ..hw import (
     Interconnect,
     default_params,
 )
-from ..sim import MetricSet, Simulator
-from ..sim.tracing import SpanTracer
+from ..sim import Simulator
 from ..hw.pcie import PcieLink
 from ..telemetry import TelemetryHub, register_hub
 
@@ -62,6 +61,7 @@ class Machine:
         sim: Optional[Simulator] = None,
         faults=None,
         n_gpus: int = 1,
+        label: str = "",
     ) -> None:
         if n_gpus < 1:
             raise ValueError("n_gpus must be >= 1")
@@ -69,22 +69,17 @@ class Machine:
         self.cc_mode = cc_mode
         #: A cluster runs many machines inside one shared simulator so
         #: their event timelines interleave; a standalone machine owns
-        #: its own kernel, exactly as before.
-        self.shared_sim = sim is not None
+        #: its own kernel.
         self.sim = sim if sim is not None else Simulator()
-        self.metrics = MetricSet()
-        # The unified telemetry hub: shares the sim's span tracer (so
-        # resource/hardware instrumentation flows in) and the machine's
-        # metric registry. Disabled unless a recording session is
-        # active — the disabled fast path is a single attribute check.
-        # Machines sharing a simulator get a private tracer instead:
-        # the shared kernel tracer belongs to the cluster-level hub,
-        # so hardware lanes are not duplicated once per replica.
-        self.telemetry = TelemetryHub(
-            sim=self.sim,
-            metrics=self.metrics,
-            tracer=SpanTracer(enabled=False) if self.shared_sim else self.sim.tracer,
-        )
+        # The unified telemetry hub: the machine's metric registry and
+        # the span tracer its PCIe pipes, crypto workers and GPUs record
+        # into. Disabled unless a recording session is active — the
+        # disabled fast path is a single attribute check. It registers
+        # under ``label`` (a fleet incarnation's name), so session
+        # watchers see the name every export uses.
+        self.telemetry = TelemetryHub(sim=self.sim, label=label)
+        self.metrics = self.telemetry.metrics
+        tracer = self.telemetry.tracer
         register_hub(self.telemetry)
         #: Optional :class:`repro.faults.FaultInjector`. Binding gives
         #: the injector this machine's clock and hub; the hardware
@@ -97,12 +92,12 @@ class Machine:
         self.host_memory = HostMemory(
             capacity=self.params.host_memory_bytes, page_size=self.params.page_size
         )
-        self.pcie = PcieLink(self.sim, self.params, faults=faults)
+        self.pcie = PcieLink(self.sim, self.params, faults=faults, tracer=tracer)
         self.engine = CryptoEngine(
             self.sim, self.params, enc_threads=enc_threads, dec_threads=dec_threads,
-            faults=faults,
+            faults=faults, tracer=tracer,
         )
-        self.staging = DmaStaging(self.sim)
+        self.staging = DmaStaging(self.sim, tracer=tracer)
 
         self.cpu_endpoint: Optional[SessionEndpoint] = None
         gpu_endpoint: Optional[SessionEndpoint] = None
@@ -114,7 +109,7 @@ class Machine:
         #: session (and the legacy ``machine.gpu`` name); each extra
         #: GPU gets its own host channel whose session is HKDF-chained
         #: off the primary key, so no two device channels share IVs.
-        self.gpus = [GpuEnclave(self.sim, self.params, endpoint=gpu_endpoint)]
+        self.gpus = [GpuEnclave(self.sim, self.params, endpoint=gpu_endpoint, tracer=tracer)]
         self.host_endpoints: list = [self.cpu_endpoint]
         for index in range(1, n_gpus):
             cpu_ep: Optional[SessionEndpoint] = None
@@ -126,7 +121,8 @@ class Machine:
                 )
             self.host_endpoints.append(cpu_ep)
             self.gpus.append(
-                GpuEnclave(self.sim, self.params, endpoint=gpu_ep, lane=f"gpu{index}")
+                GpuEnclave(self.sim, self.params, endpoint=gpu_ep, lane=f"gpu{index}",
+                           tracer=tracer)
             )
         self.gpu = self.gpus[0]
         #: The inter-GPU fabric; None on single-GPU machines.
@@ -183,6 +179,7 @@ def build_attested_machine(
     sim: Optional[Simulator] = None,
     faults=None,
     n_gpus: int = 1,
+    label: str = "",
 ) -> Machine:
     """Full CC bring-up: handshake, attestation, then the machine.
 
@@ -213,4 +210,5 @@ def build_attested_machine(
         sim=sim,
         faults=faults,
         n_gpus=n_gpus,
+        label=label,
     )

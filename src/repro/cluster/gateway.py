@@ -20,8 +20,8 @@ The gateway is the cluster's single entry point. It owns:
   surviving replica through a fresh handshake.
 
 All gateway-level signals flow into one :class:`TelemetryHub` labelled
-``"gateway"`` that shares the simulator's span tracer, so cluster
-lanes interleave with PCIe/GPU lanes in Chrome-trace exports.
+``"gateway"``, which owns its metrics and spans; each replica's PCIe,
+crypto and GPU lanes stay on that replica's own machine hub.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core import ClusterConfig
 from ..sim import Simulator
-from ..sim.stats import MetricSet
 from ..telemetry import ClusterEvent, TelemetryHub, register_hub, trace_collector
 from .replica import ClusterRequest, Replica
 from .routing import RoutingPolicy, make_policy
@@ -65,10 +64,8 @@ class Gateway:
         self.policy: RoutingPolicy = make_policy(config.policy)
         self.audit = audit if audit is not None else ClusterIvAudit()
 
-        self.metrics = MetricSet()
-        self.telemetry = TelemetryHub(
-            sim=sim, metrics=self.metrics, tracer=sim.tracer, label="gateway"
-        )
+        self.telemetry = TelemetryHub(sim=sim, label="gateway")
+        self.metrics = self.telemetry.metrics
         register_hub(self.telemetry)
         #: Mints roots for untraced requests; None unless built while recording.
         self._collector = trace_collector(sim)

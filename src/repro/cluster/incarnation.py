@@ -95,7 +95,8 @@ class Incarnation:
         self.epoch += 1
         if self.system == "native":
             self.machine = Machine(
-                CcMode.DISABLED, params=self.params, sim=self.sim, faults=self.faults
+                CcMode.DISABLED, params=self.params, sim=self.sim, faults=self.faults,
+                label=self.incarnation,
             )
         else:
             suffix = f"{self.label}.e{self.epoch}".encode()
@@ -106,8 +107,8 @@ class Incarnation:
                 host_seed=b"cvm:" + suffix,
                 device_seed=b"dev:" + suffix,
                 faults=self.faults,
+                label=self.incarnation,
             )
-        self.machine.telemetry.label = self.incarnation
         self._boot_state()
         self.alive = True
         self._wake = self.sim.event()
@@ -161,17 +162,14 @@ class Incarnation:
         self._wake = self.sim.event()
         return self._wake
 
-    def _compute(
-        self, work: LayerWork, lane: str, step: str,
-        traces: Callable[[], Iterable[Any]],
-    ):
-        """Run one GPU step, then record it on the tracer ``lane`` and,
-        while recording, as a compute span on every live causal context
-        ``traces()`` returns (built only then: this is the hot path)."""
+    def _compute(self, work: LayerWork, step: str, traces: Callable[[], Iterable[Any]]):
+        """Run one GPU step (the machine's ``gpu`` lane records it) and,
+        while recording, add it as a ``step`` compute span on every live
+        causal context ``traces()`` returns (built only then: this is
+        the hot path)."""
         sim = self.sim
         start = sim.now
         yield self.machine.gpu.compute(work.flops, work.bytes_touched, layers=work.layers)
-        sim.tracer.record(lane, step, start, sim.now)
         if self.machine.telemetry.enabled and sim.now > start:
             for ctx in traces():
                 if ctx is not None:

@@ -171,8 +171,7 @@ class Replica(ContinuousBatcher, Incarnation):
 
     def _compute_step(self, work: LayerWork):
         return self._compute(
-            work, f"cluster.replica-{self.replica_id}", "step",
-            lambda: [g.creq.trace_attempt for g in self.state.running],
+            work, "step", lambda: [g.creq.trace_attempt for g in self.state.running],
         )
 
     def _on_token(self, group: _Resident) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cc.api import D2H, H2D, DeviceRuntime, TransferHandle
+from ..cc.api import D2H, H2D, DeviceRuntime, TransferHandle, _fire_after
 from ..cc.machine import Machine
 from ..crypto import AuthenticationError, EncryptedMessage, tamper_tag
 from ..faults.policies import DegradationController, FaultPolicy, PipelineMode
@@ -843,8 +843,3 @@ class PipeLLMRuntime(DeviceRuntime):
             "degraded_seconds": self.fault_controller.degraded_seconds(),
         }
 
-
-def _fire_after(sim, delay: float, event: Event):
-    yield sim.timeout(delay)
-    if not event.triggered:
-        event.succeed()

@@ -120,8 +120,8 @@ class SessionEndpoint:
             return self.encrypt_next(plaintext, nbytes_logical)
         predicted = self.tx_iv.current
         message = self.encrypt_with_iv(plaintext, predicted, nbytes_logical)
-        committed = self.commit_tx_iv()
-        assert committed == predicted, f"{self.name}: staged IV desynced"
+        if self.commit_tx_iv() != predicted:
+            raise AssertionError(f"{self.name}: staged IV desynced")
         return message
 
     # -- receiving ----------------------------------------------------------

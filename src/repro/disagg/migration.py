@@ -267,8 +267,8 @@ class MigrationFabric:
                 record.status = "dst-crashed"
                 break
             if message is not None:
-                plain = link.rx.decrypt_next(message)
-                assert plain == payload, "migrated KV chunk corrupted"
+                if link.rx.decrypt_next(message) != payload:
+                    raise AssertionError("migrated KV chunk corrupted")
             record.delivered += 1
             record.hits += int(staged)
             record.misses += int(message is not None and not staged)

@@ -108,7 +108,7 @@ class PrefillWorker(Incarnation):
             self._active = creq
             yield from self._compute(
                 self.cost.step_work(creq.request.prompt_len * creq.request.parallel_n, ()),
-                f"disagg.{self.label}", "prefill", lambda: [creq.trace],
+                "prefill", lambda: [creq.trace],
             )
             self._retained[creq.rid] = creq.kv_bytes
             creq.prefill_done_time = self.sim.now
@@ -214,10 +214,7 @@ class DecodeWorker(Incarnation):
                 sum(d.prefill_tokens * d.creq.request.parallel_n for d in admitted),
                 [d for d in self.running if d.prefill_tokens == 0 or d not in admitted],
             )
-            yield from self._compute(
-                work, f"disagg.{self.label}", "step",
-                lambda: [d.creq.trace for d in self.running],
-            )
+            yield from self._compute(work, "step", lambda: [d.creq.trace for d in self.running])
             self._advance()
 
     def _admit(self) -> List[_Decoding]:

@@ -14,9 +14,9 @@ verify the paper's claim that shared-memory usage stays small.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
-from ..sim import BandwidthPipe, Event, Resource, Simulator
+from ..sim import BandwidthPipe, Event, Resource, Simulator, SpanTracer
 
 __all__ = ["DmaStaging"]
 
@@ -33,6 +33,7 @@ class DmaStaging:
         buffer_bytes: int = 16 * 1024 * 1024,
         buffers: int = 4,
         memcpy_bandwidth: float = MEMCPY_BANDWIDTH,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         if buffer_bytes <= 0 or buffers <= 0:
             raise ValueError("buffer_bytes and buffers must be positive")
@@ -40,7 +41,7 @@ class DmaStaging:
         self.buffer_bytes = buffer_bytes
         self.buffers = buffers
         self._slots = Resource(sim, capacity=buffers)
-        self._memcpy = BandwidthPipe(sim, memcpy_bandwidth, name="staging.memcpy")
+        self._memcpy = BandwidthPipe(sim, memcpy_bandwidth, name="staging.memcpy", tracer=tracer)
         self.max_outstanding = 0
         self.stage_count = 0
 

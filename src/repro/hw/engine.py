@@ -18,7 +18,9 @@ happen in the channel layer. Both layers share the same notion of
 
 from __future__ import annotations
 
-from ..sim import Event, Simulator, WorkerPool
+from typing import Optional
+
+from ..sim import Event, Simulator, SpanTracer, WorkerPool
 from .params import HardwareParams
 
 __all__ = ["CryptoEngine"]
@@ -34,6 +36,7 @@ class CryptoEngine:
         enc_threads: int = 1,
         dec_threads: int = 1,
         faults=None,
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         if enc_threads < 1 or dec_threads < 1:
             raise ValueError("thread counts must be >= 1")
@@ -44,8 +47,8 @@ class CryptoEngine:
         #: Optional :class:`repro.faults.FaultInjector`: worker stalls
         #: and slowdowns are applied to every submission's service time.
         self.faults = faults
-        self._enc_pool = WorkerPool(sim, enc_threads, name="enc")
-        self._dec_pool = WorkerPool(sim, dec_threads, name="dec")
+        self._enc_pool = WorkerPool(sim, enc_threads, name="enc", tracer=tracer)
+        self._dec_pool = WorkerPool(sim, dec_threads, name="dec", tracer=tracer)
         self.bytes_encrypted = 0
         self.bytes_decrypted = 0
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..crypto import AuthenticationError, EncryptedMessage, SessionEndpoint
-from ..sim import Event, Simulator
+from ..sim import Event, Simulator, SpanTracer
 from .memory import MemoryChunk
 from .params import HardwareParams
 
@@ -39,11 +39,13 @@ class GpuEnclave:
         params: HardwareParams,
         endpoint: Optional[SessionEndpoint] = None,
         lane: str = "gpu",
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         self.sim = sim
         self.params = params
         self.endpoint = endpoint  # None when CC is disabled.
         self.lane = lane  # Tracer lane; "gpu1", "gpu2", ... on multi-GPU machines.
+        self.tracer = tracer  # The machine's; None records no spans.
         self.capacity = params.gpu_memory_bytes
         self.used = 0
         self._allocations: Dict[str, int] = {}
@@ -141,6 +143,7 @@ class GpuEnclave:
         finish = start + duration
         self.busy_until = finish
         self.compute_seconds += duration
-        if self.sim.tracer.enabled:
-            self.sim.tracer.record(self.lane, "compute", start, finish)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record(self.lane, "compute", start, finish)
         return self.sim.timeout(finish - self.sim.now)

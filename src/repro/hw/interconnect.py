@@ -127,17 +127,18 @@ class Interconnect:
         #: ``lookup(src, dst, nbytes) -> bool`` (staged hit) and ``hit_rate``.
         self.speculator = None
         self._audit = None
+        self._tracer = telemetry.tracer if telemetry is not None else None
         # Every GPU owns its own CPU<->GPU bounce path (each device has
         # a dedicated PCIe link to the host), modeled per direction at
         # the CC-mode DMA ceiling.
         self.bounce_up = [
             BandwidthPipe(sim, params.cc_dma_bandwidth, latency=params.dma_overhead,
-                          name=f"link.gpu{i}.up")
+                          name=f"link.gpu{i}.up", tracer=self._tracer)
             for i in range(len(self.gpus))
         ]
         self.bounce_down = [
             BandwidthPipe(sim, params.cc_dma_bandwidth, latency=params.dma_overhead,
-                          name=f"link.gpu{i}.down")
+                          name=f"link.gpu{i}.down", tracer=self._tracer)
             for i in range(len(self.gpus))
         ]
         self._p2p: Dict[Tuple[int, int], BandwidthPipe] = {}
@@ -192,7 +193,7 @@ class Interconnect:
         if key not in self._p2p:
             self._p2p[key] = BandwidthPipe(
                 self.sim, self.params.p2p_bandwidth, latency=self.params.p2p_latency,
-                name=f"link.p2p.{src}-{dst}",
+                name=f"link.p2p.{src}-{dst}", tracer=self._tracer,
             )
         return self._p2p[key]
 

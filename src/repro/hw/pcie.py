@@ -21,9 +21,9 @@ fabric's hop legs (:mod:`repro.hw.interconnect`); the injector's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Optional
 
-from ..sim import BandwidthPipe, Event, Simulator
+from ..sim import BandwidthPipe, Event, Simulator, SpanTracer
 from .params import HardwareParams
 
 __all__ = ["BusRecord", "PcieLink", "replayed"]
@@ -47,26 +47,23 @@ class BusRecord:
 class PcieLink:
     """Duplex PCIe link with per-direction FIFO occupancy."""
 
-    def __init__(self, sim: Simulator, params: HardwareParams, faults=None) -> None:
+    def __init__(self, sim: Simulator, params: HardwareParams, faults=None,
+                 tracer: Optional[SpanTracer] = None) -> None:
         self.sim = sim
         self.params = params
         #: Optional :class:`repro.faults.FaultInjector` for this link.
         self.faults = faults
-        self.h2d = BandwidthPipe(
-            sim, params.pcie_bandwidth, latency=params.dma_overhead, name="pcie.h2d"
-        )
-        self.d2h = BandwidthPipe(
-            sim, params.pcie_bandwidth, latency=params.dma_overhead, name="pcie.d2h"
-        )
+        self.h2d = BandwidthPipe(sim, params.pcie_bandwidth, latency=params.dma_overhead,
+                                 name="pcie.h2d", tracer=tracer)
+        self.d2h = BandwidthPipe(sim, params.pcie_bandwidth, latency=params.dma_overhead,
+                                 name="pcie.d2h", tracer=tracer)
         # The CC-mode DMA path (bounce buffers in CVM shared memory)
         # has its own, lower ceiling; model it as separate pipes so CC
         # and native traffic queue independently, as on hardware.
-        self.h2d_cc = BandwidthPipe(
-            sim, params.cc_dma_bandwidth, latency=params.dma_overhead, name="pcie.h2d.cc"
-        )
-        self.d2h_cc = BandwidthPipe(
-            sim, params.cc_dma_bandwidth, latency=params.dma_overhead, name="pcie.d2h.cc"
-        )
+        self.h2d_cc = BandwidthPipe(sim, params.cc_dma_bandwidth, latency=params.dma_overhead,
+                                    name="pcie.h2d.cc", tracer=tracer)
+        self.d2h_cc = BandwidthPipe(sim, params.cc_dma_bandwidth, latency=params.dma_overhead,
+                                    name="pcie.d2h.cc", tracer=tracer)
         #: Attacker-visible transfer metadata (§8.1 side channels).
         self.bus_log: List[BusRecord] = []
 

@@ -82,8 +82,8 @@ class TensorParallelEngine:
                     shards, self.activation_bytes, collective=f"tp.{phase}"
                 )
                 expected = [sum(col) for col in zip(*shards)]
-                assert all(vec == expected for vec in reduced), \
-                    "ring all-reduce diverged from the arithmetic sum"
+                if any(vec != expected for vec in reduced):
+                    raise AssertionError("ring all-reduce diverged from the arithmetic sum")
                 self._digest.update(
                     f"tp:{step}:{layer}:{phase}:{reduced[0]}".encode()
                 )

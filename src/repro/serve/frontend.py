@@ -15,7 +15,7 @@ plus the serving metrics production SLOs are written against:
   TTFT/TPOT budgets — and **goodput**, attained completions per
   second of offered-load window.
 
-Streaming telemetry rides the shared span tracer on per-request
+Streaming telemetry rides the gateway hub's span tracer on per-request
 ``serve.req-<id>`` lanes: one ``stream`` span brackets each delivery
 attempt (closed on completion, shedding *or* failover restart, so a
 replica crash never leaks an open span), with closed ``token`` spans
@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional
 from ..cluster import Cluster, FleetResult
 from ..cluster.replica import ClusterRequest
 from ..sim import mean
-from ..telemetry import ServeEvent, TelemetryHub, register_hub, trace_collector
+from ..telemetry import ServeEvent, trace_collector
 from ..workloads import Request
 from .admission import SloSpec, make_admission
 from .api import CompletionRequest, CompletionResponse, StreamChunk, Usage
@@ -139,14 +139,9 @@ class ServeFrontend:
         )
         self.gateway.listener = self
 
-        # The serve lane shares the gateway's always-on MetricSet and
-        # the simulator's span tracer, so serve.* counters show up in
-        # the dashboard's serving panel and stream spans in Chrome exports.
-        self.telemetry = TelemetryHub(
-            sim=self.sim, metrics=self.gateway.metrics,
-            tracer=self.sim.tracer, label="serve",
-        )
-        register_hub(self.telemetry)
+        # Serve lanes, events and serve.* counters land on the gateway's
+        # hub: the front door's one home in exports and the dashboard.
+        self.telemetry = self.gateway.telemetry
         #: Mints one trace per request; None unless built while recording.
         self._collector = trace_collector(self.sim)
         if self.alerts is not None and self.alerts.hub is None:

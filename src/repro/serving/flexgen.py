@@ -141,7 +141,7 @@ class FlexGenEngine(Engine[FlexGenResult]):
                     yield from stream.top_up()
                     yield compute_done
                 # One model pass on the "serving" telemetry lane.
-                self.machine.sim.tracer.record(
+                self.machine.telemetry.tracer.record(
                     "serving.flexgen", pass_kind, pass_start, self.machine.sim.now
                 )
 

@@ -147,7 +147,7 @@ class PeftEngine(Engine[PeftResult]):
                     if phase == "backward" and layer in self._regions:
                         yield from self._after_backward(layer, step)
                 # One forward/backward phase on the "serving" lane.
-                sim.tracer.record(self._LANE, phase, phase_start, sim.now)
+                self.machine.telemetry.tracer.record(self._LANE, phase, phase_start, sim.now)
             yield from self._optimize(step, batch)
 
         self.result = PeftResult(

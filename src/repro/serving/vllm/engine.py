@@ -96,7 +96,7 @@ class VllmEngine(ContinuousBatcher, Engine[VllmResult]):
             step_start = sim.now
             if (yield from self.step()):
                 # One scheduler step on the "serving" telemetry lane.
-                sim.tracer.record("serving.vllm", "step", step_start, sim.now)
+                self.machine.telemetry.tracer.record("serving.vllm", "step", step_start, sim.now)
             elif future:
                 yield sim.timeout(max(future[0].request.arrival_time - sim.now, 1e-6))
             else:

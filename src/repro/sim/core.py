@@ -271,11 +271,6 @@ class Simulator:
         self._horizon = -inf
         #: Callbacks run so far (heap pops plus FIFO pops).
         self.dispatched = 0
-        # Optional span tracer (see repro.sim.tracing); disabled by
-        # default so instrumented components stay overhead-free.
-        from .tracing import SpanTracer
-
-        self.tracer = SpanTracer(enabled=False)
 
     # -- scheduling ----------------------------------------------------
 

@@ -14,9 +14,10 @@ Three primitives cover everything the hardware and serving models need:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from .core import Event, Simulator
+from .tracing import SpanTracer
 
 
 class Resource:
@@ -107,7 +108,9 @@ class BandwidthPipe:
     Each job of ``nbytes`` occupies the pipe for
     ``latency + nbytes / bandwidth`` seconds; concurrent submitters
     queue in FIFO order. This models a DMA engine or a single
-    encryption stream where byte streams cannot interleave.
+    encryption stream where byte streams cannot interleave. Each job
+    is a span on lane ``name`` of ``tracer`` (the owning machine's);
+    None records nothing.
     """
 
     def __init__(
@@ -116,6 +119,7 @@ class BandwidthPipe:
         bandwidth: float,
         latency: float = 0.0,
         name: str = "pipe",
+        tracer: Optional[SpanTracer] = None,
     ) -> None:
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
@@ -123,6 +127,7 @@ class BandwidthPipe:
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.name = name
+        self.tracer = tracer
         self._busy_until = 0.0
         self._busy = 0.0
         self.bytes_moved = 0
@@ -160,8 +165,9 @@ class BandwidthPipe:
         self._busy += duration
         self.bytes_moved += nbytes
         self.jobs_done += 1
-        if self.sim.tracer.enabled:
-            self.sim.tracer.record(self.name, "xfer", start, finish)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record(self.name, "xfer", start, finish)
         return finish - self.sim.now
 
 
@@ -177,13 +183,16 @@ class WorkerPool:
     Workers are callbacks, not processes: each wake-up, timer and
     finish runs at the queue position where a generator worker would
     resume (``tests/sim/`` holds it to one). Idle workers are indices.
+    Each job is a span on lane ``name[index]`` of ``tracer``, if any.
     """
 
-    def __init__(self, sim: Simulator, workers: int, name: str = "pool") -> None:
+    def __init__(self, sim: Simulator, workers: int, name: str = "pool",
+                 tracer: Optional[SpanTracer] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.sim = sim
         self.name = name
+        self.tracer = tracer
         self.workers = workers
         self._high: Deque[Tuple[float, Event, Any]] = deque()
         self._low: Deque[Tuple[float, Event, Any]] = deque()
@@ -273,10 +282,10 @@ class WorkerPool:
             done.succeed(payload)
         else:
             sim._schedule_callback(done.succeed, [payload] * len(workers))
-        tracer = sim.tracer
+        tracer = self.tracer
         for index in workers:
             self.busy_seconds += service_time
             self.jobs_done += 1
-            if tracer.enabled:
+            if tracer is not None and tracer.enabled:
                 tracer.record(f"{self.name}[{index}]", "job", started, sim.now)
             self._next(index)

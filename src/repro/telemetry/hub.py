@@ -15,9 +15,9 @@ span collection and event/record retention; :func:`recording` also
 collects the causal span DAGs of :mod:`repro.tracing`.
 
 Counters, by contrast, are *always* live: they are plain
-:class:`~repro.sim.stats.MetricSet` counters shared with the machine,
-and the runtime's historical statistics attributes are thin properties
-over them.
+:class:`~repro.sim.stats.MetricSet` counters (the machine's
+``metrics``), and the runtime's historical statistics attributes are
+thin properties over them.
 """
 
 from __future__ import annotations
@@ -130,29 +130,21 @@ class RequestRecord:
 
 
 class TelemetryHub:
-    """Structured event bus for one machine.
+    """Structured event bus for one machine or fleet front door.
 
-    The hub aggregates four kinds of signal:
+    The hub owns four kinds of signal, shared with no other hub:
 
-    * ``metrics`` — always-on counters / latency stats / histograms
-      (shared with :attr:`Machine.metrics`);
-    * ``tracer`` — lane spans (shared with ``sim.tracer`` so existing
-      instrumentation in the resource and hardware layers flows in);
+    * ``metrics`` — always-on counters / latency stats / histograms;
+    * ``tracer`` — lane spans of the owner's resources (its PCIe
+      pipes, crypto workers and GPUs record straight into it);
     * ``events`` — the typed event stream, retained only when enabled;
     * ``requests`` — per-request lifecycle records, ditto.
     """
 
-    def __init__(
-        self,
-        sim=None,
-        metrics: Optional[MetricSet] = None,
-        tracer: Optional[SpanTracer] = None,
-        enabled: bool = False,
-        label: str = "",
-    ) -> None:
+    def __init__(self, sim=None, enabled: bool = False, label: str = "") -> None:
         self.sim = sim
-        self.metrics = metrics if metrics is not None else MetricSet()
-        self.tracer = tracer if tracer is not None else SpanTracer(enabled=enabled)
+        self.metrics = MetricSet()
+        self.tracer = SpanTracer(enabled=enabled)
         self.label = label
         self.events: List[TelemetryEvent] = []
         self.requests: List[RequestRecord] = []

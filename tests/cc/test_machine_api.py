@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cc import CcMode, CudaContext, Machine, build_machine
+from repro.faults import FaultInjector, FaultPlan
 from repro.hw import MB, MemoryChunk
 
 
@@ -95,6 +96,41 @@ class TestCcRuntime:
         machine.sim.process(app())
         machine.run()
         assert times["api"] == pytest.approx(machine.params.cc_occupancy(32 * MB), rel=0.01)
+
+    @pytest.mark.parametrize("direction", ["h2d", "d2h"])
+    def test_engine_faults_slow_the_inline_crypto(self, direction):
+        """The CC baseline's blocking AES runs on the crypto engine, so
+        an engine slowdown stretches every copy by its AES time."""
+        size, copies = 32 * MB, 4
+
+        def elapsed(faults):
+            machine, ctx = make(CcMode.ENABLED, faults=faults)
+            region = machine.host_memory.allocate(size, "w", b"x")
+            memcpy = ctx.memcpy_h2d if direction == "h2d" else ctx.memcpy_d2h
+
+            def app():
+                if direction == "d2h":
+                    yield ctx.memcpy_h2d(region.chunk()).complete
+                for _ in range(copies):
+                    yield memcpy(region.chunk()).api_done
+                yield ctx.synchronize()
+
+            machine.sim.process(app())
+            machine.run()
+            return machine, machine.sim.now
+
+        machine, nominal = elapsed(None)
+        slowed_machine, slowed = elapsed(FaultInjector(FaultPlan(engine_slowdown=2.0)))
+        params = machine.params
+        bandwidth = (params.enc_bandwidth_per_thread if direction == "h2d"
+                     else params.dec_bandwidth_per_thread)
+        aes = params.cc_control_latency + size / bandwidth
+        # The first H2D of a D2H run also pays its (slowed) encryption.
+        extra = copies + (direction == "d2h")
+        assert slowed - nominal == pytest.approx(extra * aes, rel=1e-9)
+        engine = slowed_machine.engine
+        moved = engine.bytes_encrypted if direction == "h2d" else engine.bytes_decrypted
+        assert moved == copies * size
 
     def test_h2d_functional_authenticated(self):
         machine, ctx = make(CcMode.ENABLED)

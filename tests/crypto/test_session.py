@@ -5,8 +5,16 @@ in-order delivery authenticates; any reordering, skip, or replay is a
 GCM failure.
 """
 
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.crypto import AuthenticationError, SecureSession
 
 
@@ -129,6 +137,39 @@ class TestSpeculativeEncryption:
             assert message.nbytes_logical == 1 << 20
             sealed[staged] = (message.ciphertext, message.tag, message.sender_iv)
         assert sealed[True] == sealed[False]
+
+
+class TestInvariantsUnderOptimize:
+    """Invariant checks raise explicitly, so ``python -O`` keeps them."""
+
+    SKIPPED_COMMIT = (
+        "from repro.crypto import SecureSession\n"
+        "cpu, _ = SecureSession(key=bytes(range(16))).endpoints()\n"
+        "commit = cpu.commit_tx_iv\n"
+        "cpu.commit_tx_iv = lambda: (commit(), commit())[1]\n"
+        "try:\n"
+        "    cpu.seal(b'kv-chunk', staged=True)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+
+    def test_staged_seal_desync_raises_under_optimize(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", self.SKIPPED_COMMIT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "raised: cpu: staged IV desynced" in done.stdout
+
+    @pytest.mark.parametrize("module", [
+        "repro.crypto.session", "repro.disagg.migration", "repro.parallel.tp",
+        "repro.bench.serve",
+    ])
+    def test_no_bare_assert_guards_an_invariant(self, module):
+        source = Path(importlib.import_module(module).__file__).read_text()
+        asserts = [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+        assert asserts == [], f"{module}: bare assert at lines {asserts}"
 
 
 class TestSessionFactory:

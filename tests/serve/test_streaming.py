@@ -1,4 +1,4 @@
-"""Streaming-span ordering on the shared tracer.
+"""Streaming-span ordering on the gateway hub's tracer.
 
 Each request's delivery attempt is one ``stream`` span on its own
 ``serve.req-<id>`` lane, with closed ``token`` spans marking the

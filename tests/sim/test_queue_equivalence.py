@@ -22,7 +22,7 @@ from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim import Interrupt, Simulator, WorkerPool
+from repro.sim import Interrupt, Simulator, SpanTracer, WorkerPool
 from repro.sim.core import Event
 
 
@@ -66,11 +66,13 @@ class GeneratorWorkerPool:
     parked on a gate event while idle. The oracle
     :class:`repro.sim.WorkerPool` is held to."""
 
-    def __init__(self, sim: Simulator, workers: int, name: str = "pool") -> None:
+    def __init__(self, sim: Simulator, workers: int, name: str = "pool",
+                 tracer: Optional[SpanTracer] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.sim = sim
         self.name = name
+        self.tracer = tracer
         self.workers = workers
         self._high: Deque[Tuple[float, Event, Any]] = deque()
         self._low: Deque[Tuple[float, Event, Any]] = deque()
@@ -121,8 +123,8 @@ class GeneratorWorkerPool:
             yield self.sim.timeout(service_time)
             self.busy_seconds += service_time
             self.jobs_done += 1
-            if self.sim.tracer.enabled:
-                self.sim.tracer.record(f"{self.name}[{_index}]", "job", started, self.sim.now)
+            if self.tracer is not None:
+                self.tracer.record(f"{self.name}[{_index}]", "job", started, self.sim.now)
             done.succeed(payload)
 
 
@@ -158,7 +160,7 @@ def execute(simulator_cls, plan, horizons, pool_cls=GeneratorWorkerPool, pool_at
     with the tracer's spans.
     """
     sim = simulator_cls()
-    sim.tracer.enabled = True
+    tracer = SpanTracer()
     log = []
     events = [sim.event() for _ in range(N_EVENTS)]
     procs = []
@@ -224,10 +226,10 @@ def execute(simulator_cls, plan, horizons, pool_cls=GeneratorWorkerPool, pool_at
 
     for wid, worker_steps in enumerate(plan):
         if wid == pool_at:
-            pool = pool_cls(sim, POOL_WORKERS, name="pool")
+            pool = pool_cls(sim, POOL_WORKERS, name="pool", tracer=tracer)
         procs.append(sim.process(worker(wid, worker_steps)))
     if pool is None:
-        pool = pool_cls(sim, POOL_WORKERS, name="pool")
+        pool = pool_cls(sim, POOL_WORKERS, name="pool", tracer=tracer)
 
     # Interrupt the first worker from outside once the clock starts,
     # through a zero-delay process (exercises stale-wakeup handling).
@@ -244,7 +246,7 @@ def execute(simulator_cls, plan, horizons, pool_cls=GeneratorWorkerPool, pool_at
         log.append(("horizon", horizon, sim.now, sim.peek()))
     sim.run()
     log.append(("final", sim.now, sim.peek(), pool.jobs_done, pool.busy_seconds))
-    log.extend(sim.tracer.spans)
+    log.extend(tracer.spans)
     return log
 
 

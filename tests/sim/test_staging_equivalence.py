@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.dma import DmaStaging
-from repro.sim import Simulator
+from repro.sim import Simulator, SpanTracer
 
 from .test_queue_equivalence import HeapSimulator
 
@@ -52,16 +52,17 @@ class RecordingHeapSimulator(HeapSimulator):
 
 
 def execute(kernel, plan, bandwidth, foreign=(), horizons=()):
-    """Run one staging schedule; return its log and the simulator.
+    """Run one staging schedule; return its log and the simulator
+    (``sim.spans`` holds the memcpy pipe's spans).
 
     ``plan`` holds one ``(start, sizes, gap)`` stager per entry;
     ``foreign`` holds ``(at, depth)`` timers, each followed by a
     zero-delay cascade of ``depth`` hops.
     """
     sim = kernel()
-    sim.tracer.enabled = True
+    tracer = SpanTracer()
     staging = DmaStaging(sim, buffer_bytes=BUFFER, buffers=SLOTS,
-                         memcpy_bandwidth=bandwidth)
+                         memcpy_bandwidth=bandwidth, tracer=tracer)
     pipe = staging._memcpy
     log = []
 
@@ -94,7 +95,8 @@ def execute(kernel, plan, bandwidth, foreign=(), horizons=()):
         log.append(("horizon", horizon, sim.now, sim.peek()) + state())
     sim.run()
     log.append(("final", sim.now, sim.peek()) + state())
-    log.extend(sim.tracer.spans)
+    log.extend(tracer.spans)
+    sim.spans = tracer.spans
     return log, sim
 
 
@@ -102,7 +104,7 @@ def boundaries(plan, bandwidth):
     """Every instant the per-piece path has a timer due or a memcpy
     span edge, sorted: where ties with the fast path are closest."""
     _log, sim = execute(RecordingHeapSimulator, plan, bandwidth)
-    edges = {t for span in sim.tracer.spans for t in (span.start, span.end)}
+    edges = {t for span in sim.spans for t in (span.start, span.end)}
     return sorted(edges.union(sim.due))
 
 

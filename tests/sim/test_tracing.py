@@ -84,11 +84,13 @@ class TestRenderGantt:
 
 class TestIntegration:
     def test_disabled_by_default(self):
-        assert not Simulator().tracer.enabled
+        # Lane spans belong to the machine's hub, never to the kernel.
+        assert not hasattr(Simulator(), "tracer")
+        assert not build_machine(CcMode.ENABLED).telemetry.tracer.enabled
 
     def test_machine_run_records_spans_when_enabled(self):
         machine = build_machine(CcMode.ENABLED)
-        machine.sim.tracer.enabled = True
+        machine.telemetry.tracer.enabled = True
         ctx = CudaContext(machine)
         region = machine.host_memory.allocate(1 << 20, "w", b"x")
 
@@ -99,7 +101,7 @@ class TestIntegration:
 
         machine.sim.process(app())
         machine.run()
-        lanes = machine.sim.tracer.lanes()
+        lanes = machine.telemetry.tracer.lanes()
         assert "gpu" in lanes
         assert any(lane.startswith("enc") for lane in lanes)
         assert "pcie.h2d.cc" in lanes

@@ -48,7 +48,7 @@ class TestGating:
     def test_disabled_by_default(self):
         machine = build_machine(CcMode.ENABLED)
         assert not machine.telemetry.enabled
-        assert not machine.sim.tracer.enabled
+        assert not machine.telemetry.tracer.enabled
 
     def test_disabled_retains_nothing(self):
         machine, runtime = make_runtime()
@@ -56,7 +56,7 @@ class TestGating:
         hub = machine.telemetry
         assert hub.events == []
         assert hub.requests == []
-        assert machine.sim.tracer.spans == []
+        assert machine.telemetry.tracer.spans == []
 
     def test_counters_live_while_disabled(self):
         machine, runtime = make_runtime()
@@ -74,9 +74,9 @@ class TestGating:
     def test_enable_propagates_to_tracer(self):
         machine = build_machine(CcMode.ENABLED)
         machine.telemetry.enabled = True
-        assert machine.sim.tracer.enabled
+        assert machine.telemetry.tracer.enabled
         machine.telemetry.enabled = False
-        assert not machine.sim.tracer.enabled
+        assert not machine.telemetry.tracer.enabled
 
 
 class TestEventBus:

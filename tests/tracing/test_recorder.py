@@ -185,3 +185,22 @@ def test_cli_postmortem_byte_identical_under_one_seed(tmp_path):
     )
     assert bundle["closure"]["problems"] == []
     assert bundle["closure"]["traces_checked"] > 0
+
+
+def test_postmortem_ring_names_match_the_trace(tmp_path):
+    """Each machine is named the same in the rings and in the trace,
+    including the re-attested incarnation booted mid-run."""
+    from repro.cli import main
+
+    code = main(["postmortem", "--out", str(tmp_path), "--seed", "7", "--rate", "8",
+                 "--duration", "2", "--fail-at", "0.5", "--recover-after", "0.5"],
+                out=io.StringIO())
+    assert code == 0
+    bundle = json.loads((tmp_path / "postmortem.json").read_text())
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    processes = {e["args"]["name"] for e in trace["traceEvents"] if e["name"] == "process_name"}
+    assert "replica-0.e2" in processes
+    rings = [set(snapshot["rings"]) for snapshot in bundle["snapshots"]]
+    assert rings and {"replica-0.e1", "replica-1.e1", "gateway"} <= rings[0]
+    # A snapshot lists every machine booted by then, under its trace name.
+    assert all(names <= processes for names in rings)
