@@ -211,12 +211,15 @@ to the end-to-end latency exactly). w/o CC is pure PCIe; CC spends
 path — `net_saved_s` counts the AES seconds removed, minus the work
 wasted on invalidated staging entries. The TP-2 rows profile the
 encrypted inter-GPU fabric: CC's serialized bridge waits on inline
-AES for both legs (encryption-bound); with the link speculator the
-AES legs all but vanish and ~98 % of blocked time is the bounce DMA
-(bridge-bound, the regime "The Serialized Bridge" names). Verdicts
-use the same stage classes and ordered rule as the fleet critical
-path, so `trace --attrib`, `dash` and post-mortems make the same
-call.""",
+AES for both legs; with the link speculator the AES legs all but
+vanish and ~98 % of blocked time is the bounce DMA (the regime "The
+Serialized Bridge" names). Both TP-2 runs are still compute-bound:
+the verdict reads seconds per class, the GPUs' busy seconds included,
+and the two GPUs outweigh the hops' waits — doubling GPU speed cuts
+each run more than doubling AES or PCIe does. Verdicts use the same
+stage classes and ordered rule as the fleet critical path, and
+`trace --attrib`, `dash` and the bench verdicts read the same
+seconds.""",
 }
 
 

@@ -139,12 +139,8 @@ def _profiled_flexgen(system, suite: SuiteScale, seed: int) -> Dict[str, Any]:
         result, runtime = run_flexgen(
             system, OPT_66B, shape, suite.flexgen_requests, suite.flexgen_requests
         )
-    hub = session.hubs[0]
     machine = runtime.machine
-    profile = profile_hub(
-        hub, horizon=machine.sim.now,
-        enc_bandwidth=machine.params.enc_bandwidth_per_thread,
-    )
+    profile = profile_hub(session.hubs[0])
     wire = machine.metrics.latencies.get("telemetry.h2d_wire_s")
     out: Dict[str, Any] = {
         "system": system.name,

@@ -323,11 +323,7 @@ def attribution_breakdown(scale="quick") -> ExperimentResult:
             _, runtime = run_flexgen(
                 system, OPT_66B, shape, FLEXGEN_BATCH, scale.flexgen_requests
             )
-            machine = runtime.machine
-            profile = profile_hub(
-                machine.telemetry,
-                enc_bandwidth=machine.params.enc_bandwidth_per_thread,
-            )
+            profile = profile_hub(runtime.machine.telemetry)
         _add_profile_row(system.name, profile)
 
     # Inter-GPU rows: the encrypted fabric's hop records attribute to
@@ -349,10 +345,7 @@ def attribution_breakdown(scale="quick") -> ExperimentResult:
                 )
             engine = TensorParallelEngine(machine, OPT_13B, batch=16)
             engine.run(output_tokens=2)
-            profile = profile_hub(
-                machine.telemetry,
-                enc_bandwidth=machine.params.enc_bandwidth_per_thread,
-            )
+            profile = profile_hub(machine.telemetry)
         _add_profile_row(
             name, profile,
             hit_rate=machine.interconnect.hit_rate(), net_saved=0.0,

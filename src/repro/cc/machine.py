@@ -77,7 +77,10 @@ class Machine:
         # disabled fast path is a single attribute check. It registers
         # under ``label`` (a fleet incarnation's name), so session
         # watchers see the name every export uses.
-        self.telemetry = TelemetryHub(sim=self.sim, label=label)
+        self.telemetry = TelemetryHub(
+            sim=self.sim, label=label,
+            enc_bandwidth=self.params.enc_bandwidth_per_thread,
+        )
         self.metrics = self.telemetry.metrics
         tracer = self.telemetry.tracer
         register_hub(self.telemetry)

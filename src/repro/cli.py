@@ -322,7 +322,7 @@ def _print_attrib(session, request_id: int, out) -> int:
 
     found = False
     for hub in session.hubs:
-        profile = profile_hub(hub, enc_bandwidth=None)
+        profile = profile_hub(hub)
         if not profile.requests:
             continue
         print(render_profile(profile), file=out)

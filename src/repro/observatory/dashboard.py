@@ -169,10 +169,7 @@ class Dashboard:
             )
 
         if hub.enabled and hub.requests:
-            profile = profile_hub(
-                hub, horizon=now,
-                enc_bandwidth=self.machine.params.enc_bandwidth_per_thread,
-            )
+            profile = profile_hub(hub)
             lines.append(
                 f"critical path: {profile.verdict}"
                 f"  ({render_class_shares(profile, 0)}"
@@ -249,11 +246,7 @@ def run_flexgen_dashboard(
         )
         result = engine.result
 
-    profile = profile_hub(
-        machine.telemetry,
-        horizon=machine.sim.now,
-        enc_bandwidth=machine.params.enc_bandwidth_per_thread,
-    )
+    profile = profile_hub(machine.telemetry)
     summary: Dict[str, Any] = {
         "system": system.name,
         "throughput_tok_s": result.throughput,

@@ -16,11 +16,11 @@ story at a glance:
 * per-stage blocking-time totals and shares (aggregate and per
   request),
 * a dominant-bottleneck **verdict** from the fleet's
-  :func:`~repro.tracing.critical_path.verdict` over the class shares,
-  with the GPU busy fraction as the ``compute`` share —
-  ``encryption-bound`` for the CC baseline, ``pcie-bound`` or
-  ``bridge-bound`` under PipeLLM (the AES wait hidden behind
-  speculation), ``compute-bound`` when the GPU is the busiest,
+  :func:`~repro.tracing.critical_path.verdict` over seconds per
+  attribution class, with GPU busy seconds as ``compute`` —
+  ``encryption-bound`` for the CC baseline, ``pcie-bound`` once
+  speculation hides the AES wait, ``compute-bound`` when the GPUs
+  outweigh every wait,
 * **speculation accounting**: encryption seconds moved off the
   critical path by staged hits versus seconds wasted pre-encrypting
   chunks that were later invalidated, plus NOP-padding overhead.
@@ -144,8 +144,9 @@ class AttributionProfile:
     #: Stage → total blocked seconds across all requests.
     totals: Dict[str, float]
     speculation: SpeculationAccount
-    #: GPU busy fraction over the horizon (0.0 when no tracer spans).
-    gpu_busy_fraction: float = 0.0
+    #: GPU busy seconds over the horizon, summed over every GPU lane
+    #: (0.0 when no tracer spans).
+    compute_s: float = 0.0
 
     @property
     def total_blocked_s(self) -> float:
@@ -155,16 +156,17 @@ class AttributionProfile:
         total = self.total_blocked_s
         return self.totals.get(stage, 0.0) / total if total > 0 else 0.0
 
-    def class_shares(self) -> Dict[str, float]:
-        """Share of blocked time per attribution class."""
-        total = self.total_blocked_s
-        by_class = class_totals(self.totals.items()) if total > 0 else {}
-        return {cls: seconds / total for cls, seconds in by_class.items()}
+    def by_class(self) -> Dict[str, float]:
+        """Seconds per attribution class: blocked time plus GPU busy time."""
+        seconds = class_totals(self.totals.items())
+        if self.compute_s > 0:
+            seconds["compute"] = seconds.get("compute", 0.0) + self.compute_s
+        return seconds
 
     @property
     def verdict(self) -> str:
         """Dominant-bottleneck call, reproducing the Fig. 2 regimes."""
-        return verdict({**self.class_shares(), "compute": self.gpu_busy_fraction})
+        return verdict(self.by_class())
 
     def latency_percentiles(self) -> Dict[str, float]:
         latencies = [r.total for r in self.requests]
@@ -210,9 +212,9 @@ def profile_hub(
     """Profile every completed request recorded on ``hub``.
 
     ``horizon`` (defaults to the hub's simulated now, else the last
-    completion) scales the GPU-busy fraction; ``enc_bandwidth`` (the
-    machine's one-thread AES rate, B/s) prices the speculation
-    account.
+    completion) clips each GPU lane's busy seconds; ``enc_bandwidth``
+    (one-thread AES rate, B/s; defaults to the hub's) prices the
+    speculation account.
     """
     requests = [
         attribution
@@ -231,15 +233,17 @@ def profile_hub(
             horizon = max(r.complete_time for r in requests)
         else:
             horizon = 0.0
-    gpu_busy = hub.tracer.busy_time("gpu")
-    gpu_fraction = min(1.0, gpu_busy / horizon) if horizon and horizon > 0 else 0.0
+    gpu_busy: Dict[str, float] = {}
+    for span in hub.tracer.spans:
+        if span.lane.rstrip("0123456789") == "gpu":  # gpu, gpu1, gpu2, ...
+            gpu_busy[span.lane] = gpu_busy.get(span.lane, 0.0) + span.duration
 
     return AttributionProfile(
         label=hub.label,
         requests=requests,
         totals=totals,
-        speculation=_speculation_account(hub, enc_bandwidth),
-        gpu_busy_fraction=gpu_fraction,
+        speculation=_speculation_account(hub, enc_bandwidth or hub.enc_bandwidth),
+        compute_s=sum(min(horizon, busy) for busy in gpu_busy.values()),
     )
 
 
@@ -252,11 +256,12 @@ def _bar(fraction: float, width: int = 28) -> str:
 
 
 def render_class_shares(profile: AttributionProfile, digits: int) -> str:
-    """``aes 88.0% / pcie 12.0%``: class shares in verdict order."""
-    shares = profile.class_shares()
+    """``aes 88.0% / pcie 12.0%``: shares of the verdict's class seconds."""
+    seconds = profile.by_class()
+    total = sum(seconds.values()) or 1.0
     return " / ".join(
-        f"{cls} {100 * shares[cls]:.{digits}f}%"
-        for cls, _ in CLASS_VERDICTS if cls in shares
+        f"{cls} {100 * seconds[cls] / total:.{digits}f}%"
+        for cls, _ in CLASS_VERDICTS if cls in seconds
     )
 
 
@@ -298,8 +303,7 @@ def render_profile(profile: AttributionProfile) -> str:
         f"critical-path profile: {profile.label or 'machine'}"
         f"  ({len(profile.requests)} requests,"
         f" {profile.total_blocked_s * 1e3:.3f} ms blocked)",
-        f"verdict: {profile.verdict}  ({render_class_shares(profile, 1)}"
-        f" / gpu busy {100 * profile.gpu_busy_fraction:.1f}%)",
+        f"verdict: {profile.verdict}  ({render_class_shares(profile, 1)})",
     ]
     for stage in sorted(profile.totals, key=lambda s: s == "other"):
         share = profile.share(stage)

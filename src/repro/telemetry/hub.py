@@ -141,11 +141,17 @@ class TelemetryHub:
     * ``requests`` — per-request lifecycle records, ditto.
     """
 
-    def __init__(self, sim=None, enabled: bool = False, label: str = "") -> None:
+    def __init__(
+        self, sim=None, enabled: bool = False, label: str = "",
+        enc_bandwidth: Optional[float] = None,
+    ) -> None:
         self.sim = sim
         self.metrics = MetricSet()
         self.tracer = SpanTracer(enabled=enabled)
         self.label = label
+        #: The owner's one-thread AES rate (B/s), which prices the
+        #: profiler's speculation account; None off a machine.
+        self.enc_bandwidth = enc_bandwidth
         self.events: List[TelemetryEvent] = []
         self.requests: List[RequestRecord] = []
         self.dropped_events = 0

@@ -109,9 +109,9 @@ def class_totals(stage_seconds: Iterable[Tuple[str, float]]) -> Dict[str, float]
 
 
 def verdict(by_class: Mapping[str, float]) -> str:
-    """Ordered argmax over :data:`CLASS_VERDICTS` of time (or shares)
-    per class: ties break toward the earlier entry; ``"idle"`` when
-    nothing was attributed."""
+    """Ordered argmax over :data:`CLASS_VERDICTS` of seconds per class:
+    ties break toward the earlier entry; ``"idle"`` when nothing was
+    attributed."""
     call, best = "idle", 0.0
     for cls, cls_verdict in CLASS_VERDICTS:
         seconds = by_class.get(cls, 0.0)

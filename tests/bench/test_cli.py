@@ -169,6 +169,14 @@ class TestTraceAttrib:
             run_cli("trace", "fig2", "--max-events", "-1")
         assert exc.value.code == 2
 
+    def test_speculation_is_priced_at_the_machines_aes_rate(self):
+        code, text = run_cli("trace", "attrib", "--attrib", "-1")
+        assert code == 0
+        pipellm = text[text.index("critical-path profile: PipeLLM "):]
+        spec = next(line for line in pipellm.splitlines() if "speculation:" in line)
+        saved_ms = float(spec.split("saved ")[1].split(" ms")[0])
+        assert saved_ms > 0, spec
+
     def test_missing_request_id_fails(self):
         code, text = run_cli("trace", "fig2", "--attrib", "999999")
         assert code == 1

@@ -52,7 +52,7 @@ class TestSyntheticFixtures:
         profile = profile_hub(synthetic_hub([record]))
         assert profile.verdict == "encryption-bound"
         assert profile.totals == {"encrypt": 8e-3, "pcie": 2e-3}
-        assert profile.class_shares()["aes"] == 0.8
+        assert profile.by_class() == {"aes": 8e-3, "pcie": 2e-3}
 
     def test_pcie_bound_fixture_exact(self):
         # Staged hit: only transfer stages block, AES is off-path.
@@ -62,7 +62,7 @@ class TestSyntheticFixtures:
         record.mark_stage("pcie", 1e-3, 5e-3)
         profile = profile_hub(synthetic_hub([record]))
         assert profile.verdict == "pcie-bound"
-        assert profile.class_shares() == {"pcie": 1.0}
+        assert profile.by_class() == {"pcie": profile.total_blocked_s}
         assert profile.totals["pcie"] == 4e-3
 
     def test_interconnect_is_bridge_bound(self):
@@ -73,7 +73,7 @@ class TestSyntheticFixtures:
         record.mark_stage("decrypt", 9e-3, 10e-3)
         profile = profile_hub(synthetic_hub([record]))
         assert profile.verdict == "bridge-bound"
-        assert set(profile.class_shares()) == {"aes", "bridge"}
+        assert set(profile.by_class()) == {"aes", "bridge"}
 
     def test_residual_lands_in_other(self):
         record = make_record(complete=10e-3)
@@ -103,8 +103,21 @@ class TestSyntheticFixtures:
         hub.tracer.enabled = True
         hub.tracer.record("gpu", "matmul", 0.0, 0.9)
         profile = profile_hub(hub, horizon=1.0)
-        assert profile.gpu_busy_fraction == 0.9
+        assert profile.compute_s == 0.9
+        assert profile.by_class()["compute"] == 0.9
         assert profile.verdict == "compute-bound"
+
+    def test_compute_sums_every_gpu_lane_clipped_to_the_horizon(self):
+        record = make_record(complete=1e-3)
+        record.mark_stage("pcie", 0.0, 1e-3)
+        hub = synthetic_hub([record])
+        hub.tracer.record("gpu", "compute", 0.0, 0.25)
+        hub.tracer.record("gpu1", "compute", 0.0, 0.5)
+        hub.tracer.record("gpu1", "compute", 0.5, 1.5)
+        hub.tracer.record("gpu0.link.0-1.up", "xfer", 0.0, 0.75)
+        profile = profile_hub(hub, horizon=1.0)
+        assert profile.compute_s == 0.25 + 1.0
+        assert profile.by_class() == {"pcie": 1e-3, "compute": 1.25}
 
     def test_speculation_account(self):
         hit = make_record(request_id=0, size=1000, complete=1e-3, outcome="hit_now")
@@ -118,6 +131,10 @@ class TestSyntheticFixtures:
         assert profile.speculation.misses == 1
         assert profile.speculation.hit_rate == 0.5
         assert profile.speculation.saved_s == 1000 / 1e6
+        # Without the argument, the hub's own AES rate prices the account.
+        hub = synthetic_hub([hit, miss])
+        hub.enc_bandwidth = 2e6
+        assert profile_hub(hub).speculation.saved_s == 1000 / 2e6
 
 
 class TestAttributionInvariant:
@@ -179,7 +196,8 @@ class TestRealRuns:
         profile = self.run_profiled(CC)
         self.assert_invariant(profile)
         assert profile.verdict == "encryption-bound"
-        assert profile.class_shares()["aes"] > 0.5
+        by_class = profile.by_class()
+        assert by_class["aes"] > 0.5 * sum(by_class.values())
 
     def test_pipellm_is_not_encryption_bound(self):
         profile = self.run_profiled(pipellm(8, 2))

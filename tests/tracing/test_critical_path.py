@@ -322,13 +322,16 @@ def test_parallel_interconnect_hops_get_root_traces():
     assert fleet.total_s > 0
 
 
-@pytest.mark.parametrize("speculate,expected", [
+@pytest.mark.parametrize("speculate,hop_verdict", [
     (False, "encryption-bound"),
     (True, "bridge-bound"),
 ])
-def test_profiler_and_fleet_attribution_agree_on_tp2(speculate, expected):
-    """The per-machine profiler and the fleet critical path make the
-    same bottleneck call on one TP-2 run: one vocabulary, one verdict."""
+def test_tp2_verdicts_machine_vs_hops(speculate, hop_verdict):
+    """On one TP-2 run the per-machine profiler counts both GPUs' busy
+    seconds and calls the run compute-bound, as the what-if oracle
+    does (doubling GPU speed helps most). The fleet critical path over
+    the hop traces, which carry no compute, still names the link: the
+    serialized bridge's AES under CC, its DMA legs under PipeLLM."""
     from repro.cc import CcMode, build_machine
     from repro.models import OPT_13B
     from repro.observatory import profile_hub
@@ -344,10 +347,8 @@ def test_profiler_and_fleet_attribution_agree_on_tp2(speculate, expected):
                 LinkSpeculator(lambda: machine.sim.now)
             )
         TensorParallelEngine(machine, OPT_13B, batch=16).run(output_tokens=2)
-        profile = profile_hub(
-            machine.telemetry,
-            enc_bandwidth=machine.params.enc_bandwidth_per_thread,
-        )
+        profile = profile_hub(machine.telemetry)
     (col,) = session.collectors
     fleet = fleet_attribution(extract_traces(col))
-    assert profile.verdict == fleet.verdict == expected
+    assert profile.verdict == "compute-bound"
+    assert fleet.verdict == hop_verdict
