@@ -13,7 +13,7 @@ and streams a weight-swap loop through the storm. Shows:
    the miss rate crosses the threshold, then probing its way back to
    speculation once the storm window closes;
 3. the degradation table the full campaign sweeps
-   (``python -m repro faults``).
+   (``python -m repro run faults``).
 
 Run:  python examples/fault_injection.py
 """

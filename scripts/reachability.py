@@ -10,12 +10,13 @@ The probe drives every front door in one process under a global
 only; about 3.3x the untraced run time):
 
 * every ``python -m repro`` subcommand at quick/smoke size: ``list``,
-  ``systems``, ``run``, ``claims --json`` (as CI's scorecard runs it),
-  ``faults --json``, ``parallel --json``, ``bench`` (write,
-  ``--compare``, ``--candidate``), ``trace`` (every experiment, all four formats,
-  ``--attrib``), ``postmortem``, ``dash`` (FlexGen and ``--serve``)
-  and the single-run ``cluster``/``serve``/``disagg`` modes under
-  each policy, system, admission and crash kind;
+  ``systems``, ``run`` (text and ``--json``), ``claims --json`` (as
+  CI's scorecard runs it), ``bench`` (write, ``--compare``,
+  ``--candidate``), ``trace`` (every experiment, all four formats,
+  ``--attrib``), ``postmortem``,
+  ``dash`` (FlexGen and ``--serve``) and the single-run
+  ``cluster``/``serve``/``disagg`` commands under each policy, system,
+  admission, crash kind and a hardware pack;
 * every ``examples/*.py`` script, run as ``__main__``;
 * the ``node``/``serve``/``disagg``/``storm`` workloads of
   ``benchmarks/perf/workloads.py`` at their default sizes.
@@ -208,9 +209,8 @@ def targets(workdir: Path) -> Dict[str, Callable[[], None]]:
         "cli:list": _cli("list"),
         "cli:systems": _cli("systems"),
         "cli:run": _cli("run", "fig2"),
+        "cli:run-json": _cli("run", "fig2", "--json"),
         "cli:claims": _cli("claims", "--json"),
-        "cli:faults": _cli("faults", "--json"),
-        "cli:parallel": _cli("parallel", "--json"),
         "cli:bench": _bench(workdir),
         "cli:trace-experiments": _trace_every_experiment,
     }

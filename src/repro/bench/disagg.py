@@ -17,7 +17,7 @@ inline:
   migration penalty at its achieved hit rate, with zero IV reuse
   across every link (the fleet-wide audit raises on any violation);
 * **packs** — the same migration plane under the named hardware
-  calibrations (``--hw-pack``): the CC-serialized bridge stays
+  calibrations (``get_params(pack)``): the CC-serialized bridge stays
   expensive across GPU generations while the staged path tracks each
   pack's DMA bandwidth;
 * **stress / failover** — a hot-tenant, long-prompt, short-output
@@ -35,7 +35,7 @@ from ..cluster.routing import AffinityPolicy
 from ..core import DisaggConfig
 from ..disagg import DisaggCluster, run_disagg
 from ..faults import FaultPlan
-from ..hw import pack_names
+from ..hw import get_params, pack_names
 from ..telemetry import recording
 from ..tracing import extract_traces, fleet_attribution
 from ..workloads import TraceSpec
@@ -173,11 +173,10 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     pack_chunk = {}
     for pack in pack_names():
         for system in ("cc", "pipellm"):
-            config = DisaggConfig(
-                prefill_workers=1, decode_workers=2, system=system,
-                hw_pack=pack,
-            )
-            run = run_disagg(config, rate=1.0, duration=4.0, tenants=2)
+            config = DisaggConfig(prefill_workers=1, decode_workers=2,
+                                  system=system)
+            run = run_disagg(config, rate=1.0, duration=4.0, tenants=2,
+                             params=get_params(pack))
             run.check(f"pack {pack} {system}")
             pack_chunk[(pack, system)] = run.migration_s_per_chunk
             result.add_row(**_row(run, f"pack:{pack}", "1p+2d", 1.0))

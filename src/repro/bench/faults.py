@@ -1,4 +1,4 @@
-"""The fault-injection degradation campaign (``repro faults``).
+"""The fault-injection degradation campaign (``repro run faults``).
 
 One workload — FlexGen model offloading on OPT-66B, the traffic whose
 speculation the fault plane attacks hardest — swept across fault rates

@@ -1,4 +1,4 @@
-"""The multi-GPU parallelism campaign (``repro parallel``).
+"""The multi-GPU parallelism campaign (``repro run parallel``).
 
 Reproduces the serialized-bridge shape on inter-GPU traffic: with GPU
 confidential computing enabled, peer-to-peer DMA is forbidden and

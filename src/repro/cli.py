@@ -16,16 +16,11 @@ Commands:
 * ``cluster [--replicas N --policy P --fail-at T]`` — serve a
   multi-tenant Poisson workload on N confidential replicas behind the
   encrypted-session gateway and print the throughput/latency summary.
-* ``serve [--rate RPS]`` — the online-serving front end: without
-  ``--rate``, sweep the latency-vs-offered-load frontier per system ×
-  admission policy; with ``--rate``, one OpenAI-style streaming run
-  with per-request TTFT/TPOT and SLO accounting.
-* ``disagg [--scale ...]`` — disaggregated prefill/decode serving
-  with live encrypted KV-cache migration: without ``--rate``, the
-  full campaign (frontier vs monolithic, speculation recovery,
-  hardware packs, hot-link stress verdicts, crash-mid-migration
-  failover, mispredict storm); with ``--rate`` (or ``--hw-pack``),
-  one summary run under a named hardware calibration.
+* ``serve [--rate RPS]`` — one OpenAI-style streaming run over the
+  confidential cluster with per-request TTFT/TPOT and SLO accounting.
+* ``disagg [--rate RPS --hw-pack PACK]`` — one disaggregated
+  prefill/decode run with live encrypted KV-cache migration under a
+  named hardware calibration.
 * ``bench [--suite standard|smoke] [--out F] [--compare [BASE]]`` —
   the continuous benchmark harness: run the pinned-seed suite, write a
   schema-versioned ``BENCH_<n>.json`` artifact, and/or diff two
@@ -41,10 +36,12 @@ Commands:
   time. ``--serve`` drives an online serving run over the cluster
   instead, adding the TTFT/TPOT panel.
 
+Registry experiments — the ``serve`` frontier and ``disagg`` campaign
+included — run only through ``run``, ``all`` and ``trace``.
+
 ``run``, ``all``, ``trace``, ``cluster``, ``serve``, ``disagg``,
-``faults``, ``parallel``, ``postmortem``, ``bench`` and ``dash``
-accept ``--seed N`` to override every workload generator's RNG seed
-process-wide.
+``postmortem``, ``bench`` and ``dash`` accept ``--seed N`` to override
+every workload generator's RNG seed process-wide.
 """
 
 from __future__ import annotations
@@ -59,7 +56,8 @@ from typing import List, Optional
 from .bench import EXPERIMENTS
 from .bench.continuous import SUITES
 from .bench.experiments import SCALES
-from .hw import pack_names as hw_pack_names
+from .core.config import CLUSTER_POLICIES, FLEET_SYSTEMS
+from .hw import get_params, pack_names as hw_pack_names
 from .sim import set_default_seed
 
 __all__ = ["main"]
@@ -104,10 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve a multi-tenant workload on N confidential replicas",
     )
     cluster.add_argument("--replicas", type=int, default=2, metavar="N")
-    cluster.add_argument("--policy",
-                         choices=("round-robin", "least-loaded", "affinity"),
+    cluster.add_argument("--policy", choices=CLUSTER_POLICIES,
                          default="least-loaded")
-    cluster.add_argument("--system", choices=("pipellm", "cc", "native"),
+    cluster.add_argument("--system", choices=FLEET_SYSTEMS,
                          default="pipellm", help="per-replica runtime")
     cluster.add_argument("--rate", type=float, default=4.0, metavar="RPS",
                          help="Poisson arrival rate (requests/s)")
@@ -123,15 +120,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="emit the run summary as JSON")
 
     serve = sub.add_parser(
-        "serve", parents=[scale, seed],
-        help="online-serving front end over the confidential cluster",
+        "serve", parents=[seed],
+        help="one online-serving run over the confidential cluster",
     )
-    serve.add_argument("--rate", type=float, default=None, metavar="RPS",
-                       help="offered load for one streaming run (omit to "
-                            "sweep the full frontier)")
+    serve.add_argument("--rate", type=float, default=4.0, metavar="RPS",
+                       help="offered load (requests/s)")
     serve.add_argument("--duration", type=float, default=5.0, metavar="S",
-                       help="arrival window for a single run (simulated s)")
-    serve.add_argument("--system", choices=("pipellm", "cc", "native"),
+                       help="arrival window (simulated seconds)")
+    serve.add_argument("--system", choices=FLEET_SYSTEMS,
                        default="pipellm", help="per-replica runtime")
     serve.add_argument("--admission", choices=("slo", "fifo"), default="slo",
                        help="admission policy in front of the gateway")
@@ -143,31 +139,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="crash one replica at simulated time T")
     serve.add_argument("--recover-after", type=float, default=5.0, metavar="S")
     serve.add_argument("--json", action="store_true",
-                       help="emit the run summary (or frontier rows) as JSON")
+                       help="emit the run summary as JSON")
 
     disagg = sub.add_parser(
-        "disagg", parents=[scale, seed],
-        help="disaggregated prefill/decode serving with live encrypted "
+        "disagg", parents=[seed],
+        help="one disaggregated prefill/decode run with live encrypted "
              "KV-cache migration",
     )
-    disagg.add_argument("--rate", type=float, default=None, metavar="RPS",
-                        help="offered load for one summary run (omit to "
-                             "run the full campaign)")
+    disagg.add_argument("--rate", type=float, default=4.0, metavar="RPS",
+                        help="offered load (requests/s)")
     disagg.add_argument("--duration", type=float, default=8.0, metavar="S",
-                        help="arrival window for a single run (simulated s)")
-    disagg.add_argument("--system", choices=("pipellm", "cc", "native"),
+                        help="arrival window (simulated seconds)")
+    disagg.add_argument("--system", choices=FLEET_SYSTEMS,
                         default="pipellm", help="per-worker runtime")
-    disagg.add_argument("--hw-pack", choices=hw_pack_names(), default=None,
-                        metavar="PACK", dest="hw_pack",
-                        help="named hardware calibration for a single run "
-                             "(h100-cc, b300-cc, cpu-tee); implies "
-                             "single-run mode")
+    disagg.add_argument("--hw-pack", choices=hw_pack_names(),
+                        default="h100-cc", metavar="PACK", dest="hw_pack",
+                        help="named hardware calibration (h100-cc, "
+                             "b300-cc, cpu-tee)")
     disagg.add_argument("--prefill", type=int, default=1, metavar="N",
                         help="prefill workers (0 = monolithic baseline)")
     disagg.add_argument("--decode", type=int, default=3, metavar="N",
                         help="decode workers")
-    disagg.add_argument("--policy",
-                        choices=("round-robin", "least-loaded", "affinity"),
+    disagg.add_argument("--policy", choices=CLUSTER_POLICIES,
                         default="affinity", help="decode placement policy")
     disagg.add_argument("--tenants", type=int, default=4, metavar="N")
     disagg.add_argument("--fail-at", type=float, default=None, metavar="T",
@@ -179,21 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="S", help="crash-to-recovery delay "
                         "(0 = stays down)")
     disagg.add_argument("--json", action="store_true",
-                        help="emit the run summary (or campaign rows) as JSON")
-
-    faults = sub.add_parser(
-        "faults", parents=[scale, seed],
-        help="fault-injection campaign: degradation table across storm rates",
-    )
-    faults.add_argument("--json", action="store_true",
-                        help="emit the result rows as JSON")
-
-    par = sub.add_parser(
-        "parallel", parents=[scale, seed],
-        help="multi-GPU scaling campaign over the encrypted interconnect",
-    )
-    par.add_argument("--json", action="store_true",
-                     help="emit the result rows as JSON")
+                        help="emit the run summary as JSON")
 
     trace = sub.add_parser(
         "trace", parents=[scale, seed],
@@ -579,14 +558,9 @@ def _run_cluster(args, out, parser) -> int:
 
 
 def _run_disagg(args, out, parser) -> int:
-    if args.rate is None and args.hw_pack is None:
-        _run_one("disagg", args.scale, out, as_json=args.json)
-        return 0
-
     from .core import DisaggConfig
     from .disagg import DisaggCluster
 
-    rate = args.rate if args.rate is not None else 4.0
     started = time.time()
     with _usage_errors(parser):
         cluster = DisaggCluster(DisaggConfig(
@@ -594,26 +568,21 @@ def _run_disagg(args, out, parser) -> int:
             decode_workers=args.decode,
             system=args.system,
             decode_policy=args.policy,
-            hw_pack=args.hw_pack,
             fail_at=args.fail_at,
             fail_kind=args.fail_kind,
             fail_index=args.fail_index,
             recover_after=args.recover_after,
-        ))
-        requests = cluster.workload(rate, args.duration, tenants=args.tenants)
+        ), params=get_params(args.hw_pack))
+        requests = cluster.workload(args.rate, args.duration, tenants=args.tenants)
     return _print_summary(
         "disagg",
-        f"pack={args.hw_pack or 'h100-cc'}, rate={rate:g} req/s, "
+        f"pack={args.hw_pack}, rate={args.rate:g} req/s, "
         f"{args.tenants} tenants",
         cluster.run(requests), started, out, args.json,
     )
 
 
 def _run_serve(args, out, parser) -> int:
-    if args.rate is None:
-        _run_one("serve", args.scale, out, as_json=args.json)
-        return 0
-
     from .bench.serve import serve_config
     from .serve import LoadSpec, run_serve
     from .workloads import ALPACA_SERVE, SHAREGPT_SERVE
@@ -678,9 +647,6 @@ def _dispatch(args, out, parser: argparse.ArgumentParser) -> int:
         for name in EXPERIMENTS:
             _run_one(name, args.scale, out)
             print(file=out)
-        return 0
-    if args.command in ("faults", "parallel"):
-        _run_one(args.command, args.scale, out, as_json=args.json)
         return 0
     if args.command == "trace":
         return _run_trace(args, out)

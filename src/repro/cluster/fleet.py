@@ -162,8 +162,11 @@ class FleetResult:
         return out
 
     def check(self, where: str) -> None:
-        """Raise unless the ledger closes: every offered request
-        completed or shed, none left unfinished."""
+        """Raise unless the ledger closes — every offered request
+        completed or shed, none left unfinished — and no GCM tag
+        failed to validate."""
+        if self.auth_failures:
+            raise AssertionError(f"{where}: {self.auth_failures} auth failures")
         if self.unfinished:
             raise AssertionError(f"{where}: {self.unfinished} requests unfinished")
         if self.completed + self.shed != self.offered:

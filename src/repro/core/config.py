@@ -59,6 +59,10 @@ class PipeLLMConfig:
 #: by :mod:`repro.cluster.routing`).
 CLUSTER_POLICIES = ("round-robin", "least-loaded", "affinity")
 
+#: Per-machine runtimes a fleet can run: speculative PipeLLM, inline
+#: CC, or CC off (the w/o-CC baseline).
+FLEET_SYSTEMS = ("pipellm", "cc", "native")
+
 
 @dataclass
 class ClusterConfig:
@@ -109,7 +113,7 @@ class ClusterConfig:
             raise ValueError(
                 f"unknown policy {self.policy!r}; choose from {CLUSTER_POLICIES}"
             )
-        if self.system not in ("pipellm", "cc", "native"):
+        if self.system not in FLEET_SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
@@ -147,9 +151,6 @@ class DisaggConfig:
     decode_policy: str = "affinity"
     #: GPU bytes reserved away from each decode worker's KV pool.
     reserve_bytes: int = 4 << 30
-    #: Named hardware parameter pack (``repro.hw.get_params``); None
-    #: uses the default H100-CC calibration.
-    hw_pack: Optional[str] = None
     #: Simulated time at which one worker crashes (None = no fault).
     fail_at: Optional[float] = None
     #: Which pool the fault hits: "prefill" or "decode".
@@ -171,7 +172,7 @@ class DisaggConfig:
             raise ValueError("prefill_workers must be >= 0")
         if self.decode_workers < 1:
             raise ValueError("decode_workers must be >= 1")
-        if self.system not in ("pipellm", "cc", "native"):
+        if self.system not in FLEET_SYSTEMS:
             raise ValueError(f"unknown system {self.system!r}")
         if self.decode_policy not in CLUSTER_POLICIES:
             raise ValueError(

@@ -46,20 +46,6 @@ def iv_from_counter(counter: int) -> bytes:
     return counter.to_bytes(12, "big")
 
 
-def _ghash_mul(x: int, h: int) -> int:
-    """Multiply two elements of GF(2^128) per SP 800-38D §6.3."""
-    z = 0
-    v = h
-    for i in range(127, -1, -1):
-        if (x >> i) & 1:
-            z ^= v
-        if v & 1:
-            v = (v >> 1) ^ _R
-        else:
-            v >>= 1
-    return z
-
-
 def _int_from_block(block: bytes) -> int:
     return int.from_bytes(block, "big")
 

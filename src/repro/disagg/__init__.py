@@ -6,7 +6,7 @@ them as a speculatively pipelined AES-GCM chunk stream — PipeLLM's
 §5.1 machinery applied to the one transfer disaggregation cannot
 avoid. See :mod:`repro.disagg.cluster` for the orchestration entry
 point (:func:`run_disagg`) and :mod:`repro.bench.disagg` for the
-acceptance campaign behind ``python -m repro disagg``.
+acceptance campaign behind ``python -m repro run disagg``.
 """
 
 from .cluster import DisaggCluster, DisaggResult, run_disagg

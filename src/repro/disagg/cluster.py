@@ -26,7 +26,7 @@ from typing import List, Optional
 from ..cluster import CLUSTER_TRACE, Fleet, FleetResult
 from ..core import DisaggConfig
 from ..crypto import hkdf
-from ..hw import HardwareParams, get_params
+from ..hw import HardwareParams, default_params
 from ..models import KvGeometry, OPT_13B, ModelSpec
 from ..sim import default_seed
 from ..workloads import Request, TraceSpec
@@ -85,7 +85,7 @@ class DisaggCluster(Fleet):
     ) -> None:
         super().__init__(config)
         self.spec = spec
-        self.params = params or get_params(config.hw_pack or "h100-cc")
+        self.params = params or default_params()
         self.geometry = KvGeometry(spec)
         self.prefill_pool = self._spawn(
             PrefillWorker, config.prefill_workers, spec, self.params

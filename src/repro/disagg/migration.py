@@ -54,6 +54,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.config import FLEET_SYSTEMS
 from ..core.speculate import StreamSpeculator
 from ..crypto import derive_link_session
 from ..hw import MB, HardwareParams
@@ -158,7 +159,7 @@ class MigrationFabric:
         audit=None,
         faults=None,
     ) -> None:
-        if system not in ("native", "cc", "pipellm"):
+        if system not in FLEET_SYSTEMS:
             raise ValueError(f"unknown migration system {system!r}")
         self.sim = sim
         self.fleet_key = bytes(fleet_key)

@@ -15,7 +15,7 @@ forbidden and every inter-GPU hop bounces through CPU AES-GCM
 * :class:`PipelineParallelEngine` — GPipe/1F1B microbatching (the
   compute-bound contrast).
 
-Run the campaign with ``python -m repro parallel``.
+Run the campaign with ``python -m repro run parallel``.
 """
 
 from .collectives import Communicator, ParallelResult, decode_ints, encode_ints

@@ -135,6 +135,30 @@ class TestServeCommand:
         assert doc["admission"] == "fifo"
 
 
+class TestOneDoorPerRun:
+    @pytest.mark.parametrize("command", ["faults", "parallel"])
+    def test_campaign_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_serve_without_rate_is_one_run_at_4_rps(self):
+        import json
+
+        code, text = run_cli("serve", "--duration", "2", "--json")
+        assert code == 0
+        assert json.loads(text)["rate_rps"] == 4.0
+
+    def test_disagg_hw_pack_is_one_run(self):
+        import json
+
+        code, text = run_cli("disagg", "--hw-pack", "cpu-tee", "--json")
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["completed"] + doc["shed"] == doc["offered"] > 0
+
+
 class TestSingleRunOptions:
     @pytest.mark.parametrize("argv", [
         ("cluster", "--replicas", "0"),

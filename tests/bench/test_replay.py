@@ -53,12 +53,12 @@ class TestReplay:
         assert first == second
 
     def test_fault_campaign_replays_identically(self):
-        first, second = twice("faults", "--seed", "7", "--json")
+        first, second = twice("run", "faults", "--seed", "7", "--json")
         assert first == second
 
     @pytest.mark.slow
     def test_parallel_campaign_replays_identically(self):
-        first, second = twice("parallel", "--seed", "13", "--json")
+        first, second = twice("run", "parallel", "--seed", "13", "--json")
         assert first == second
 
     def test_serve_replays_identically(self):
@@ -156,12 +156,12 @@ class TestOracleReplay:
         assert default == oracle
 
     def test_faults(self):
-        default, oracle = self.against_oracles("faults", "--seed", "7", "--json")
+        default, oracle = self.against_oracles("run", "faults", "--seed", "7", "--json")
         assert default == oracle
 
     @pytest.mark.slow
     def test_parallel(self):
-        default, oracle = self.against_oracles("parallel", "--seed", "13", "--json")
+        default, oracle = self.against_oracles("run", "parallel", "--seed", "13", "--json")
         assert default == oracle
 
     def test_serve(self):

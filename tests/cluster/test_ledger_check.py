@@ -1,9 +1,10 @@
 """The one ledger-closure check every fleet result carries.
 
 :meth:`FleetResult.check` raises unless every offered request was
-completed or shed and none is left unfinished. A drained run passes; a
-run cut short with ``until=`` and a result whose counts do not add up
-must both raise.
+completed or shed, none is left unfinished and no GCM tag failed to
+validate. A drained run passes; a run cut short with ``until=``, a
+result whose counts do not add up and one with an auth failure must
+all raise.
 """
 
 import dataclasses
@@ -39,3 +40,11 @@ def test_a_ledger_that_does_not_add_up_raises():
     assert result.unfinished == 0
     with pytest.raises(AssertionError, match="lost: .* resolved of .* offered"):
         result.check("lost")
+
+
+def test_an_auth_failure_breaks_the_acceptance_invariant():
+    drained = _run()
+    assert drained.auth_failures == 0
+    result = dataclasses.replace(drained, auth_failures=1)
+    with pytest.raises(AssertionError, match="tampered: 1 auth failures"):
+        result.check("tampered")

@@ -4,6 +4,7 @@ from repro.bench.disagg import STRESS_TRACE
 from repro.cluster.routing import AffinityPolicy
 from repro.core import DisaggConfig
 from repro.disagg import DisaggCluster, run_disagg
+from repro.hw import get_params
 
 
 class TestDisaggServing:
@@ -111,8 +112,8 @@ class TestDeterminism:
 
 class TestHardwarePacks:
     def test_pack_selects_the_calibration(self):
-        slow = DisaggCluster(DisaggConfig(hw_pack="cpu-tee"))
-        fast = DisaggCluster(DisaggConfig(hw_pack="b300-cc"))
+        slow = DisaggCluster(DisaggConfig(), params=get_params("cpu-tee"))
+        fast = DisaggCluster(DisaggConfig(), params=get_params("b300-cc"))
         default = DisaggCluster(DisaggConfig())
         assert slow.params.gpu.flops < default.params.gpu.flops
         assert fast.params.gpu.flops > default.params.gpu.flops
