@@ -126,23 +126,20 @@ class Replica(ContinuousBatcher, Incarnation):
 
         Runs only when nothing is running (all blocks reclaimable), so
         an admission/resume failure here means the group exceeds the
-        *total* budget — waiting cannot help. The gateway re-routes or
-        sheds it.
+        *total* budget (less the resume watermark, for a swapped group)
+        — waiting cannot help. The gateway re-routes or sheds it.
         """
         state = self.state
-
-        def too_big(group: SequenceGroup) -> bool:
-            return group.blocks_held(self.geometry) > self.blocks.free_blocks
-
-        if state.swapped and too_big(state.swapped[-1]):
+        if state.swapped and not self._can_resume(state.swapped[-1]):
             group = state.swapped.pop()
             self.blocks.free_owner(group.owner)
             if group.swap_region is not None:
                 self.machine.host_memory.free(group.swap_region)
                 group.swap_region = None
             self.gateway.on_reject(group.creq, self, "kv-budget")
-        elif state.waiting and too_big(state.waiting[0]):
-            self.gateway.on_reject(state.waiting.pop(0).creq, self, "kv-budget")
+        elif state.waiting:
+            if not self.blocks.can_allocate(state.waiting[0].blocks_held(self.geometry)):
+                self.gateway.on_reject(state.waiting.pop(0).creq, self, "kv-budget")
 
     # -- what the replica declares to the batching core ------------------
 

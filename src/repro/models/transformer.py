@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..sim import mean
 from .specs import ModelSpec
 
 __all__ = ["LayerWork", "TransformerCostModel"]
@@ -78,9 +77,13 @@ class TransformerCostModel:
             work = self.prefill(prefill_tokens)
             flops += work.flops
             bytes_touched += work.bytes_touched
-        decode_seqs = sum(r.request.parallel_n for r in decode)
+        decode_seqs = context = 0
+        for r in decode:
+            decode_seqs += r.request.parallel_n
+            context += r.context_len()
         if decode_seqs:
-            work = self.decode_step(decode_seqs, mean([float(r.context_len()) for r in decode]))
+            # One exact integer sum, divided once: the mean of the floats.
+            work = self.decode_step(decode_seqs, context / len(decode))
             flops += work.flops
             bytes_touched += work.bytes_touched
         return LayerWork(flops, bytes_touched, layers=self.spec.n_layers)

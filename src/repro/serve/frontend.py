@@ -261,7 +261,7 @@ class ServeFrontend:
         if rec.attempt_tokens == 0:
             rec.stream_start = now
             self._emit("first-token", rec, token_index=index)
-        else:
+        elif tracer.enabled:
             tracer.record(rec.lane, "token", rec.last_token_time, now)
             self._emit("token", rec, token_index=index)
         rec.attempt_tokens = index

@@ -15,6 +15,10 @@ phases in one fixed order:
 This order produces the request-wise LIFO swap pattern of Figure 5b
 that PipeLLM's predictor speculates on.
 
+The bookkeeping is incremental: the block manager keeps its used count
+and phase 3 its growth total, less each victim's share, so a step costs
+O(changes), not rescans of the batch.
+
 A serving loop mixes the core in and calls :meth:`_start_batching`
 once its machine is up. It drives :meth:`step` from its own loop and
 declares only its own differences by overriding the hooks below.
@@ -107,10 +111,11 @@ class ContinuousBatcher:
             if group.swap_region is region:
                 group.swap_region = None
 
+        decode = state.running
+        if admitted:
+            decode = [g for g in decode if g not in admitted or g.prefill_tokens == 0]
         yield from self._compute_step(self.cost.step_work(
-            sum(g.prefill_tokens for g in admitted),
-            [g for g in state.running if g not in admitted or g.prefill_tokens == 0],
-        ))
+            sum(g.prefill_tokens for g in admitted), decode))
 
         self.runtime.memcpy_d2h(MemoryChunk(
             self._token_out.addr, max(4 * state.running_seqs, PAYLOAD_BYTES),
@@ -125,17 +130,15 @@ class ContinuousBatcher:
         """Swap groups back in LIFO; returns ``(group, region)`` pairs
         whose host regions the step frees after its synchronize."""
         state = self.state
-        watermark = int(self.blocks.total_blocks * RESUME_WATERMARK)
         resumed = []
         while state.swapped:
             group = state.swapped[-1]
-            needed = group.blocks_held(self.geometry)
-            if not self.blocks.can_allocate(needed + watermark):
+            if not self._can_resume(group):
                 break
             if state.running_seqs + group.request.parallel_n > MAX_NUM_SEQS:
                 break
             state.swapped.pop()
-            self.blocks.allocate(group.owner, needed)
+            self.blocks.allocate(group.owner, group.blocks_held(self.geometry))
             region = group.swap_region
             if region is None:
                 raise RuntimeError(f"{group.owner} swapped without a region")
@@ -146,6 +149,11 @@ class ContinuousBatcher:
             state.running.append(group)
             resumed.append((group, region))
         return resumed
+
+    def _can_resume(self, group: SequenceGroup) -> bool:
+        """Whether swapped ``group`` fits with the watermark left free."""
+        watermark = int(self.blocks.total_blocks * RESUME_WATERMARK)
+        return self.blocks.can_allocate(group.blocks_held(self.geometry) + watermark)
 
     def _admit(self) -> List[SequenceGroup]:
         """FCFS admission (prefill this step), blocked while any group
@@ -170,14 +178,18 @@ class ContinuousBatcher:
     def _make_room(self):
         """Swap out victims until this step's block growth fits (one
         running group always stays), then grant the growth."""
-        state = self.state
-        while len(state.running) > 1:
-            growth = sum(g.step_block_growth(self.geometry) for g in state.running)
-            if self.blocks.can_allocate(growth):
-                break
-            yield from self._swap_out(self._pick_victim())
-        for group in state.running:
-            self.blocks.allocate(group.owner, group.step_block_growth(self.geometry))
+        state, geometry = self.state, self.geometry
+        # The running groups' growth, less each victim's as it leaves.
+        self._step_growth = sum(g.step_block_growth(geometry) for g in state.running)
+        while len(state.running) > 1 and not self.blocks.can_allocate(self._step_growth):
+            victim = self._pick_victim()
+            self._step_growth -= victim.step_block_growth(geometry)
+            yield from self._swap_out(victim)
+        if self._step_growth:
+            for group in state.running:
+                growth = group.step_block_growth(geometry)
+                if growth:
+                    self.blocks.allocate(group.owner, growth)
 
     def _swap_out(self, group: SequenceGroup):
         self.state.running.remove(group)
@@ -200,6 +212,7 @@ class ContinuousBatcher:
 
     def _advance(self) -> None:
         now = self.machine.sim.now
+        on_token = self._on_token
         still_running: List[SequenceGroup] = []
         for group in self.state.running:
             group.generated += 1
@@ -208,7 +221,7 @@ class ContinuousBatcher:
                 self.blocks.free_owner(group.owner)
             else:
                 still_running.append(group)
-            self._on_token(group)
+            on_token(group)
         self.state.running = still_running
 
     # -- hooks: what each loop declares ----------------------------------

@@ -4,7 +4,7 @@ Tracks how many fixed-size KV blocks each sequence group holds on the
 GPU. Only counts matter for the swap behaviour (vLLM's block *tables*
 map logical to physical blocks; the pressure dynamics depend purely on
 the counts), so the manager is a checked counting allocator with an
-owner index.
+owner index and a running total of the blocks in use.
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ class BlockManager:
             raise ValueError("total_blocks must be non-negative")
         self.total_blocks = total_blocks
         self._allocations: Dict[str, int] = {}
+        self.used_blocks = 0  # the sum of ``_allocations``, kept as they change
         self.peak_used = 0
-
-    @property
-    def used_blocks(self) -> int:
-        return sum(self._allocations.values())
 
     @property
     def free_blocks(self) -> int:
@@ -48,8 +45,11 @@ class BlockManager:
                 f"{owner}: need {n_blocks}, free {self.free_blocks}"
             )
         self._allocations[owner] = self._allocations.get(owner, 0) + n_blocks
+        self.used_blocks += n_blocks
         self.peak_used = max(self.peak_used, self.used_blocks)
 
     def free_owner(self, owner: str) -> int:
         """Release everything ``owner`` holds; returns blocks freed."""
-        return self._allocations.pop(owner, 0)
+        freed = self._allocations.pop(owner, 0)
+        self.used_blocks -= freed
+        return freed

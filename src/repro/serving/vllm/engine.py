@@ -99,8 +99,8 @@ class VllmEngine(ContinuousBatcher, Engine[VllmResult]):
                 self.machine.telemetry.tracer.record("serving.vllm", "step", step_start, sim.now)
             elif future:
                 yield sim.timeout(max(future[0].request.arrival_time - sim.now, 1e-6))
-            else:
-                break  # Nothing running and nothing coming.
+            else:  # Nothing runs or arrives, yet groups are queued.
+                raise RuntimeError(f"queued groups never fit {self.blocks.total_blocks} KV blocks")
         self.result = VllmResult(
             normalized_latencies=[g.normalized_latency() for g in state.finished],
             elapsed=sim.now - start,

@@ -10,7 +10,9 @@ import pytest
 from repro.cc import CcMode, CudaContext, build_machine
 from repro.cluster.replica import Replica
 from repro.models import OPT_13B, KvGeometry, TransformerCostModel
-from repro.serving.vllm import BlockAllocationError, ContinuousBatcher, SequenceGroup, VllmEngine
+from repro.serving.vllm import (
+    BlockAllocationError, ContinuousBatcher, SequenceGroup, VllmConfig, VllmEngine,
+)
 from repro.serving.vllm.batching import PAYLOAD_BYTES, RESUME_WATERMARK
 from repro.workloads import Request
 
@@ -151,3 +153,48 @@ class TestPreemption:
         assert loop.step_once()
         assert loop.state.swapped == [groups[victim]]
         assert loop.swap_out_count == 1
+
+
+class TestUnservable:
+    """A swapped group that fits the pool, but not the pool less the
+    resume watermark, can never resume: each loop must give it up
+    instead of stepping on it forever."""
+
+    def squeezed(self, loop):
+        # 196 prompt blocks + 1 decode block: fits 200, not 200 - 4.
+        return loop.swap(group(0, prompt=196 * loop.geometry.block_size))
+
+    def test_replica_rejects_it(self):
+        rejected = []
+        gateway = type("Gateway", (), {
+            "on_reject": lambda self, creq, replica, reason: rejected.append((creq, reason)),
+        })()
+        loop = type("ReplicaLoop", (Loop,), {
+            "_reject_unservable": Replica._reject_unservable, "gateway": gateway,
+        })()
+        top = self.squeezed(loop)
+        top.creq = "routed request"
+        assert not loop.step_once()
+        loop._reject_unservable()
+        assert rejected == [("routed request", "kv-budget")]
+        assert loop.state.swapped == []
+        assert top.swap_region is None
+
+    def test_engine_raises(self):
+        machine = build_machine(CcMode.DISABLED)
+        geometry = KvGeometry(OPT_13B)
+        room = TOTAL_BLOCKS * geometry.block_bytes
+        reserve = machine.params.gpu_memory_bytes - OPT_13B.total_bytes - room
+        engine = VllmEngine(machine, CudaContext(machine), VllmConfig(
+            OPT_13B, [Request(0, 0.0, prompt_len=196 * geometry.block_size, output_len=64)],
+            reserve_bytes=reserve,
+        ))
+        assert engine.blocks.total_blocks == TOTAL_BLOCKS
+        stuck = engine._future.pop()
+        stuck.generated = 5
+        stuck.swap_region = machine.host_memory.allocate(
+            stuck.kv_bytes(geometry), tag=f"kv.{stuck.owner}", payload=b"\x03" * PAYLOAD_BYTES
+        )
+        engine.state.swapped.append(stuck)
+        with pytest.raises(RuntimeError, match="never fit 200 KV blocks"):
+            engine.run()
