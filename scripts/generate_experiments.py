@@ -42,9 +42,10 @@ swaps" the same way).
 numbers equal those of the slower originals kept in `tests/` as
 oracles (the pure-python AES-GCM and the single-heap event loop;
 asserted by the differential tests), so speed-ups change only the
-time this file takes to generate. History on the standard bench
-suite (`python -m repro bench --suite standard --seed 1`), measured
-while the originals were still selectable as a `reference` profile:
+time this file takes to generate. History on the hand-built
+standard bench suite at seed 1, which `repro bench` ran before it
+projected registry experiments, measured while the originals were
+still selectable as a `reference` profile:
 
 | profile                      | wall clock | vs. seed |
 |------------------------------|-----------:|---------:|

@@ -9,11 +9,11 @@ The probe drives every front door in one process under a global
 ``sys.settrace`` call hook with no local tracing (standard library
 only; about 3.3x the untraced run time):
 
-* every ``python -m repro`` subcommand at quick/smoke size: ``list``,
+* every ``python -m repro`` subcommand at quick size: ``list``,
   ``systems``, ``run`` (text and ``--json``), ``claims --json`` (as
-  CI's scorecard runs it), ``bench`` (write, ``--compare``,
-  ``--candidate``), ``trace`` (every experiment, all four formats,
-  ``--attrib``), ``postmortem``,
+  CI's scorecard runs it), ``bench`` (one run, then ``--compare`` and
+  ``--candidate`` over its artifact), ``trace`` (every experiment, all
+  four formats, ``--attrib``), ``postmortem``,
   ``dash`` (FlexGen and ``--serve``) and the single-run
   ``cluster``/``serve``/``disagg`` commands under each policy, system,
   admission, crash kind and a hardware pack;
@@ -167,9 +167,13 @@ def _trace_every_experiment() -> None:
 
 def _bench(workdir: Path) -> Callable[[], None]:
     def run() -> None:
+        # One real run (it re-runs nine quick experiments); every other
+        # door reads that artifact through --candidate.
         first = workdir / "BENCH_0.json"
-        _cli("bench", "--suite", "smoke", "--dir", str(workdir))()
-        _cli("bench", "--suite", "smoke", "--dir", str(workdir), "--compare")()
+        _cli("bench", "--dir", str(workdir))()
+        second = workdir / "BENCH_1.json"
+        second.write_text(first.read_text())
+        _cli("bench", "--candidate", str(second), "--dir", str(workdir), "--compare")()
         _cli("bench", "--candidate", str(first), "--compare", str(first), "--json")()
         _cli("bench", "--candidate", str(first), "--json")()
 

@@ -24,7 +24,7 @@ from .experiments import (
     ALPACA_30B_RESERVE,
     FLEXGEN_BATCH,
     OFFLOAD_DEC_THREADS,
-    _scale,
+    get_scale,
     run_flexgen,
     run_vllm,
 )
@@ -45,7 +45,7 @@ _KV_DEPTHS = (1, 3, 8)
 
 def ablation_enc_threads(scale="quick") -> ExperimentResult:
     """FlexGen OPT-66B throughput vs PipeLLM encryption thread count."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     shape = SyntheticShape(32, scale.flexgen_output or 128)
     result = ExperimentResult(
         "abl-threads",
@@ -71,7 +71,7 @@ def ablation_enc_threads(scale="quick") -> ExperimentResult:
 
 def ablation_async_decrypt(scale="quick") -> ExperimentResult:
     """vLLM OPT-30B with §5.4 asynchronous decryption on vs off."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "abl-asyncdec",
         "Asynchronous decryption (vLLM OPT-30B, ShareGPT, parallel 6)",
@@ -95,7 +95,7 @@ def ablation_async_decrypt(scale="quick") -> ExperimentResult:
 
 def ablation_leeway(scale="quick") -> ExperimentResult:
     """Adaptive IV-leeway controller vs fixed leeway settings."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "abl-leeway",
         "IV leeway policy (vLLM OPT-30B, Alpaca, parallel 6)",
@@ -130,7 +130,7 @@ def ablation_leeway(scale="quick") -> ExperimentResult:
 
 def ablation_kv_depth(scale="quick") -> ExperimentResult:
     """KV staging-window depth (LIFO inversion vs readiness)."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "abl-kvdepth",
         "KV staging window depth (vLLM OPT-30B, ShareGPT, parallel 6)",

@@ -12,6 +12,9 @@ experiments use:
   does the admission queue start to bite?);
 * **routing policies** head to head, plus a crash/recover run that
   must finish with zero GCM tag failures.
+
+Every run's ledger must close (``FleetResult.check``): every offered
+request completed or shed, none unfinished, no GCM tag failure.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from ..cluster import run_cluster
 from ..core import ClusterConfig
 from ..sim import mean
-from .experiments import _scale
+from .experiments import get_scale
 from .tables import ExperimentResult
 
 __all__ = ["cluster_scaling"]
@@ -46,7 +49,7 @@ def _row(result, section: str, rate: float) -> dict:
 
 def cluster_scaling(scale="quick") -> ExperimentResult:
     """Cluster: throughput vs replicas, latency vs load, policy battle."""
-    quick = _scale(scale).name == "quick"
+    quick = get_scale(scale).name == "quick"
     duration = 8.0 if quick else 30.0
     result = ExperimentResult(
         experiment_id="cluster",
@@ -63,18 +66,21 @@ def cluster_scaling(scale="quick") -> ExperimentResult:
         rate = 2.5 * replicas
         config = ClusterConfig(replicas=replicas, policy="least-loaded")
         run = run_cluster(config, rate=rate, duration=duration)
+        run.check(f"scaling replicas={replicas}")
         result.add_row(**_row(run, "scaling", rate))
 
     # Latency vs offered load at a fixed fleet of two replicas.
     for rate in ((2.0, 6.0, 10.0) if quick else (2.0, 4.0, 8.0, 12.0, 16.0)):
         config = ClusterConfig(replicas=2, policy="least-loaded")
         run = run_cluster(config, rate=rate, duration=duration)
+        run.check(f"load rate={rate}")
         result.add_row(**_row(run, "load", rate))
 
     # Routing policies head to head on the same three-replica fleet.
     for policy in ("round-robin", "least-loaded", "affinity"):
         config = ClusterConfig(replicas=3, policy=policy)
         run = run_cluster(config, rate=6.0, duration=duration)
+        run.check(f"policy {policy}")
         result.add_row(**_row(run, "policy", 6.0))
 
     # Crash/recover under load: the run must drain with clean crypto.
@@ -83,6 +89,7 @@ def cluster_scaling(scale="quick") -> ExperimentResult:
         fail_at=duration / 4, fail_replica=0, recover_after=duration / 4,
     )
     run = run_cluster(config, rate=6.0, duration=duration)
+    run.check("failover")
     result.add_row(**_row(run, "failover", 6.0))
     result.add_note(
         f"failover run: {run.crashes} crash, {run.failovers} failovers, "

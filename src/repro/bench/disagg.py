@@ -39,7 +39,7 @@ from ..hw import get_params, pack_names
 from ..telemetry import recording
 from ..tracing import extract_traces, fleet_attribution
 from ..workloads import TraceSpec
-from .experiments import _require, _scale
+from .experiments import get_scale, require
 from .tables import ExperimentResult
 
 __all__ = ["STRESS_TRACE", "disagg_config", "disagg_frontier", "mono_config"]
@@ -92,7 +92,7 @@ def _row(run, section: str, topology: str, rate: float, verdict: str = "") -> di
 
 def disagg_frontier(scale="quick") -> ExperimentResult:
     """Disaggregated vs monolithic serving over encrypted KV migration."""
-    quick = _scale(scale).name == "quick"
+    quick = get_scale(scale).name == "quick"
     duration = 8.0 if quick else 20.0
     rates = (10.0, 18.0) if quick else (8.0, 16.0, 24.0, 32.0)
     top = rates[-1]
@@ -122,12 +122,12 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
 
     mono = runs[("mono-4", top)]
     pipellm = runs[("1p+3d", top)]
-    _require(
+    require(
         pipellm.p50_ttft < mono.p50_ttft,
         f"disagg PipeLLM p50 TTFT {pipellm.p50_ttft:.4f}s must beat "
         f"monolithic CC {mono.p50_ttft:.4f}s at rate {top}",
     )
-    _require(
+    require(
         pipellm.goodput >= 0.98 * mono.goodput,
         f"disagg PipeLLM goodput {pipellm.goodput:.2f} rps must match "
         f"monolithic CC {mono.goodput:.2f} rps at rate {top}",
@@ -145,21 +145,21 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     penalty = cc.migration_s_per_chunk - native.migration_s_per_chunk
     recovered = cc.migration_s_per_chunk - pipellm.migration_s_per_chunk
     recovery = recovered / penalty if penalty > 0 else 0.0
-    _require(penalty > 0, "CC migration must cost more than native per chunk")
-    _require(
+    require(penalty > 0, "CC migration must cost more than native per chunk")
+    require(
         pipellm.migration_hit_rate > 0.5,
         f"speculation hit rate {pipellm.migration_hit_rate:.3f} too low",
     )
-    _require(
+    require(
         recovery >= 0.5,
         f"speculation recovers {recovery:.2f} of the CC migration penalty "
         f"(need >= 0.5 at hit rate {pipellm.migration_hit_rate:.3f})",
     )
-    _require(
+    require(
         cc.iv_observed > 0 and pipellm.iv_observed > 0,
         "encrypted migrations must feed the fleet IV audit",
     )
-    _require(native.iv_observed == 0, "native migrations must not consume IVs")
+    require(native.iv_observed == 0, "native migrations must not consume IVs")
     result.add_note(
         f"speculation recovers {recovery:.1%} of the CC migration penalty "
         f"({cc.migration_s_per_chunk * 1e6:.0f} -> "
@@ -180,7 +180,7 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
             run.check(f"pack {pack} {system}")
             pack_chunk[(pack, system)] = run.migration_s_per_chunk
             result.add_row(**_row(run, f"pack:{pack}", "1p+2d", 1.0))
-            _require(
+            require(
                 system == "cc" or run.migration_s_per_chunk
                 < pack_chunk[(pack, "cc")],
                 f"pack {pack}: speculation must beat the serialized bridge",
@@ -207,7 +207,7 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
             ))
         run.check(f"stress {system}")
         attribution = fleet_attribution(extract_traces(session.collectors[0]))
-        _require(
+        require(
             not attribution.closure_problems,
             f"stress {system}: causal ledger not closed: "
             f"{attribution.closure_problems[:3]}",
@@ -216,12 +216,12 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
         result.add_row(**_row(
             run, "stress", "1p+3d", 18.0, verdict=attribution.verdict
         ))
-    _require(
+    require(
         stress_runs["cc"][2].verdict == "migration-bound",
         f"CC-serialized hot-link run must be migration-bound, got "
         f"{stress_runs['cc'][2].verdict!r}",
     )
-    _require(
+    require(
         stress_runs["pipellm"][2].verdict != "migration-bound",
         "PipeLLM must lift the migration-bound verdict",
     )
@@ -249,15 +249,15 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
             18.0, stress_duration, tenants=1, trace=STRESS_TRACE
         ))
     crash_run.check("failover crash")
-    _require(crash_run.shed == 0, "crash run must shed nothing")
-    _require(crash_run.crashes >= 1, "crash run must actually crash")
-    _require(
+    require(crash_run.shed == 0, "crash run must shed nothing")
+    require(crash_run.crashes >= 1, "crash run must actually crash")
+    require(
         crash_run.failovers >= 1 and crash_run.resumes >= 1,
         f"crash mid-migration must exercise resume "
         f"(failovers={crash_run.failovers}, resumes={crash_run.resumes})",
     )
     attribution = fleet_attribution(extract_traces(session.collectors[0]))
-    _require(
+    require(
         not attribution.closure_problems,
         f"crash run: causal ledger not closed: "
         f"{attribution.closure_problems[:3]}",
@@ -286,16 +286,16 @@ def disagg_frontier(scale="quick") -> ExperimentResult:
     storm_run.check("migration storm")
     clean_run = stress_runs["pipellm"][1]
     speculator = storm_cluster.fabric.speculator
-    _require(
+    require(
         speculator.parked > 0,
         "storm must trip the degradation controller (no parked lookups)",
     )
-    _require(
+    require(
         storm_run.migration_hit_rate < clean_run.migration_hit_rate,
         "storm must depress the speculation hit rate",
     )
-    _require(storm_run.migration_resends > 0, "storm must drop chunks")
-    _require(
+    require(storm_run.migration_resends > 0, "storm must drop chunks")
+    require(
         storm_run.iv_observed == clean_run.iv_observed,
         f"storm IV count {storm_run.iv_observed} != clean "
         f"{clean_run.iv_observed}: a drop or miss consumed a fresh IV",

@@ -61,6 +61,9 @@ __all__ = [
     "fig8_kv_swapping",
     "fig9_threading",
     "fig10_success_rate",
+    "flexgen_shapes",
+    "get_scale",
+    "require",
     "run_flexgen",
     "run_peft",
     "run_vllm",
@@ -102,11 +105,11 @@ FULL = Scale(
 SCALES = {scale.name: scale for scale in (QUICK, FULL)}
 
 
-def _scale(scale) -> Scale:
+def get_scale(scale) -> Scale:
     return scale if isinstance(scale, Scale) else SCALES[scale]
 
 
-def _require(condition: bool, message: str) -> None:
+def require(condition: bool, message: str) -> None:
     """An experiment's acceptance check; raised even under ``python -O``."""
     if not condition:
         raise AssertionError(message)
@@ -194,7 +197,7 @@ def fig2_microbenchmark(scale="quick") -> ExperimentResult:
     measured over a back-to-back transfer train in the simulator, as
     in the paper's 10K-transfer average.
     """
-    scale = _scale(scale)
+    scale = get_scale(scale)
     params = default_params()
     result = ExperimentResult(
         "fig2",
@@ -250,7 +253,7 @@ def fig2_microbenchmark(scale="quick") -> ExperimentResult:
 FLEXGEN_BATCH = 48
 
 
-def _flexgen_shapes(scale: Scale) -> List[SyntheticShape]:
+def flexgen_shapes(scale: Scale) -> List[SyntheticShape]:
     outputs = (128, 32)
     shapes = []
     for prompt, output in ((32, outputs[0]), (256, outputs[1])):
@@ -262,13 +265,13 @@ def _flexgen_shapes(scale: Scale) -> List[SyntheticShape]:
 
 def fig3a_flexgen_overhead(scale="quick") -> ExperimentResult:
     """FlexGen OPT-66B throughput, CC vs w/o CC (≈88 % drop)."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "fig3a",
         "FlexGen OPT-66B model offloading under CC",
         columns=["config", "system", "throughput_tok_s", "drop_pct"],
     )
-    for shape in _flexgen_shapes(scale):
+    for shape in flexgen_shapes(scale):
         base, _ = run_flexgen(WITHOUT_CC, OPT_66B, shape, FLEXGEN_BATCH, scale.flexgen_requests)
         cc, _ = run_flexgen(CC, OPT_66B, shape, FLEXGEN_BATCH, scale.flexgen_requests)
         for system, res in (("w/o CC", base), ("CC", cc)):
@@ -287,7 +290,7 @@ def attribution_breakdown(scale="quick") -> ExperimentResult:
     from ..observatory import profile_hub
     from ..telemetry import recording
 
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "attrib",
         "Critical-path attribution per stage (FlexGen OPT-66B)",
@@ -373,7 +376,7 @@ VLLM_30B_SHAREGPT_RATES = (0.4, 0.8, 1.2, 1.6, 2.0)
 
 def fig3b_vllm_overhead(scale="quick") -> ExperimentResult:
     """vLLM OPT-30B normalized latency vs request rate, CC vs w/o CC."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "fig3b",
         "vLLM OPT-30B KV-cache swapping under CC (ShareGPT, parallel 6)",
@@ -402,7 +405,7 @@ PEFT_CONFIGS = (
 
 def fig3c_peft_overhead(scale="quick") -> ExperimentResult:
     """PEFT LoRA fine-tuning throughput drop under CC."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "fig3c",
         "PEFT fine-tuning with DeepSpeed offloading under CC",
@@ -428,7 +431,7 @@ def fig3c_peft_overhead(scale="quick") -> ExperimentResult:
 def fig7_model_offloading(scale="quick") -> ExperimentResult:
     """FlexGen (OPT-66B, OPT-175B-4bit) and PEFT (OPT-30B/13B):
     normalized throughput of w/o CC / CC / PipeLLM."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     pipe = pipellm(OFFLOAD_ENC_THREADS, OFFLOAD_DEC_THREADS)
     result = ExperimentResult(
         "fig7",
@@ -437,7 +440,7 @@ def fig7_model_offloading(scale="quick") -> ExperimentResult:
                  "normalized", "overhead_pct"],
     )
     for spec in (OPT_66B, OPT_175B_4BIT):
-        for shape in _flexgen_shapes(scale):
+        for shape in flexgen_shapes(scale):
             runs = {}
             for system in (WITHOUT_CC, CC, pipe):
                 res, _ = run_flexgen(system, spec, shape, FLEXGEN_BATCH, scale.flexgen_requests)
@@ -484,7 +487,7 @@ SHAREGPT_13B_RATES = (1.2, 1.8, 2.4)
 
 def fig8_kv_swapping(scale="quick") -> ExperimentResult:
     """vLLM normalized latency: w/o CC vs CC vs PipeLLM (1+1 threads)."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     pipe = pipellm(1, 1)
     result = ExperimentResult(
         "fig8",
@@ -544,7 +547,7 @@ def fig9_threading(scale="quick") -> ExperimentResult:
 
     vLLM, OPT-30B, Alpaca, parallel 6 — the Fig. 9 configuration.
     """
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "fig9",
         "Trivial multi-threading on vLLM OPT-30B (Alpaca, parallel 6)",
@@ -588,7 +591,7 @@ def fig10_success_rate(scale="quick") -> ExperimentResult:
     vLLM, OPT-30B, Alpaca, parallel 2 — Fig. 10. The paper measures
     only a ~8.3 % drop for PipeLLM-0, driven by NOP overhead.
     """
-    scale = _scale(scale)
+    scale = get_scale(scale)
     result = ExperimentResult(
         "fig10",
         "Ablation on sequence-prediction success rate",

@@ -18,7 +18,7 @@ from ..serving import (
 )
 from ..sim import SeededRng, default_seed
 from ..workloads import SyntheticShape, ultrachat_batches
-from .experiments import _scale
+from .experiments import get_scale
 from .systems import CC, WITHOUT_CC, pipellm
 from .tables import ExperimentResult
 
@@ -27,7 +27,7 @@ __all__ = ["extension_layerwise_fifo", "extension_zero_offload"]
 
 def extension_layerwise_fifo(scale="quick") -> ExperimentResult:
     """Layer-wise KV swapping (OPT-30B): w/o CC vs CC vs PipeLLM."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     steps = 4 if scale.name == "quick" else 8
     shape = SyntheticShape(192, steps)
     result = ExperimentResult(
@@ -65,7 +65,7 @@ def extension_layerwise_fifo(scale="quick") -> ExperimentResult:
 
 def extension_zero_offload(scale="quick") -> ExperimentResult:
     """ZeRO-Offload full fine-tuning (OPT-13B, 10 layers streamed)."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     steps = max(3, scale.peft_steps)
     result = ExperimentResult(
         "ext-zero",

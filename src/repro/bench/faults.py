@@ -40,8 +40,8 @@ from .experiments import (
     FLEXGEN_BATCH,
     OFFLOAD_DEC_THREADS,
     OFFLOAD_ENC_THREADS,
-    _flexgen_shapes,
-    _scale,
+    flexgen_shapes,
+    get_scale,
 )
 from .systems import pipellm
 from .tables import ExperimentResult
@@ -87,7 +87,7 @@ def _run_once(scale, rate: float, policy: FaultPolicy, window: Tuple[float, floa
     audit = ClusterIvAudit()
     machine.cpu_endpoint.attach_audit(audit)
     machine.gpu.endpoint.attach_audit(audit)
-    shape = _flexgen_shapes(scale)[0]
+    shape = flexgen_shapes(scale)[0]
     engine = FlexGenEngine(
         machine,
         runtime,
@@ -102,7 +102,7 @@ def _run_once(scale, rate: float, policy: FaultPolicy, window: Tuple[float, floa
 
 def fault_campaign(scale="quick") -> ExperimentResult:
     """Throughput/p99 degradation table: fault rate × survival policy."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     rates = QUICK_FAULT_RATES if scale.name == "quick" else FULL_FAULT_RATES
 
     # Dry run at rate 0 calibrates the storm window against the clean

@@ -38,7 +38,7 @@ from ..parallel import (
     PipelineParallelEngine,
     TensorParallelEngine,
 )
-from .experiments import _scale
+from .experiments import get_scale
 from .tables import ExperimentResult
 
 __all__ = ["FULL_GPU_COUNTS", "QUICK_GPU_COUNTS", "parallel_scaling"]
@@ -107,7 +107,7 @@ def _run_pp(system: str, n_gpus: int) -> Tuple[ParallelResult, Optional[ClusterI
 
 def parallel_scaling(scale="quick") -> ExperimentResult:
     """TP/PP scaling table: GPU count x system over the encrypted fabric."""
-    gpu_counts = QUICK_GPU_COUNTS if _scale(scale).name == "quick" else FULL_GPU_COUNTS
+    gpu_counts = QUICK_GPU_COUNTS if get_scale(scale).name == "quick" else FULL_GPU_COUNTS
 
     result = ExperimentResult(
         "parallel",

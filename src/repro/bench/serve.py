@@ -32,7 +32,7 @@ from typing import Dict, Tuple
 from ..core import ClusterConfig
 from ..serve import LoadSpec, SloSpec, run_serve
 from ..workloads import SHAREGPT_SERVE
-from .experiments import _require, _scale
+from .experiments import get_scale, require
 from .tables import ExperimentResult
 
 __all__ = [
@@ -71,7 +71,7 @@ def serve_config(system: str, **overrides) -> ClusterConfig:
 
 def serve_frontier(scale="quick") -> ExperimentResult:
     """Serving frontier: SLO attainment & goodput vs offered load."""
-    quick = _scale(scale).name == "quick"
+    quick = get_scale(scale).name == "quick"
     rates = (8.0, 24.0, 40.0) if quick else (8.0, 16.0, 24.0, 32.0, 40.0)
     duration = 5.0 if quick else 10.0
     slo = SloSpec()
@@ -119,7 +119,7 @@ def serve_frontier(scale="quick") -> ExperimentResult:
 
     # At low load the confidential service meets its SLOs.
     low_run = runs[("pipellm", "slo", low)]
-    _require(
+    require(
         low_run.attainment >= 0.95,
         f"PipeLLM attainment {low_run.attainment:.3f} < 0.95 at {low} req/s",
     )
@@ -127,8 +127,8 @@ def serve_frontier(scale="quick") -> ExperimentResult:
     # The top rate crosses the swap threshold and saturates the fleet:
     # deadline shedding engages, and nothing is lost untracked.
     top_pipellm = runs[("pipellm", "slo", top)]
-    _require(top_pipellm.swap_outs > 0, "top rate never hit KV pressure")
-    _require(top_pipellm.shed > 0, "overload never triggered shedding")
+    require(top_pipellm.swap_outs > 0, "top rate never hit KV pressure")
+    require(top_pipellm.shed > 0, "overload never triggered shedding")
 
     # The PipeLLM frontier dominates CC-serialized. Two forms, both
     # robust to the noisy deep-overload tail (past saturation, goodput
@@ -147,8 +147,8 @@ def serve_frontier(scale="quick") -> ExperimentResult:
         ),
         None,
     )
-    _require(knee is not None, "CC never felt swap pressure across the sweep")
-    _require(
+    require(knee is not None, "CC never felt swap pressure across the sweep")
+    require(
         runs[("pipellm", "slo", knee)].goodput >= runs[("cc", "slo", knee)].goodput,
         f"PipeLLM does not dominate CC at the swap knee ({knee} req/s)",
     )
@@ -156,14 +156,14 @@ def serve_frontier(scale="quick") -> ExperimentResult:
         system: sum(runs[(system, "slo", r)].goodput for r in rates)
         for system in ("cc", "pipellm")
     }
-    _require(
+    require(
         area["pipellm"] >= area["cc"],
         f"PipeLLM frontier area {area['pipellm']:.1f} < CC {area['cc']:.1f}",
     )
 
     # Per-request latency metrics reached the telemetry layer (the
     # serve.* latency stats `repro dash --serve` renders).
-    _require(bool(low_run.ttfts and low_run.tpots), "no TTFT/TPOT samples at the low rate")
+    require(bool(low_run.ttfts and low_run.tpots), "no TTFT/TPOT samples at the low rate")
 
     gap = (
         runs[("pipellm", "slo", knee)].goodput

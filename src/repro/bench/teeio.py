@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..hw import default_params
 from ..models import OPT_66B
 from ..workloads import SyntheticShape
-from .experiments import FLEXGEN_BATCH, OFFLOAD_DEC_THREADS, OFFLOAD_ENC_THREADS, _scale, run_flexgen
+from .experiments import FLEXGEN_BATCH, OFFLOAD_DEC_THREADS, OFFLOAD_ENC_THREADS, get_scale, run_flexgen
 from .systems import CC, SystemSpec, WITHOUT_CC, pipellm
 from .tables import ExperimentResult
 
@@ -51,7 +51,7 @@ def teeio_params(tenants: int, line_rate: float = TEEIO_LINE_RATE):
 
 def extension_teeio_scaling(scale="quick") -> ExperimentResult:
     """FlexGen OPT-66B throughput: TEE-I/O (shared) vs PipeLLM (per-tenant)."""
-    scale = _scale(scale)
+    scale = get_scale(scale)
     shape = SyntheticShape(32, scale.flexgen_output or 128)
     result = ExperimentResult(
         "ext-teeio",

@@ -21,10 +21,11 @@ Commands:
 * ``disagg [--rate RPS --hw-pack PACK]`` — one disaggregated
   prefill/decode run with live encrypted KV-cache migration under a
   named hardware calibration.
-* ``bench [--suite standard|smoke] [--out F] [--compare [BASE]]`` —
-  the continuous benchmark harness: run the pinned-seed suite, write a
-  schema-versioned ``BENCH_<n>.json`` artifact, and/or diff two
-  artifacts' key metrics (exit 1 on >5 % regression).
+* ``bench [--scale ...] [--out F] [--compare [BASE]]`` — the
+  continuous benchmark harness: run the registry experiments its key
+  metrics read (seed 1 unless ``--seed``), write a schema-versioned
+  ``BENCH_<n>.json`` artifact, and/or diff two artifacts' key metrics
+  (exit 1 on >5 % regression).
 * ``postmortem [--out DIR]`` — run a deterministic crash-and-recover
   serving scenario with causal tracing, SLO burn-rate alerting and the
   fault flight recorder armed, then write the post-mortem bundle
@@ -54,7 +55,6 @@ import time
 from typing import List, Optional
 
 from .bench import EXPERIMENTS
-from .bench.continuous import SUITES
 from .bench.experiments import SCALES
 from .core.config import CLUSTER_POLICIES, FLEET_SYSTEMS
 from .hw import get_params, pack_names as hw_pack_names
@@ -213,10 +213,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="flight-recorder ring size per machine")
 
     bench = sub.add_parser(
-        "bench", parents=[seed],
+        "bench", parents=[scale],
         help="continuous benchmark harness with regression gating",
     )
-    bench.add_argument("--suite", choices=sorted(SUITES), default="standard")
+    # Its own action: a default set on the shared parent's --seed would
+    # reach every subcommand.
+    bench.add_argument("--seed", type=int, default=1, metavar="N",
+                       help="override every workload generator's RNG seed "
+                            "(default 1)")
     bench.add_argument("--out", default=None, metavar="FILE",
                        help="artifact path (default: next BENCH_<n>.json "
                             "under --dir)")
@@ -422,16 +426,15 @@ def _run_bench(args, out) -> int:
         candidate_path = Path(args.candidate)
         candidate = load_artifact(candidate_path)
     else:
-        seed = args.seed if args.seed is not None else 1
-        candidate = run_suite(args.suite, seed=seed, clock=time.time)
+        candidate = run_suite(args.scale, clock=time.time)
         candidate_path = Path(args.out) if args.out else next_artifact_path(directory)
         candidate_path.write_text(
             json.dumps(candidate, indent=2, sort_keys=True) + "\n"
         )
         print(
-            f"wrote {candidate_path} (suite={candidate['suite']} "
+            f"wrote {candidate_path} (scale={candidate['scale']} "
             f"seed={candidate['seed']} "
-            f"wall={candidate['wall_clock_s']:.1f}s "
+            f"wall={candidate['key_metrics']['wall_clock_s']['value']:.1f}s "
             f"verdicts: cc={candidate['verdicts']['offload-cc']} "
             f"pipellm={candidate['verdicts']['offload-pipellm']})",
             file=out,

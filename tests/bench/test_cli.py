@@ -43,19 +43,27 @@ class TestRun:
 
 
 class TestBenchCommand:
+    """``repro bench`` over stub registry entries (no simulation)."""
+
+    @pytest.fixture(autouse=True)
+    def stubs(self, monkeypatch):
+        from tests.observatory.test_continuous import stub_registry
+
+        stub_registry(monkeypatch)
+
     def test_bench_writes_artifact_and_self_compares(self, tmp_path):
+        import json
+
         first = tmp_path / "BENCH_0.json"
-        code, text = run_cli(
-            "bench", "--suite", "smoke", "--out", str(first),
-            "--dir", str(tmp_path),
-        )
+        code, text = run_cli("bench", "--out", str(first), "--dir", str(tmp_path))
         assert code == 0
         assert first.exists()
+        assert "scale=quick seed=1 " in text
         assert "verdicts: cc=encryption-bound" in text
+        wall = json.loads(first.read_text())["key_metrics"]["wall_clock_s"]
+        assert f"wall={wall['value']:.1f}s" in text
 
-        code, text = run_cli(
-            "bench", "--suite", "smoke", "--dir", str(tmp_path), "--compare",
-        )
+        code, text = run_cli("bench", "--dir", str(tmp_path), "--compare")
         assert code == 0
         assert (tmp_path / "BENCH_1.json").exists()
         assert "0 regressions" in text
@@ -64,8 +72,8 @@ class TestBenchCommand:
         import json
 
         code, _ = run_cli(
-            "bench", "--suite", "smoke",
-            "--out", str(tmp_path / "BENCH_0.json"), "--dir", str(tmp_path),
+            "bench", "--out", str(tmp_path / "BENCH_0.json"),
+            "--dir", str(tmp_path),
         )
         assert code == 0
         baseline = json.loads((tmp_path / "BENCH_0.json").read_text())
@@ -85,6 +93,31 @@ class TestBenchCommand:
             "--compare", str(tmp_path / "BENCH_0.json"), "--warn-only",
         )
         assert code == 0
+
+    def test_bench_seed_and_scale_reach_the_artifact(self, tmp_path):
+        import json
+
+        out = tmp_path / "BENCH_0.json"
+        code, _ = run_cli(
+            "bench", "--seed", "5", "--scale", "full", "--out", str(out),
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert (doc["seed"], doc["scale"]) == (5, "full")
+
+    def test_bench_seed_default_stays_with_bench(self):
+        from repro.cli import _build_parser
+
+        parser = _build_parser()
+        assert parser.parse_args(["bench"]).seed == 1
+        assert parser.parse_args(["run", "fig8"]).seed is None
+        assert parser.parse_args(["trace", "fig8"]).seed is None
+
+    def test_suite_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--suite", "smoke")
+        assert exc.value.code == 2
+        assert "--suite" in capsys.readouterr().err
 
 
 class TestDashCommand:

@@ -20,13 +20,13 @@ class TestScale:
         assert FULL.flexgen_output is None
 
     def test_scale_resolution(self):
-        from repro.bench.experiments import _scale
+        from repro.bench.experiments import get_scale
 
-        assert _scale("quick") is QUICK
-        assert _scale("full") is FULL
-        assert _scale(QUICK) is QUICK
+        assert get_scale("quick") is QUICK
+        assert get_scale("full") is FULL
+        assert get_scale(QUICK) is QUICK
         with pytest.raises(KeyError):
-            _scale("huge")
+            get_scale("huge")
 
     @pytest.mark.slow
     @pytest.mark.parametrize("experiment", ["cluster", "serve", "disagg"])

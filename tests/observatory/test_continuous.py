@@ -1,4 +1,11 @@
-"""Continuous bench harness: artifacts, determinism, regression gate."""
+"""Continuous bench harness: artifacts, projection, regression gate.
+
+No test here runs a simulation. The registry entries are stubs that
+replay the tables ``BENCH_1.json`` stored, so the harness mechanics run
+over the same rows the committed baseline was projected from. That the
+stored rows are what ``repro run <id>`` prints is the artifact's
+contract; ``scripts/digests.py --check`` holds the registry outputs.
+"""
 
 import copy
 import json
@@ -6,56 +13,167 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import EXPERIMENTS, continuous
 from repro.bench.continuous import (
     BENCH_SCHEMA_VERSION,
-    SUITES,
+    KEY_METRICS,
+    VERDICTS,
     artifact_index,
     compare_artifacts,
     find_latest_artifact,
     load_artifact,
     next_artifact_path,
+    project,
     render_comparison,
     run_suite,
 )
+from repro.bench.tables import ExperimentResult
+from repro.sim import default_seed, set_default_seed
+
+BENCH_1 = Path(__file__).resolve().parents[2] / "BENCH_1.json"
 
 
-@pytest.fixture(scope="module")
-def smoke_artifact():
-    return run_suite("smoke", seed=3)
+def stored_results(artifact):
+    """The artifact's stored tables, as the experiment results they were."""
+    return {
+        name: ExperimentResult(**table)
+        for name, table in artifact["experiments"].items()
+    }
+
+
+def stub_registry(monkeypatch, calls=None):
+    """Replace the registry with entries that replay BENCH_1's tables,
+    plus one entry no metric reads; ``calls`` records (id, scale)."""
+    tables = load_artifact(BENCH_1)["experiments"]
+
+    def entry(name):
+        def run(scale):
+            if calls is not None:
+                calls.append((name, scale))
+            return ExperimentResult(**copy.deepcopy(tables[name]))
+        return run
+
+    registry = {name: entry(name) for name in EXPERIMENTS if name in tables}
+    registry["unreferenced"] = entry("never-read")
+    monkeypatch.setattr(continuous, "EXPERIMENTS", registry)
+
+
+@pytest.fixture
+def smoke_artifact(monkeypatch):
+    stub_registry(monkeypatch)
+    previous = set_default_seed(3)
+    try:
+        return run_suite("quick")
+    finally:
+        set_default_seed(previous)
+
+
+def gated(key_metrics):
+    return {k: v for k, v in key_metrics.items() if v.get("level") != "warn"}
+
+
+class TestProjection:
+    def test_bench_1_reprojects_to_its_key_metrics(self):
+        # Every selector, against the rows it was projected from.
+        artifact = load_artifact(BENCH_1)
+        key_metrics, verdicts = project(stored_results(artifact))
+        assert key_metrics == gated(artifact["key_metrics"])
+        assert verdicts == artifact["verdicts"]
+
+    def test_every_row_names_a_registry_experiment(self):
+        for row in KEY_METRICS + VERDICTS:
+            assert row[1] in EXPERIMENTS, row
+
+    def test_metric_names_are_unique(self):
+        names = [row[0] for row in KEY_METRICS]
+        assert len(names) == len(set(names))
+        assert "pipellm_speedup_over_cc" not in names
+
+    def test_bench_1_gates_fig8(self):
+        metrics = load_artifact(BENCH_1)["key_metrics"]
+        assert metrics["fig8_pipellm_norm_latency_s_tok"]["higher_is_better"] is False
+
+    def test_missing_row_is_an_error(self):
+        artifact = load_artifact(BENCH_1)
+        results = stored_results(artifact)
+        results["fig2"].rows = [
+            r for r in results["fig2"].rows if r["size"] != "32MB"
+        ]
+        with pytest.raises(KeyError):
+            project(results)
+
+
+class TestRunSuite:
+    def test_runs_each_referenced_experiment_once_in_registry_order(
+        self, monkeypatch
+    ):
+        calls = []
+        stub_registry(monkeypatch, calls)
+        run_suite("full")
+        referenced = {row[1] for row in KEY_METRICS + VERDICTS}
+        assert calls == [
+            (name, "full") for name in EXPERIMENTS if name in referenced
+        ]
+
+    def test_stores_every_entry_table(self, smoke_artifact):
+        assert smoke_artifact["experiments"] == load_artifact(BENCH_1)["experiments"]
+
+    def test_leaves_the_seed_override_alone(self, monkeypatch):
+        stub_registry(monkeypatch)
+        previous = set_default_seed(None)
+        try:
+            assert run_suite()["seed"] is None
+            assert default_seed(11) == 11
+        finally:
+            set_default_seed(previous)
 
 
 class TestArtifactSchema:
     def test_required_fields(self, smoke_artifact):
         a = smoke_artifact
         assert a["schema_version"] == BENCH_SCHEMA_VERSION
-        assert a["suite"] == "smoke" and a["seed"] == 3
+        assert a["scale"] == "quick" and a["seed"] == 3
         assert set(a["verdicts"]) == {"offload-cc", "offload-pipellm"}
         for metric in a["key_metrics"].values():
             assert {"value", "higher_is_better"} <= set(metric)
             assert set(metric) <= {"value", "higher_is_better", "level"}
             assert isinstance(metric["value"], float)
             assert isinstance(metric["higher_is_better"], bool)
-        assert "campaigns" in a and "wall_clock_s" in a
+        assert set(a) == {
+            "schema_version", "scale", "seed", "verdicts", "key_metrics",
+            "experiments",
+        }
 
     def test_wall_clock_key_metric_requires_a_clock(self, smoke_artifact):
         # The fixture runs without a clock: no wall-clock key metric,
         # and every remaining entry is a gated simulated quantity.
-        assert "wall_clock_s" not in smoke_artifact["key_metrics"]
+        assert smoke_artifact["key_metrics"] == gated(smoke_artifact["key_metrics"])
         ticks = iter(range(100))
-        timed = run_suite("smoke", seed=3, clock=lambda: float(next(ticks)))
-        wall = timed["key_metrics"]["wall_clock_s"]
-        assert wall["level"] == "warn"
-        assert wall["higher_is_better"] is False
-        assert wall["value"] == timed["wall_clock_s"] > 0.0
+        timed = run_suite(clock=lambda: float(next(ticks)))
+        walls = {
+            name: metric for name, metric in timed["key_metrics"].items()
+            if name.startswith("wall_clock_s")
+        }
+        assert set(walls) == {"wall_clock_s"} | {
+            f"wall_clock_s.{name}" for name in timed["experiments"]
+        }
+        for metric in walls.values():
+            assert metric["level"] == "warn"
+            assert metric["higher_is_better"] is False
+            assert metric["value"] > 0.0
+        per_entry = sum(
+            m["value"] for name, m in walls.items() if name != "wall_clock_s"
+        )
+        assert walls["wall_clock_s"]["value"] > per_entry
 
     def test_verdicts_match_paper_regimes(self, smoke_artifact):
         assert smoke_artifact["verdicts"]["offload-cc"] == "encryption-bound"
         assert smoke_artifact["verdicts"]["offload-pipellm"] != "encryption-bound"
 
     def test_serve_campaign_present_with_closed_ledger(self, smoke_artifact):
-        serve = smoke_artifact["campaigns"]["serve"]
-        for system in ("cc", "pipellm"):
-            run = serve[system]
+        serve = smoke_artifact["experiments"]["serve"]
+        assert serve["rows"]
+        for run in serve["rows"]:
             assert run["completed"] + run["shed"] == run["offered"]
             assert 0.0 <= run["attainment"] <= 1.0
         assert {
@@ -80,7 +198,7 @@ class TestArtifactSchema:
 
 class TestDeterminism:
     def test_same_seed_zero_regression(self, smoke_artifact):
-        again = run_suite("smoke", seed=3)
+        again = run_suite("quick")
         diff = compare_artifacts(smoke_artifact, again)
         assert diff["regressions"] == []
         assert diff["improvements"] == []
@@ -105,9 +223,9 @@ class TestComparator:
         ]
 
     def test_lower_is_better_rise_is_regression(self, smoke_artifact):
-        worse = self.perturb(smoke_artifact, "pipellm_p99_wire_s", 1.1)
+        worse = self.perturb(smoke_artifact, "pipellm_p99_wire_ms", 1.1)
         diff = compare_artifacts(smoke_artifact, worse)
-        assert [r["metric"] for r in diff["regressions"]] == ["pipellm_p99_wire_s"]
+        assert [r["metric"] for r in diff["regressions"]] == ["pipellm_p99_wire_ms"]
 
     def test_within_tolerance_is_not_regression(self, smoke_artifact):
         slightly = self.perturb(
@@ -141,10 +259,15 @@ class TestComparator:
         assert "1 regressions" in text
 
     def test_wall_clock_never_gated(self, smoke_artifact):
-        mutated = copy.deepcopy(smoke_artifact)
-        mutated["wall_clock_s"] = smoke_artifact.get("wall_clock_s", 0.0) + 1e6
-        diff = compare_artifacts(smoke_artifact, mutated)
+        base = copy.deepcopy(smoke_artifact)
+        base["key_metrics"]["wall_clock_s.fig8"] = {
+            "value": 1.0, "higher_is_better": False, "level": "warn",
+        }
+        slow = copy.deepcopy(base)
+        slow["key_metrics"]["wall_clock_s.fig8"]["value"] = 1e6
+        diff = compare_artifacts(base, slow)
         assert diff["regressions"] == []
+        assert [w["metric"] for w in diff["warnings"]] == ["wall_clock_s.fig8"]
 
     def test_warn_level_metric_warns_instead_of_regressing(self, smoke_artifact):
         base = copy.deepcopy(smoke_artifact)
@@ -181,6 +304,12 @@ class TestComparator:
         assert diff["regressions"] == []
         assert [w["metric"] for w in diff["warnings"]] == ["wall_clock_s"]
 
+    def test_bench_1_against_bench_0_keeps_both_verdicts(self):
+        baseline = load_artifact(BENCH_1.with_name("BENCH_0.json"))
+        diff = compare_artifacts(baseline, load_artifact(BENCH_1))
+        assert diff["regressions"] == []
+        assert load_artifact(BENCH_1)["verdicts"] == baseline["verdicts"]
+
 
 class TestArtifactNumbering:
     def test_next_and_latest(self, tmp_path):
@@ -193,7 +322,3 @@ class TestArtifactNumbering:
         assert find_latest_artifact(tmp_path).name == "BENCH_2.json"
         assert find_latest_artifact(tmp_path, below=2).name == "BENCH_0.json"
         assert artifact_index(Path("BENCH_17.json")) == 17
-
-    def test_suites_registry(self):
-        assert {"standard", "smoke"} <= set(SUITES)
-        assert SUITES["smoke"].flexgen_requests < SUITES["standard"].flexgen_requests
