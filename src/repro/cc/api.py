@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..hw.memory import MemoryChunk
 from ..sim import Event, Simulator
 from ..telemetry import TransferEvent
-from ..telemetry.hub import RequestRecord
+from ..telemetry.hub import RequestRecord, timed_stage
 from .machine import CcMode, Machine
 
 __all__ = ["CudaContext", "DeviceRuntime", "TransferHandle"]
@@ -96,25 +96,27 @@ class DeviceRuntime(abc.ABC):
 
     # -- shared plumbing ------------------------------------------------------
 
-    def _track(self, complete: Event) -> None:
-        self._outstanding.append(complete)
+    def _open(
+        self, chunk: MemoryChunk, direction: str
+    ) -> Tuple[TransferHandle, Optional[RequestRecord]]:
+        """Start one memcpy: its handle, tracked for :meth:`synchronize`,
+        and its lifecycle record on the telemetry hub.
 
-    def _telemetry_request(self, handle: TransferHandle) -> Optional[RequestRecord]:
-        """Open a per-request lifecycle record on the telemetry hub.
-
-        Returns None (after one attribute check) when telemetry is
-        disabled, so the hot path stays effectively free. When enabled,
-        a :class:`TransferEvent` goes on the bus and the record's
-        api/complete timestamps are stitched in via event callbacks.
+        The record is None (after one attribute check) when telemetry
+        is disabled, so the hot path stays effectively free. When
+        enabled, a :class:`TransferEvent` goes on the bus and the
+        record's api/complete timestamps are stitched in via event
+        callbacks.
         """
+        handle = TransferHandle(chunk, direction, self.sim.event(), self.sim.event())
+        self._outstanding.append(handle.complete)
         hub = self.machine.telemetry
         if not hub.enabled:
-            return None
-        chunk = handle.chunk
+            return handle, None
         record = hub.begin_request(
-            handle.direction, chunk.addr, chunk.size, self.sim.now, tag=chunk.tag
+            direction, chunk.addr, chunk.size, self.sim.now, tag=chunk.tag
         )
-        hub.emit(TransferEvent(self.sim.now, handle.direction, chunk.addr,
+        hub.emit(TransferEvent(self.sim.now, direction, chunk.addr,
                                chunk.size, chunk.tag, record.request_id))
         handle.api_done.add_callback(
             lambda _e: hub.mark_api_done(record, self.sim.now)
@@ -122,7 +124,7 @@ class DeviceRuntime(abc.ABC):
         handle.complete.add_callback(
             lambda _e: hub.mark_complete(record, self.sim.now)
         )
-        return record
+        return handle, record
 
 
 class CudaContext(DeviceRuntime):
@@ -132,27 +134,28 @@ class CudaContext(DeviceRuntime):
         super().__init__(machine)
         self.params = machine.params
 
-    # -- host to device ---------------------------------------------------
-
     def memcpy_h2d(self, chunk: MemoryChunk) -> TransferHandle:
-        handle = TransferHandle(chunk, H2D, self.sim.event(), self.sim.event())
-        self._track(handle.complete)
-        record = self._telemetry_request(handle)
+        return self._start(chunk, H2D, self._h2d_cc, self._h2d_plain)
+
+    def memcpy_d2h(self, chunk: MemoryChunk) -> TransferHandle:
+        return self._start(chunk, D2H, self._d2h_cc, self._d2h_plain)
+
+    def _start(self, chunk: MemoryChunk, direction: str, cc_body, plain_body) -> TransferHandle:
+        """Open one memcpy and run the mode's body for it."""
+        handle, record = self._open(chunk, direction)
+        cc = self.machine.cc_enabled
         if record is not None:
-            record.strategy = "inline" if self.machine.cc_enabled else "native"
-        if self.machine.cc_enabled:
-            self.sim.process(self._h2d_cc(handle, record))
-        else:
-            self.sim.process(self._h2d_plain(handle, record))
+            record.strategy = "inline" if cc else "native"
+        self.sim.process((cc_body if cc else plain_body)(handle, record))
         return handle
+
+    # -- host to device ---------------------------------------------------
 
     def _h2d_plain(self, handle: TransferHandle, record: Optional[RequestRecord] = None):
         chunk = handle.chunk
         self.sim.process(_fire_after(self.sim, self.params.ncc_api_latency(chunk.size), handle.api_done))
-        start = self.sim.now
-        yield self.machine.pcie.transfer_h2d(chunk.size)
-        if record is not None:
-            record.mark_stage("pcie", start, self.sim.now)
+        yield from timed_stage(self.sim, record, "pcie",
+                               self.machine.pcie.transfer_h2d(chunk.size))
         self.machine.gpu.receive_plaintext(chunk)
         handle.complete.succeed()
 
@@ -166,38 +169,20 @@ class CudaContext(DeviceRuntime):
         message = self.machine.cpu_endpoint.encrypt_next(chunk.payload, nbytes_logical=chunk.size)
         self.machine.gpu.receive_ciphertext(chunk, message)
         # Timing: the call blocks for control plane + one-thread AES.
-        start = self.sim.now
-        yield self.machine.engine.submit_encrypt_inline_cc(chunk.size)
-        if record is not None:
-            record.mark_stage("encrypt", start, self.sim.now)
+        yield from timed_stage(self.sim, record, "encrypt",
+                               self.machine.engine.submit_encrypt_inline_cc(chunk.size))
         handle.api_done.succeed()
-        start = self.sim.now
-        yield self.machine.pcie.transfer_h2d(chunk.size, cc_path=True)
-        if record is not None:
-            record.mark_stage("pcie", start, self.sim.now)
+        yield from timed_stage(self.sim, record, "pcie",
+                               self.machine.pcie.transfer_h2d(chunk.size, cc_path=True))
         handle.complete.succeed()
 
     # -- device to host ----------------------------------------------------
 
-    def memcpy_d2h(self, chunk: MemoryChunk) -> TransferHandle:
-        handle = TransferHandle(chunk, D2H, self.sim.event(), self.sim.event())
-        self._track(handle.complete)
-        record = self._telemetry_request(handle)
-        if record is not None:
-            record.strategy = "inline" if self.machine.cc_enabled else "native"
-        if self.machine.cc_enabled:
-            self.sim.process(self._d2h_cc(handle, record))
-        else:
-            self.sim.process(self._d2h_plain(handle, record))
-        return handle
-
     def _d2h_plain(self, handle: TransferHandle, record: Optional[RequestRecord] = None):
         chunk = handle.chunk
         self.sim.process(_fire_after(self.sim, self.params.ncc_api_latency(chunk.size), handle.api_done))
-        start = self.sim.now
-        yield self.machine.pcie.transfer_d2h(chunk.size)
-        if record is not None:
-            record.mark_stage("pcie", start, self.sim.now)
+        yield from timed_stage(self.sim, record, "pcie",
+                               self.machine.pcie.transfer_d2h(chunk.size))
         device_payload = self.machine.gpu.read_plaintext(chunk.tag)
         self.machine.host_memory.write_silent(chunk.addr, device_payload or chunk.payload)
         handle.complete.succeed()
@@ -208,15 +193,11 @@ class CudaContext(DeviceRuntime):
         # call time; the CPU decrypts in the same order below.
         message = self.machine.gpu.send_ciphertext(chunk)
         plaintext = self.machine.cpu_endpoint.decrypt_next(message)
-        start = self.sim.now
-        yield self.machine.pcie.transfer_d2h(chunk.size, cc_path=True)
-        if record is not None:
-            record.mark_stage("pcie", start, self.sim.now)
+        yield from timed_stage(self.sim, record, "pcie",
+                               self.machine.pcie.transfer_d2h(chunk.size, cc_path=True))
         # Timing: the call blocks until the CPU thread finished decrypting.
-        start = self.sim.now
-        yield self.machine.engine.submit_decrypt_inline_cc(chunk.size)
-        if record is not None:
-            record.mark_stage("decrypt", start, self.sim.now)
+        yield from timed_stage(self.sim, record, "decrypt",
+                               self.machine.engine.submit_decrypt_inline_cc(chunk.size))
         self.machine.host_memory.write_silent(chunk.addr, plaintext)
         handle.api_done.succeed()
         handle.complete.succeed()

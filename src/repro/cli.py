@@ -526,7 +526,9 @@ def _format(value) -> str:
 def _print_summary(command: str, header: str, result, started: float, out,
                    as_json: bool) -> int:
     """A single fleet run's ``as_dict()``: as JSON, or under ``header``
-    with one aligned row per key."""
+    with one aligned row per key. A run whose ledger does not close
+    raises instead (:meth:`~repro.cluster.fleet.FleetResult.check`)."""
+    result.check(command)
     summary = result.as_dict()
     if as_json:
         print(json.dumps(summary, indent=2), file=out)

@@ -31,7 +31,7 @@ from ..faults.policies import DegradationController, FaultPolicy, PipelineMode
 from ..hw.memory import MemoryChunk, PageFault
 from ..sim import Event
 from ..telemetry import FaultEvent, IvEvent, RecoveryEvent, SpeculationEvent
-from ..telemetry.hub import RequestRecord
+from ..telemetry.hub import RequestRecord, timed_stage
 from .classify import TransferClassifier
 from .config import PipeLLMConfig
 from .pipeline import SpeculationPipeline, StagedEntry
@@ -183,9 +183,7 @@ class PipeLLMRuntime(DeviceRuntime):
     # -- host → device ----------------------------------------------------------
 
     def memcpy_h2d(self, chunk: MemoryChunk) -> TransferHandle:
-        handle = TransferHandle(chunk, H2D, self.sim.event(), self.sim.event())
-        self._track(handle.complete)
-        record = self._telemetry_request(handle)
+        handle, record = self._open(chunk, H2D)
 
         if not self.classifier.is_swap(chunk.size):
             self._small_transfers.add()
@@ -313,9 +311,7 @@ class PipeLLMRuntime(DeviceRuntime):
     # -- device → host -------------------------------------------------------------
 
     def memcpy_d2h(self, chunk: MemoryChunk) -> TransferHandle:
-        handle = TransferHandle(chunk, D2H, self.sim.event(), self.sim.event())
-        self._track(handle.complete)
-        record = self._telemetry_request(handle)
+        handle, record = self._open(chunk, D2H)
 
         # Functional layer runs eagerly in call order on both sides, so
         # the D2H IV streams stay aligned regardless of timing overlap.
@@ -414,11 +410,7 @@ class PipeLLMRuntime(DeviceRuntime):
         page fault; the functional twin is :meth:`_on_fault`.
         """
         pending = self._pending_decrypts.get(addr)
-        if pending is None:
-            event = self.sim.event()
-            event.succeed()
-            return event
-        return pending.ready
+        return super().cpu_access(addr) if pending is None else pending.ready
 
     # -- fault handling (validator + async decryptor) ----------------------------------
 
@@ -538,7 +530,7 @@ class PipeLLMRuntime(DeviceRuntime):
         self.sim.process(
             self._timed_h2d(
                 handle, chunk.size, enc_ready, prev, mine,
-                staged=False, blocking_api=blocking_api, record=record,
+                blocking_api=blocking_api, record=record,
             )
         )
 
@@ -562,7 +554,7 @@ class PipeLLMRuntime(DeviceRuntime):
                 self.machine.gpu.endpoint.rx_iv.advance_to(endpoint.tx_iv.current)
                 self._note_recovery("resync", detail="nop")
             prev, mine = self._advance_chain()
-            self.sim.process(self._timed_nop(prev, mine))
+            self.sim.process(self._timed_h2d(None, self.params.nop_bytes, None, prev, mine))
             self._nops_sent.add()
             count += 1
             if self.telemetry.enabled:
@@ -573,55 +565,35 @@ class PipeLLMRuntime(DeviceRuntime):
 
     def _timed_h2d(
         self,
-        handle: TransferHandle,
+        handle: Optional[TransferHandle],
         size: int,
         enc_ready: Optional[Event],
         prev: Event,
         mine: Event,
-        staged: bool,
+        staged: bool = False,
         blocking_api: bool = False,
         record: Optional[RequestRecord] = None,
     ):
-        # Stage marks record the exact sequential wait intervals of this
-        # request's wire path — they tile [submit, complete] (staged
-        # hits spend ~nothing in "encrypt"; on-demand commits wait the
-        # full AES service there), which is what lets the critical-path
-        # profiler attribute latency without double counting.
-        start = self.sim.now
+        """One commit's wire path, in IV order behind ``prev``; each wait
+        is one stage (staged hits spend ~nothing in "encrypt", on-demand
+        commits wait the full AES service there). A NOP pad is this path
+        with no handle, record or encrypt wait."""
+        sim = self.sim
         if enc_ready is not None:
-            yield enc_ready
-            if record is not None:
-                record.mark_stage("encrypt", start, self.sim.now)
+            yield from timed_stage(sim, record, "encrypt", enc_ready)
         if blocking_api and not handle.api_done.triggered:
             handle.api_done.succeed()
-        start = self.sim.now
-        yield prev
-        if record is not None:
-            record.mark_stage("wire-order", start, self.sim.now)
+        yield from timed_stage(sim, record, "wire-order", prev)
         if staged:
             # Validated ciphertext moves private → shared DMA buffers (§6).
-            start = self.sim.now
-            yield from self.machine.staging.stage(size)
-            if record is not None:
-                record.mark_stage("staging", start, self.sim.now)
-        start = self.sim.now
-        yield self.sim.timeout(self.params.cc_control_latency)
-        if record is not None:
-            record.mark_stage("control", start, self.sim.now)
-        start = self.sim.now
+            yield from timed_stage(sim, record, "staging", self.machine.staging.stage(size))
+        yield from timed_stage(sim, record, "control",
+                               sim.timeout(self.params.cc_control_latency))
         dma = self.machine.pcie.transfer_h2d(size, cc_path=True)
         mine.succeed()
-        yield dma
-        if record is not None:
-            record.mark_stage("pcie", start, self.sim.now)
-        handle.complete.succeed()
-
-    def _timed_nop(self, prev: Event, mine: Event):
-        yield prev
-        yield self.sim.timeout(self.params.cc_control_latency)
-        dma = self.machine.pcie.transfer_h2d(self.params.nop_bytes, cc_path=True)
-        mine.succeed()
-        yield dma
+        yield from timed_stage(sim, record, "pcie", dma)
+        if handle is not None:
+            handle.complete.succeed()
 
     def _timed_d2h_async(
         self,
@@ -634,22 +606,16 @@ class PipeLLMRuntime(DeviceRuntime):
         # encryption runs at line rate in the copy engine and the DMA
         # is queued; §5.4 additionally defers the CPU decryption.
         self._fast_api_return(handle)
-        start = self.sim.now
-        yield self.sim.timeout(self.params.cc_control_latency)
-        if record is not None:
-            record.mark_stage("control", start, self.sim.now)
-        start = self.sim.now
-        yield self.machine.pcie.transfer_d2h(chunk.size, cc_path=True)
-        if record is not None:
-            # The deferred CPU decryption runs after landing, off the
-            # wire path — by design it contributes no stage here.
-            record.mark_stage("pcie", start, self.sim.now)
+        sim = self.sim
+        yield from timed_stage(sim, record, "control",
+                               sim.timeout(self.params.cc_control_latency))
+        yield from timed_stage(sim, record, "pcie",
+                               self.machine.pcie.transfer_d2h(chunk.size, cc_path=True))
         handle.complete.succeed()
-        # Newest-first decryption: LIFO resume wants the most recent
-        # swap-out back first, so its plaintext should be ready first.
-        yield self.machine.engine.submit_decrypt_parallel(
-            chunk.size, front=True
-        )
+        # The deferred decryption runs after landing, off the wire path,
+        # so it is no stage. Newest first: LIFO resume wants the most
+        # recent swap-out back first, so its plaintext is ready first.
+        yield self.machine.engine.submit_decrypt_parallel(chunk.size, front=True)
         self._land_decrypt(pending, synchronous=False)
         if self.fault_controller.speculation_enabled:
             self.pipeline.refill(self.predictor, self._leeway())
@@ -661,18 +627,13 @@ class PipeLLMRuntime(DeviceRuntime):
         plaintext: bytes,
         record: Optional[RequestRecord] = None,
     ):
-        start = self.sim.now
-        yield self.sim.timeout(self.params.cc_control_latency)
-        if record is not None:
-            record.mark_stage("control", start, self.sim.now)
-        start = self.sim.now
-        yield self.machine.pcie.transfer_d2h(chunk.size, cc_path=True)
-        if record is not None:
-            record.mark_stage("pcie", start, self.sim.now)
-        start = self.sim.now
-        yield self.machine.engine.submit_decrypt_inline_cc(chunk.size)
-        if record is not None:
-            record.mark_stage("decrypt", start, self.sim.now)
+        sim = self.sim
+        yield from timed_stage(sim, record, "control",
+                               sim.timeout(self.params.cc_control_latency))
+        yield from timed_stage(sim, record, "pcie",
+                               self.machine.pcie.transfer_d2h(chunk.size, cc_path=True))
+        yield from timed_stage(sim, record, "decrypt",
+                               self.machine.engine.submit_decrypt_inline_cc(chunk.size))
         self.machine.host_memory.write_silent(chunk.addr, plaintext)
         handle.api_done.succeed()
         handle.complete.succeed()

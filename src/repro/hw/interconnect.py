@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..crypto import SessionEndpoint, derive_link_session
 from ..sim import BandwidthPipe, Event, Simulator
 from ..telemetry import LinkEvent, trace_collector
+from ..telemetry.hub import timed_stage
 from .engine import CryptoEngine
 from .gpu import GpuEnclave
 from .params import HardwareParams
@@ -268,11 +269,11 @@ class Interconnect:
         root = self._begin_hop_trace(record, src, dst)
         self.hops += 1
         self.p2p_bytes += nbytes
-        yield self._leg(self._p2p_pipe(src, dst), nbytes, f"p2p:{src}->{dst}")
+        yield from timed_stage(self.sim, record, "interconnect",
+                               self._leg(self._p2p_pipe(src, dst), nbytes, f"p2p:{src}->{dst}"))
         if record is not None:
             record.kind = "link"
             record.strategy = "native"
-            record.mark_stage("interconnect", start, self.sim.now)
         if tag:
             self.gpus[dst].store_plaintext(tag, payload)
         self._finish_hop(start, src, dst, nbytes, "p2p", "", collective, record,
@@ -335,27 +336,20 @@ class Interconnect:
             ])
             down = self._leg(self.bounce_down[dst], nbytes, f"down:{link.label}")
             yield sim.all_of([down, crypto])
+            # Marked by hand: one stage over two waits (down leg after up).
             if record is not None:
                 record.mark_stage("interconnect", t1, sim.now)
         else:
             # The serialized bridge: inline control+AES on each leg,
             # CUDA-style, contending on the machine's crypto pools.
-            t0 = sim.now
-            yield self._leg(self.bounce_up[src], nbytes, f"up:{link.label}")
-            if record is not None:
-                record.mark_stage("interconnect", t0, sim.now)
-            t1 = sim.now
-            yield self.engine.submit_decrypt_inline_cc(nbytes)
-            if record is not None:
-                record.mark_stage("decrypt", t1, sim.now)
-            t2 = sim.now
-            yield self.engine.submit_encrypt_inline_cc(nbytes)
-            if record is not None:
-                record.mark_stage("encrypt", t2, sim.now)
-            t3 = sim.now
-            yield self._leg(self.bounce_down[dst], nbytes, f"down:{link.label}")
-            if record is not None:
-                record.mark_stage("interconnect", t3, sim.now)
+            yield from timed_stage(sim, record, "interconnect",
+                                   self._leg(self.bounce_up[src], nbytes, f"up:{link.label}"))
+            yield from timed_stage(sim, record, "decrypt",
+                                   self.engine.submit_decrypt_inline_cc(nbytes))
+            yield from timed_stage(sim, record, "encrypt",
+                                   self.engine.submit_encrypt_inline_cc(nbytes))
+            yield from timed_stage(sim, record, "interconnect",
+                                   self._leg(self.bounce_down[dst], nbytes, f"down:{link.label}"))
 
         if tag:
             self.gpus[dst].store_plaintext(tag, delivered)

@@ -86,8 +86,9 @@ class PcieLink:
         return replayed(self.sim, pipe, nbytes, inj, inj.pcie_drop, inj.pcie_jitter,
                         direction)
 
-    def observed_nops(self, nop_bytes: int = 1) -> int:
+    def observed_nops(self) -> int:
         """How many NOP-sized transfers a snooper counted (§8.1)."""
+        nop_bytes = self.params.nop_bytes
         return sum(1 for record in self.bus_log if record.nbytes == nop_bytes)
 
 

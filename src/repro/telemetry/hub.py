@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
+from ..sim.core import Event, Simulator
 from ..sim.stats import MetricSet
 from ..sim.tracing import SpanTracer
 from ..tracing.context import TraceCollector
@@ -38,6 +39,7 @@ __all__ = [
     "TraceSession",
     "recording",
     "register_hub",
+    "timed_stage",
     "trace_collector",
 ]
 
@@ -84,7 +86,7 @@ class RequestRecord:
     api_done_time: float = math.nan
     complete_time: float = math.nan
     #: Exact critical-path intervals ``(stage, start, end)`` recorded
-    #: by the runtime's timed halves while the hub is enabled. The
+    #: through :func:`timed_stage` while the hub is enabled. The
     #: stages of one request are sequential and non-overlapping, and
     #: together tile [submit_time, complete_time] (see
     #: :mod:`repro.observatory.profiler`).
@@ -127,6 +129,23 @@ class RequestRecord:
             out["trace_id"] = self.trace.trace_id
             out["parent_span_id"] = self.trace.span_id
         return out
+
+
+def timed_stage(sim: Simulator, record: Optional[RequestRecord], stage: str, wait: Any):
+    """Sub-generator: wait on ``wait``, then mark ``[start, sim.now]`` as
+    ``stage`` on ``record`` unless it is None; returns the wait's value.
+
+    The one instrumentation site of every wire path: each sequential
+    wait is a ``yield from timed_stage(...)``, so one request's stages
+    cannot overlap and tile its wire latency. ``wait`` is an event or a
+    process-style generator of events (``DmaStaging.stage``); either
+    way the enclosing process yields exactly the events it would bare.
+    """
+    start = sim.now
+    value = (yield wait) if isinstance(wait, Event) else (yield from wait)
+    if record is not None:
+        record.mark_stage(stage, start, sim.now)
+    return value
 
 
 class TelemetryHub:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.bench import EXPERIMENTS
 from repro.cli import main
+from repro.cluster import Cluster
+from repro.disagg import DisaggCluster
 
 
 def run_cli(*argv):
@@ -166,6 +168,24 @@ class TestServeCommand:
         doc = json.loads(text)
         assert doc["trace"] == "alpaca-serve"
         assert doc["admission"] == "fifo"
+
+
+class TestSingleRunLedgerCheck:
+    @pytest.mark.parametrize("command, cls", [
+        ("cluster", Cluster), ("disagg", DisaggCluster),
+    ])
+    def test_a_failing_check_fails_the_door(self, command, cls, monkeypatch):
+        # The error escapes ``main``, so ``python -m repro`` exits 1.
+        run = cls.run
+
+        def leaky_run(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            result.auth_failures = 1
+            return result
+
+        monkeypatch.setattr(cls, "run", leaky_run)
+        with pytest.raises(AssertionError, match=f"{command}: 1 auth failures"):
+            run_cli(command, "--rate", "2", "--duration", "2", "--json")
 
 
 class TestOneDoorPerRun:

@@ -37,6 +37,13 @@ class TestBusLog:
         link.sim.run()
         assert link.observed_nops() == 2
 
+    def test_observed_nops_follow_the_params_nop_size(self):
+        link = PcieLink(Simulator(), default_params().with_overrides(nop_bytes=2))
+        for nbytes in (1, 2, 2, 4096):
+            link.transfer_h2d(nbytes, cc_path=True)
+        link.sim.run()
+        assert link.observed_nops() == 2
+
     def test_record_is_metadata_only(self):
         record = BusRecord(0.0, "h2d", 42)
         assert not hasattr(record, "payload")

@@ -1,13 +1,20 @@
 """Critical-path profiler: exact attribution, invariant, verdicts."""
 
+import functools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.experiments import run_flexgen
-from repro.bench.systems import CC, pipellm
-from repro.models import OPT_66B
+from repro.bench.experiments import run_flexgen, run_vllm
+from repro.bench.systems import CC, WITHOUT_CC, pipellm
+from repro.cc import CcMode, build_machine
+from repro.core import PipeLLMConfig, PipeLLMRuntime
+from repro.faults import FaultInjector, FaultPlan
+from repro.hw import GB, MB
+from repro.models import OPT_30B, OPT_66B
+from repro.parallel import LinkSpeculator, TensorParallelEngine
 from repro.observatory import (
     attribute_request,
     profile_hub,
@@ -17,7 +24,7 @@ from repro.observatory import (
 from repro.telemetry import TelemetryHub, recording
 from repro.telemetry.hub import RequestRecord
 from repro.tracing import STAGE_CLASSES, class_totals
-from repro.workloads import SyntheticShape
+from repro.workloads import SHAREGPT, SyntheticShape
 
 
 def make_record(request_id=0, size=1024, submit=0.0, complete=math.nan, **kw):
@@ -214,3 +221,118 @@ class TestRealRuns:
         waterfall = render_waterfall(profile.requests[0])
         assert "= wire latency" in waterfall
         assert f"request {profile.requests[0].request_id}" in waterfall
+
+
+def _vllm(system):
+    # Long enough for KV pressure: swap-outs and staged swap-ins.
+    run_vllm(system, OPT_30B, SHAREGPT, 4.0, 6, 8.0, reserve_bytes=1 * GB)
+
+
+def _mispredicted_sweep():
+    # Every prediction sabotaged: on-demand misses, then degraded mode.
+    plan = FaultPlan(name="always-wrong", mispredict_rate=1.0)
+    machine = build_machine(CcMode.ENABLED, enc_threads=8, dec_threads=2,
+                            faults=FaultInjector(plan, seed=7))
+    runtime = PipeLLMRuntime(machine)
+    runtime.hint_weight_chunk_size(MB)
+    layers = [machine.host_memory.allocate(MB, f"layer.{i}", b"w") for i in range(6)]
+
+    def app():
+        for _ in range(10):
+            for layer in layers:
+                yield runtime.memcpy_h2d(layer.chunk()).complete
+
+    machine.sim.process(app())
+    machine.run()
+
+
+def _reordered_swap_ins():
+    # Fig. 6: the highest staged IV is requested before the lowest, so
+    # it is suspended to the batch boundary.
+    machine = build_machine(CcMode.ENABLED, enc_threads=4, dec_threads=2)
+    runtime = PipeLLMRuntime(machine, PipeLLMConfig(kv_depth=8, depth=8))
+    blocks = [machine.host_memory.allocate(4 * MB, f"kv.{i}") for i in range(3)]
+
+    def app():
+        for block in blocks:
+            yield runtime.memcpy_d2h(block.chunk()).api_done
+        yield runtime.synchronize()
+        yield machine.sim.timeout(0.2)
+        low, _mid, high = sorted(runtime.pipeline.valid_entries, key=lambda e: e.iv)
+        for entry in (high, low):
+            yield runtime.memcpy_h2d(machine.host_memory.chunk_at(entry.chunk.addr)).api_done
+        yield runtime.synchronize()
+
+    machine.sim.process(app())
+    machine.run()
+
+
+def _tp2(mode, speculate=False):
+    machine = build_machine(mode, n_gpus=2, enc_threads=8, dec_threads=8)
+    if speculate:
+        machine.interconnect.attach_speculator(LinkSpeculator(lambda: machine.sim.now))
+    TensorParallelEngine(machine, OPT_30B, batch=8).run(output_tokens=2)
+
+
+SCENARIOS = {
+    "w/o-cc": lambda: _vllm(WITHOUT_CC),
+    "cc": lambda: _vllm(CC),
+    "pipellm": lambda: _vllm(pipellm(1, 1)),
+    "pipellm-faults": _mispredicted_sweep,
+    "pipellm-reordered": _reordered_swap_ins,
+    "fabric-p2p": lambda: _tp2(CcMode.DISABLED),
+    "fabric-cc": lambda: _tp2(CcMode.ENABLED),
+    "fabric-pipellm": lambda: _tp2(CcMode.ENABLED, speculate=True),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_records(name):
+    with recording() as session:
+        SCENARIOS[name]()
+    return [record for hub in session.hubs for record in hub.requests]
+
+
+class TestEveryPathTiles:
+    """Each transfer path's stage intervals tile its wire latency.
+
+    ``attribute_request`` books any gap as ``other``, so the profiler
+    invariant above holds for any record; this checks the marks
+    themselves: contiguous, ending at ``complete_time`` and starting at
+    ``submit_time``.
+    """
+
+    @pytest.mark.parametrize("scenario, direction, strategy", [
+        ("w/o-cc", "h2d", "native"),
+        ("w/o-cc", "d2h", "native"),
+        ("cc", "h2d", "inline"),
+        ("cc", "d2h", "inline"),
+        ("pipellm", "h2d", "staged"),
+        ("pipellm", "h2d", "inline"),  # control traffic
+        ("pipellm", "d2h", "sync-decrypt"),
+        # The deferred decryption runs after landing, off the wire
+        # path by design, so it is no stage and the pcie stage ends it.
+        ("pipellm", "d2h", "async-decrypt"),
+        ("pipellm-faults", "h2d", "ondemand"),
+        ("pipellm-faults", "h2d", "degraded"),
+        ("pipellm-reordered", "h2d", "staged"),  # one of them deferred
+        ("fabric-p2p", "link", "native"),
+        ("fabric-cc", "link", "serialized"),
+        ("fabric-pipellm", "link", "staged"),
+        ("fabric-pipellm", "link", "miss"),
+    ])
+    def test_stages_tile_the_wire_latency(self, scenario, direction, strategy):
+        records = [r for r in scenario_records(scenario)
+                   if r.direction == direction and r.strategy == strategy]
+        assert records
+        for record in records:
+            stages = record.stages
+            assert stages, record
+            for (_, _, end), (_, start, _) in zip(stages, stages[1:]):
+                assert start == end, record
+            assert stages[-1][2] == record.complete_time, record
+            if record.deferred:
+                # It waits for its batch boundary before its first stage.
+                assert stages[0][1] >= record.submit_time, record
+            else:
+                assert stages[0][1] == record.submit_time, record

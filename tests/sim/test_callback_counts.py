@@ -6,15 +6,24 @@ operation costs shows up as an exact count on any machine, with no
 wall time involved. The pool counts below are for one 4-slice
 encryption on a 4-worker pool after the workers have booted, plus the
 one callback the test registers on the completion; the staging counts
-are for one 64 MB copy into the shared DMA ring.
+are for one 64 MB copy into the shared DMA ring. The transfer-layer
+counts are whole runs through every runtime's memcpy paths and the
+encrypted fabric.
 """
 
 import pytest
 
+from repro.bench.experiments import run_vllm
+from repro.bench.systems import CC, WITHOUT_CC, pipellm
+from repro.cc import CcMode, build_machine
+from repro.hw import GB
 from repro.hw.dma import DmaStaging
 from repro.hw.engine import CryptoEngine
 from repro.hw.params import HardwareParams
+from repro.models import OPT_30B
+from repro.parallel import LinkSpeculator, TensorParallelEngine
 from repro.sim import Simulator
+from repro.workloads import SHAREGPT
 
 WAYS = 4
 CHUNK = 4 << 20
@@ -116,3 +125,21 @@ class TestStagingCallbacks:
         count, foreign_ran = staging_cost(foreign_at_piece=2)
         assert count == 4
         assert foreign_ran == [True]
+
+
+class TestTransferLayerCallbacks:
+    @pytest.mark.parametrize("system, count", [
+        (WITHOUT_CC, 13326),
+        (CC, 14642),
+        # Staged swap-ins, deferrals and NOP pads (78) included.
+        (pipellm(1, 1), 20764),
+    ], ids=["w/o-cc", "cc", "pipellm"])
+    def test_vllm_run(self, system, count):
+        _, runtime = run_vllm(system, OPT_30B, SHAREGPT, 4.0, 6, 8.0, reserve_bytes=1 * GB)
+        assert runtime.machine.sim.dispatched == count
+
+    def test_tp2_with_link_speculation(self):
+        machine = build_machine(CcMode.ENABLED, n_gpus=2, enc_threads=8, dec_threads=8)
+        machine.interconnect.attach_speculator(LinkSpeculator(lambda: machine.sim.now))
+        TensorParallelEngine(machine, OPT_30B, batch=8).run(output_tokens=2)
+        assert machine.sim.dispatched == 15073
